@@ -7,8 +7,6 @@ g s^a g' = +/- s^a for g a Pauli or the identity.  A pattern is a string over
 by every coupling under every pattern.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,22 +37,6 @@ def validate_pattern(pattern: str, n_qubits: int | None = None) -> str:
     return pattern
 
 
-def conjugation_sign(gate: str, axis: str) -> int:
-    """+1 if the gate commutes with the axis Pauli (identity or same axis), else -1."""
-    try:
-        return int(_SIGN_TABLE[_GATE_INDEX[gate], _AXIS_INDEX[axis]])
-    except KeyError as exc:
-        raise ValidationError(f"unknown gate/axis pair ({gate!r}, {axis!r})") from exc
-
-
-def block_sign(pattern: str, key: CouplingKey) -> int:
-    """Sign of the coupling ``key`` during an analog block sandwiched by ``pattern``."""
-    validate_pattern(pattern)
-    if len(pattern) <= key.j:
-        raise ValidationError(f"pattern {pattern!r} too short for key {key}")
-    return conjugation_sign(pattern[key.i], key.mu) * conjugation_sign(pattern[key.j], key.nu)
-
-
 def _pattern_columns(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> np.ndarray:
     """Sign matrix entries, one vectorized column per pattern."""
     i_idx = np.array([k.i for k in rows], dtype=np.intp)
@@ -80,16 +62,6 @@ class SignMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.patterns))
 
-    def to_csv(self) -> str:
-        """CSV with the row key in the first column and patterns as headers."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", *self.patterns])
-        for alpha, key in enumerate(self.rows):
-            writer.writerow([f"{key.i}:{key.j}:{key.mu}:{key.nu}",
-                             *(int(v) for v in self.entries[alpha])])
-        return buf.getvalue()
-
 
 def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> SignMatrix:
     """Entry-complete sign matrix for the given patterns and coupling keys."""
@@ -107,6 +79,41 @@ def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> S
     entries = _pattern_columns(patterns, rows)
     entries.setflags(write=False)
     return SignMatrix(tuple(rows), tuple(patterns), entries)
+
+
+def sign_columns(patterns: Sequence[str], keys: Sequence[CouplingKey]) -> np.ndarray:
+    """Signs of every key (rows) under every block (columns), in block order.
+
+    Unlike ``build_sign_matrix`` this takes an empty block list or key list
+    and repeated patterns (a schedule read from text may repeat a block);
+    repeats share one column of the sign matrix.
+    """
+    unique = list(dict.fromkeys(patterns))
+    if not unique or not keys:
+        return np.zeros((len(keys), len(patterns)), dtype=np.int8)
+    entries = build_sign_matrix(unique, keys).entries
+    if len(unique) == len(patterns):
+        return entries
+    column = {p: c for c, p in enumerate(unique)}
+    return entries[:, [column[p] for p in patterns]]
+
+
+def sign_weights(
+    patterns: Sequence[str], times: Sequence[float], keys: Sequence[CouplingKey]
+) -> np.ndarray:
+    """Time-weighted sign sums w_alpha = sum_k t_k * s_alpha(P_k), one per key.
+
+    The blocks are added left to right, in schedule order, so every weight is
+    bit-identical to the sequential per-key sum; a matrix-vector product
+    would reorder the additions.
+    """
+    if len(times) != len(patterns):
+        raise ValidationError("patterns and times must have equal length")
+    columns = sign_columns(patterns, keys)
+    weights = np.zeros(len(keys))
+    for k, time in enumerate(times):
+        weights += float(time) * columns[:, k]
+    return weights
 
 
 def pattern_alphabet(source_support: InteractionGraph) -> str:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dense
-from .blocks import block_sign
+from .blocks import sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import (
     CouplingKey,
@@ -217,14 +217,6 @@ class BoundReport:
         return asdict(self)
 
 
-def _defect_only_weights(schedule: Schedule, edges: tuple[CouplingKey, ...]) -> np.ndarray:
-    weights = np.zeros(len(edges))
-    for k, (pattern, time) in enumerate(zip(schedule.patterns, schedule.times)):
-        for alpha, key in enumerate(edges):
-            weights[alpha] += time * block_sign(pattern, key)
-    return weights
-
-
 def evaluate_bounds(
     h_problem: CouplingVector,
     h_source: CouplingVector,
@@ -258,7 +250,7 @@ def evaluate_bounds(
 
     mitigated = schedule.mode is SynthesisMode.MITIGATE_ZEROS
     if mitigated and e_ds:
-        weights = _defect_only_weights(schedule, ds_graph.sorted_edges())
+        weights = sign_weights(schedule.patterns, schedule.times, ds_graph.sorted_edges())
         worst = float(np.abs(weights).max())
         if worst > REPLAY_TOL:
             raise InternalConsistencyError(

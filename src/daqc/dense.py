@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import CouplingVector
-from .blocks import block_sign
+from .blocks import sign_columns
 
 DEFAULT_QUBIT_CAP = 10
 HERMITICITY_TOL = 1e-12
@@ -240,9 +240,12 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     _check_cap(n, cap)
     dim = 2**n
+    keys = h_real.keys()
+    values = h_real.values_array()
+    signs = sign_columns(schedule.patterns, keys)
     cycle = np.eye(dim, dtype=complex)
-    for pattern, time in zip(schedule.patterns, schedule.times):
-        signed = CouplingVector(n, {k: block_sign(pattern, k) * v for k, v in h_real.items()})
+    for k, time in enumerate(schedule.times):
+        signed = CouplingVector(n, zip(keys, signs[:, k] * values))
         block = _expm_hermitian(build_dense(signed, cap=cap).matrix, time / q)
         cycle = block @ cycle  # earlier blocks act first
     return np.linalg.matrix_power(cycle, int(q))

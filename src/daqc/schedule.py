@@ -24,9 +24,9 @@ import numpy as np
 from . import lp
 from .blocks import (
     build_sign_matrix,
-    block_sign,
     generate_candidate_patterns,
     pattern_space_size,
+    sign_weights,
     validate_pattern,
 )
 from .errors import (
@@ -259,11 +259,10 @@ def effective_couplings(schedule: Schedule, h_real: CouplingVector) -> CouplingV
         raise ValidationError("couplings and schedule disagree on system size")
     keys = sorted(set(h_real.keys()) | set(schedule.rows or ()))
     T = schedule.target_time
-    out: dict[CouplingKey, float] = {}
-    for key in keys:
-        weight = sum(t * block_sign(p, key) for p, t in zip(schedule.patterns, schedule.times))
-        out[key] = weight * h_real[key] / T
-    return CouplingVector(h_real.n_qubits, out)
+    weights = sign_weights(schedule.patterns, schedule.times, keys)
+    return CouplingVector(
+        h_real.n_qubits, {key: w * h_real[key] / T for key, w in zip(keys, weights)}
+    )
 
 
 def error_vector(
@@ -281,12 +280,13 @@ def error_vector(
     h_real = h_source + h_delta
     h_eps = effective_couplings(schedule, h_real) - h_problem
     T = schedule.target_time
+    unmeasured = [key for key in h_eps.keys() if h_source[key] == 0.0]
+    weights = dict(zip(unmeasured, sign_weights(schedule.patterns, schedule.times, unmeasured)))
     for key in h_eps.keys():
-        if h_source[key] != 0.0:
-            closed = h_problem[key] * h_delta[key] / h_source[key]
+        if key in weights:
+            closed = weights[key] * h_delta[key] / T
         else:
-            weight = sum(t * block_sign(p, key) for p, t in zip(schedule.patterns, schedule.times))
-            closed = weight * h_delta[key] / T
+            closed = h_problem[key] * h_delta[key] / h_source[key]
         gap = abs(h_eps[key] - closed)
         if gap > REPLAY_TOL:
             raise InternalConsistencyError(

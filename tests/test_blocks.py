@@ -5,11 +5,10 @@ import pytest
 
 from daqc.blocks import (
     GATES,
-    block_sign,
     build_sign_matrix,
-    conjugation_sign,
     generate_candidate_patterns,
     pattern_alphabet,
+    sign_weights,
 )
 from daqc.errors import PatternExhaustionError, ValidationError
 from daqc.pauli import AXES, CouplingKey, InteractionGraph
@@ -37,33 +36,43 @@ def zz(i, j):
     return CouplingKey(i, j, "z", "z")
 
 
+def oracle_sign(pattern: str, key: CouplingKey) -> int:
+    return conjugation_sign_oracle(pattern[key.i], key.mu) * conjugation_sign_oracle(
+        pattern[key.j], key.nu
+    )
+
+
 def test_conjugation_sign_matches_matrix_oracle():
-    for gate in GATES:
-        for axis in AXES:
-            assert conjugation_sign(gate, axis) == conjugation_sign_oracle(gate, axis)
+    # with the identity on qubit 1, the block sign is qubit 0's conjugation sign
+    patterns = [gate + "I" for gate in GATES]
+    rows = [CouplingKey(0, 1, axis, "z") for axis in AXES]
+    sm = build_sign_matrix(patterns, rows)
+    for col, gate in enumerate(GATES):
+        for alpha, axis in enumerate(AXES):
+            assert sm.entries[alpha, col] == conjugation_sign_oracle(gate, axis)
 
 
 def test_block_sign_matches_oracle_on_all_gate_and_axis_pairs():
-    for gi, gj in itertools.product(GATES, repeat=2):
-        pattern = gi + gj
-        for mu, nu in itertools.product(AXES, repeat=2):
-            key = CouplingKey(0, 1, mu, nu)
-            expected = conjugation_sign_oracle(gi, mu) * conjugation_sign_oracle(gj, nu)
-            assert block_sign(pattern, key) == expected
+    patterns = [gi + gj for gi, gj in itertools.product(GATES, repeat=2)]
+    rows = [CouplingKey(0, 1, mu, nu) for mu, nu in itertools.product(AXES, repeat=2)]
+    sm = build_sign_matrix(patterns, rows)
+    assert sm.shape == (9, 16)
+    for col, pattern in enumerate(patterns):
+        for alpha, key in enumerate(rows):
+            assert sm.entries[alpha, col] == oracle_sign(pattern, key)
 
 
 def test_block_sign_identity_pattern():
-    assert block_sign("III", zz(0, 2)) == 1
+    assert build_sign_matrix(["III"], [zz(0, 2)]).entries[0, 0] == 1
 
 
 def test_block_sign_single_and_double_flip():
-    assert block_sign("XI", zz(0, 1)) == -1
-    assert block_sign("XX", zz(0, 1)) == 1
+    assert build_sign_matrix(["XI", "XX"], [zz(0, 1)]).entries.tolist() == [[-1, 1]]
 
 
 def test_block_sign_pattern_too_short():
     with pytest.raises(ValidationError):
-        block_sign("XI", zz(0, 2))
+        build_sign_matrix(["XI"], [zz(0, 2)])
 
 
 def test_three_qubit_sign_matrix_worked_example():
@@ -110,11 +119,26 @@ def test_sign_matrix_determinism():
     assert a.entries.tobytes() == b.entries.tobytes()
 
 
-def test_sign_matrix_csv_export():
-    sm = build_sign_matrix(["II", "XI"], [zz(0, 1)])
-    csv_text = sm.to_csv()
-    assert csv_text.splitlines()[0] == "key,II,XI"
-    assert csv_text.splitlines()[1] == "0:1:z:z,1,-1"
+def test_sign_weights_of_empty_schedule_are_zero():
+    keys = [zz(0, 1), zz(1, 2)]
+    assert sign_weights([], [], keys).tolist() == [0.0, 0.0]
+    assert sign_weights(["XIX"], [0.5], []).shape == (0,)
+
+
+def test_sign_weights_match_sequential_oracle_bit_for_bit():
+    rng = np.random.default_rng(5)
+    n = 4
+    keys = sorted(CouplingKey(i, j, mu, nu)
+                  for i in range(n) for j in range(i + 1, n) for mu in AXES for nu in AXES)
+    for _ in range(20):
+        blocks = int(rng.integers(1, 12))
+        # repeats allowed: a schedule read from text may list one pattern twice
+        patterns = ["".join(rng.choice(list(GATES), size=n)) for _ in range(blocks)]
+        times = rng.uniform(0.0, 3.0, size=blocks).tolist()
+        weights = sign_weights(patterns, times, keys)
+        for alpha, key in enumerate(keys):
+            expected = sum(t * oracle_sign(p, key) for p, t in zip(patterns, times))
+            assert weights[alpha] == expected
 
 
 # ---- candidate generation ---------------------------------------------------
