@@ -21,16 +21,15 @@ from .pauli import (
     CouplingKey,
     CouplingVector,
     InteractionGraph,
-    canonical_index,
     graph_difference,
     hadamard_divide,
     vector_p_norm,
 )
 from .blocks import (
     SignMatrix,
-    block_sign,
     build_sign_matrix,
     generate_candidate_patterns,
+    sign_weights,
 )
 from .lp import LinearProgram, LpSolution, brute_force_optimum, solve
 from .schedule import Schedule, SynthesisMode, effective_couplings, error_vector, synthesize
@@ -52,7 +51,6 @@ from .dense import (
 from .bounds import (
     BoundReport,
     DefectSample,
-    coupling_ratios,
     evaluate_bounds,
     expectation_error_bound,
     frobenius_stability_factor,
@@ -100,12 +98,9 @@ __all__ = [
     "TopologySpec",
     "TrialRecord",
     "ValidationError",
-    "block_sign",
     "brute_force_optimum",
     "build_dense",
     "build_sign_matrix",
-    "canonical_index",
-    "coupling_ratios",
     "effective_couplings",
     "error_vector",
     "evaluate_bounds",
@@ -129,6 +124,7 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "sample_defect",
+    "sign_weights",
     "single_qubit_observable",
     "solve",
     "summarize",

@@ -4,7 +4,10 @@ Sandwiching an analog evolution between layers of Pauli gates conjugates the
 interaction Hamiltonian, which can only flip the sign of each two-body term:
 g s^a g' = +/- s^a for g a Pauli or the identity.  A pattern is a string over
 ``IXYZ`` with one gate per qubit; the sign matrix collects the sign picked up
-by every coupling under every pattern.
+by every coupling under every pattern.  ``sign_weights`` turns it into the
+time-weighted sign sum of a schedule, w_alpha = sum_k t_k s_alpha(P_k): the
+schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign in the
+package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``.
 """
 
 from dataclasses import dataclass

@@ -17,10 +17,10 @@ from . import dense
 from .blocks import sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import (
-    CouplingKey,
     CouplingVector,
     InteractionGraph,
     graph_difference,
+    hadamard_divide,
     vector_p_norm,
 )
 from .schedule import REPLAY_TOL, Schedule, SynthesisMode, error_vector
@@ -50,14 +50,6 @@ def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> Def
     return DefectSample(h_delta, float(delta), rng_seed)
 
 
-def coupling_ratios(h_problem: CouplingVector, h_source: CouplingVector) -> CouplingVector:
-    """Elementwise h_P / h_S over the nonzero source couplings."""
-    if h_problem.n_qubits != h_source.n_qubits:
-        raise ValidationError("coupling vectors disagree on system size")
-    ratios = {key: h_problem[key] / h_source[key] for key in h_source.support()}
-    return CouplingVector(h_source.n_qubits, ratios)
-
-
 def _edge_count_root(e_ds: int, p: float) -> float:
     if e_ds == 0:
         return 0.0
@@ -84,7 +76,7 @@ def p_norm_error_bound(
         raise ValidationError("the coupling error bound is stated for proper p-norms only")
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_norm = vector_p_norm(coupling_ratios(h_problem, h_source), p)
+    ratio_norm = vector_p_norm(hadamard_divide(h_problem, h_source, "skip"), p)
     return delta * ratio_norm + delta * (total_analog_time / target_time) * _edge_count_root(e_ds, p)
 
 
@@ -112,7 +104,7 @@ def frobenius_stability_factor(
     """Dimensionless multiplier f with ||H_eps||_F <= f * ||H_delta||_F."""
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_sq = vector_p_norm(coupling_ratios(h_problem, h_source), 2.0) ** 2
+    ratio_sq = vector_p_norm(hadamard_divide(h_problem, h_source, "skip"), 2.0) ** 2
     return math.sqrt(ratio_sq + e_ds * (total_analog_time / target_time) ** 2)
 
 
@@ -241,7 +233,7 @@ def evaluate_bounds(
         raise ValidationError("defect sample declares couplings outside the defect support")
 
     h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
-    ratios = coupling_ratios(h_problem, h_source)
+    ratios = hadamard_divide(h_problem, h_source, "skip")
     ds_graph = graph_difference(defect_support, h_source.support_graph())
     e_ds = ds_graph.edge_count
     t_a = schedule.total_analog_time

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import io
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,52 +182,34 @@ class TrialRecord:
     short_time: bool
 
     def to_row(self) -> list[str]:
-        def num(value: float | None) -> str:
-            return "" if value is None else f"{value:.{FLOAT_DIGITS}g}"
-
-        return [
-            str(self.trial_id),
-            str(self.n_qubits),
-            self.topology,
-            self.mode,
-            str(self.seed),
-            num(self.t_a),
-            num(self.exact_op_norm),
-            num(self.bound_op_norm),
-            num(self.exact_frob),
-            num(self.frob_bound),
-            num(self.expectation_bound),
-            num(self.expectation_bound_mitigated),
-            num(self.exact_delta_o),
-            "1" if self.small_defect else "0",
-            "1" if self.short_time else "0",
-        ]
+        return [_WRITE_CELL[f.type](getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_row(cls, row: Sequence[str]) -> "TrialRecord":
         if len(row) != len(CSV_COLUMNS):
             raise ValidationError(f"expected {len(CSV_COLUMNS)} CSV fields, got {len(row)}")
+        return cls(**{f.name: _READ_CELL[f.type](cell) for f, cell in zip(fields(cls), row)})
 
-        def num(cell: str) -> float | None:
-            return None if cell == "" else float(cell)
 
-        return cls(
-            trial_id=int(row[0]),
-            n_qubits=int(row[1]),
-            topology=row[2],
-            mode=row[3],
-            seed=int(row[4]),
-            t_a=float(row[5]),
-            exact_op_norm=num(row[6]),
-            bound_op_norm=float(row[7]),
-            exact_frob=num(row[8]),
-            frob_bound=float(row[9]),
-            expectation_bound=float(row[10]),
-            expectation_bound_mitigated=float(row[11]),
-            exact_delta_o=num(row[12]),
-            small_defect=row[13] == "1",
-            short_time=row[14] == "1",
-        )
+def _num_cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.{FLOAT_DIGITS}g}"
+
+
+#: CSV cell codecs by TrialRecord field type; the fields are in CSV_COLUMNS order
+_WRITE_CELL = {
+    int: str,
+    str: str,
+    float: _num_cell,
+    float | None: _num_cell,
+    bool: lambda value: "1" if value else "0",
+}
+_READ_CELL = {
+    int: int,
+    str: str,
+    float: float,
+    float | None: lambda cell: None if cell == "" else float(cell),
+    bool: lambda cell: cell == "1",
+}
 
 
 def run_trial(config: ExperimentConfig, n_qubits: int, trial_index: int) -> TrialRecord:

@@ -4,9 +4,9 @@ A Hamiltonian of the form  sum_{i<j} sum_{mu,nu} h[i,j,mu,nu] s_i^mu s_j^nu
 (s^mu the Pauli matrices, hbar = 1) is stored as a mapping from keys
 ``(i, j, mu, nu)`` to real coupling strengths.  Keys are kept in lexicographic
 order on ``(i, j, mu, nu)`` with the axis ordering x < y < z, which fixes a
-stable position (the canonical index) for every coupling in the vectorized
-form.  Absent keys mean a coupling of exactly zero; explicitly stored zeros
-are allowed and count as part of the declared support.
+stable position for every coupling in the vectorized form.  Absent keys mean
+a coupling of exactly zero; explicitly stored zeros are allowed and count as
+part of the declared support.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
 labeled by the axis pair, so a qubit pair may carry up to nine edges.
@@ -230,11 +230,6 @@ class InteractionGraph:
         object.__setattr__(self, "edges", edge_set)
 
     @classmethod
-    def from_support(cls, vector: CouplingVector) -> "InteractionGraph":
-        """Graph of the nonzero couplings."""
-        return cls(vector.n_qubits, vector.support())
-
-    @classmethod
     def from_declared(cls, vector: CouplingVector) -> "InteractionGraph":
         """Graph of every declared key, zeros included (defect-support reading)."""
         return cls(vector.n_qubits, vector.keys())
@@ -246,9 +241,6 @@ class InteractionGraph:
     def sorted_edges(self) -> tuple[CouplingKey, ...]:
         return tuple(sorted(self.edges))
 
-    def vertex_degree(self, vertex: int) -> int:
-        return sum(1 for e in self.edges if vertex in (e.i, e.j))
-
     def degree(self) -> int:
         """Maximum multigraph degree over all vertices (0 for an empty graph)."""
         counts = [0] * self.n_qubits
@@ -257,29 +249,10 @@ class InteractionGraph:
             counts[e.j] += 1
         return max(counts, default=0)
 
-    def is_subgraph_of(self, other: "InteractionGraph") -> bool:
-        return self.n_qubits == other.n_qubits and self.edges <= other.edges
-
     def union(self, other: "InteractionGraph") -> "InteractionGraph":
         if self.n_qubits != other.n_qubits:
             raise ValidationError("graph union requires matching system sizes")
         return InteractionGraph(self.n_qubits, self.edges | other.edges)
-
-    def subgraph_on(self, vertices: Iterable[int]) -> "InteractionGraph":
-        """Edges with both endpoints inside the given vertex set."""
-        keep = set(vertices)
-        return InteractionGraph(self.n_qubits, (e for e in self.edges if e.i in keep and e.j in keep))
-
-
-def canonical_index(key: CouplingKey, universe: Iterable[CouplingKey]) -> int:
-    """Position of ``key`` in an ordered key universe.
-
-    Raises a lookup error naming the key when it is not part of the universe.
-    """
-    for idx, candidate in enumerate(universe):
-        if candidate == key:
-            return idx
-    raise KeyError(f"coupling key {CouplingKey(*key)} not in universe")
 
 
 def vector_p_norm(vector: CouplingVector, p: float) -> float:
@@ -312,19 +285,15 @@ def vector_p_norm(vector: CouplingVector, p: float) -> float:
     return float(top * np.power(np.power(values / top, p).sum(), 1.0 / p))
 
 
-def hadamard_divide(
-    a: CouplingVector,
-    b: CouplingVector,
-    indeterminate_policy: str = "error",
-) -> CouplingVector:
+def hadamard_divide(a: CouplingVector, b: CouplingVector, indeterminate_policy: str) -> CouplingVector:
     """Elementwise division a/b over the declared keys of ``b``.
 
     Keys where both entries are zero are indeterminate (0/0); the policy
-    decides whether to raise (``error``), emit 0 (``zero``) or drop the key
-    (``skip``).  A nonzero numerator over a zero denominator always raises:
-    the target coupling would not be reachable from the source.
+    decides whether to emit 0 (``zero``) or drop the key (``skip``).  A
+    nonzero numerator over a zero denominator always raises: the target
+    coupling would not be reachable from the source.
     """
-    if indeterminate_policy not in ("error", "zero", "skip"):
+    if indeterminate_policy not in ("zero", "skip"):
         raise ValidationError(f"unknown indeterminate policy {indeterminate_policy!r}")
     if a.n_qubits != b.n_qubits:
         raise ValidationError("hadamard division requires matching system sizes")
@@ -333,14 +302,10 @@ def hadamard_divide(
             raise SimulabilityError(f"nonzero coupling {key} divided by zero source coupling")
     result: dict[CouplingKey, float] = {}
     for key, den in b.items():
-        num = a[key]
         if den != 0.0:
-            result[key] = num / den
+            result[key] = a[key] / den
         elif indeterminate_policy == "zero":
             result[key] = 0.0
-        elif indeterminate_policy == "error":
-            raise ValidationError(f"indeterminate 0/0 at key {key}")
-        # skip: omit the key
     return CouplingVector(a.n_qubits, result)
 
 
@@ -349,8 +314,3 @@ def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGra
     if d.n_qubits != s.n_qubits:
         raise ValidationError("graph difference requires matching system sizes")
     return InteractionGraph(d.n_qubits, d.edges - s.edges)
-
-
-def degree(g: InteractionGraph) -> int:
-    """Maximum multigraph degree of ``g`` (module-level alias)."""
-    return g.degree()

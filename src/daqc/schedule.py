@@ -31,11 +31,10 @@ from .blocks import (
 )
 from .errors import (
     InternalConsistencyError,
-    SimulabilityError,
     SynthesisInfeasibleError,
     ValidationError,
 )
-from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph
+from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 
 #: schedules must reproduce their targets to this absolute tolerance
 REPLAY_TOL = 1e-9
@@ -180,9 +179,6 @@ def synthesize(
     if not (h_problem.n_qubits == h_source.n_qubits == defect_support.n_qubits):
         raise ValidationError("problem, source and defect support disagree on system size")
     source_support = set(h_source.support())
-    for key in h_problem.support():
-        if key not in source_support:
-            raise SimulabilityError(f"problem coupling {key} has zero source coupling")
     if not source_support <= defect_support.edges:
         missing = sorted(source_support - defect_support.edges)[0]
         raise ValidationError(f"source coupling {missing} missing from the defect support")
@@ -193,13 +189,11 @@ def synthesize(
         rows = defect_support.sorted_edges()
     else:
         raise ValidationError(f"unknown synthesis mode {mode!r}")
+    # raises SimulabilityError for a problem coupling outside the source support
+    rhs = target_time * hadamard_divide(h_problem, h_source.restricted(rows), "zero").values_array()
 
     if not rows:
         return Schedule(h_problem.n_qubits, (), (), float(target_time), mode, rows)
-
-    rhs = np.array(
-        [target_time * h_problem[k] / h_source[k] if h_source[k] != 0.0 else 0.0 for k in rows]
-    )
 
     total = pattern_space_size(defect_support)
     solution = None
