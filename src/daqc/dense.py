@@ -110,8 +110,13 @@ def operator_norm(h: DenseHamiltonian) -> float:
 
 
 def frobenius_norm(h: DenseHamiltonian) -> float:
-    """sqrt(Tr(H^dag H))."""
-    return float(np.linalg.norm(h.matrix, "fro"))
+    """sqrt(Tr(H^dag H)).
+
+    Summed with numpy's pairwise reduction rather than ``np.linalg.norm``,
+    whose BLAS dot product rounds differently with the BLAS thread count.
+    """
+    m = h.matrix
+    return float(np.sqrt(np.sum(np.square(m.real)) + np.sum(np.square(m.imag))))
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,30 @@ def test_sweep_and_summarize_round_trip(workspace, tmp_path, capsys):
     assert results.read_bytes() == first  # byte-identical rerun
     assert cli.main(["summarize", "--in", str(results), "--out", str(summary)]) == 0
     assert summary.read_text().splitlines()[0].startswith("N,topology,mode,count")
+
+
+def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
+    """Same bytes at one and two BLAS threads.
+
+    exact_frob once went through a threaded BLAS dot product, which rounded
+    differently at two threads on the 128 x 128 matrices of N = 7.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    csv_bytes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=pythonpath,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "daqc.cli", "sweep", "--topology", "ata",
+             "--n-min", "3", "--n-max", "7", "--trials", "4", "--seed", "11",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        csv_bytes.append(out.read_bytes())
+    assert csv_bytes[0].count(b"\n") == 1 + 5 * 4
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 def test_missing_file_exits_validation(workspace):
