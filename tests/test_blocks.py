@@ -131,10 +131,9 @@ def test_sign_weights_match_sequential_oracle_bit_for_bit():
     keys = sorted(CouplingKey(i, j, mu, nu)
                   for i in range(n) for j in range(i + 1, n) for mu in AXES for nu in AXES)
     for _ in range(20):
-        blocks = int(rng.integers(1, 12))
-        # repeats allowed: a schedule read from text may list one pattern twice
-        patterns = ["".join(rng.choice(list(GATES), size=n)) for _ in range(blocks)]
-        times = rng.uniform(0.0, 3.0, size=blocks).tolist()
+        patterns = ["".join(rng.choice(list(GATES), size=n)) for _ in range(rng.integers(1, 12))]
+        patterns.append(patterns[0])  # a schedule read from text may repeat a block
+        times = rng.uniform(0.0, 3.0, size=len(patterns)).tolist()
         weights = sign_weights(patterns, times, keys)
         for alpha, key in enumerate(keys):
             expected = sum(t * oracle_sign(p, key) for p, t in zip(patterns, times))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from daqc import bounds, dense
-from daqc.errors import ValidationError
+from daqc.errors import SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide, vector_p_norm
 from daqc.schedule import SynthesisMode, synthesize
@@ -65,6 +65,16 @@ def test_p_norm_bound_no_defect_only_edges():
     for p in (1.0, 2.0, math.inf):
         value = bounds.p_norm_error_bound(h_p, h_s, 0.5, 1.0, 7.0, 0, p=p)
         assert value == pytest.approx(0.5 * vector_p_norm(hadamard_divide(h_p, h_s, "skip"), p))
+
+
+def test_ratio_bounds_reject_problem_coupling_without_source():
+    # its ratio is unbounded, so a bound that dropped the coupling would be unsound
+    _, h_s = ratio_pair()
+    h_p = CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 1.0})
+    with pytest.raises(SimulabilityError):
+        bounds.p_norm_error_bound(h_p, h_s, 0.1, 1.0, 1.0, 1, p=2.0)
+    with pytest.raises(SimulabilityError):
+        bounds.frobenius_stability_factor(h_p, h_s, 1.0, 1.0, 1)
 
 
 def test_p_norm_bound_rejects_minus_inf():

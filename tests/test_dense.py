@@ -175,6 +175,16 @@ def test_zero_time_schedule_replays_to_identity():
     assert np.array_equal(dense.replay_unitary(sched, h), np.eye(4, dtype=complex))
 
 
+def test_repeated_block_replays_like_one_longer_block():
+    # schedules read from text may list a pattern twice
+    h = CouplingVector(2, {zz(0, 1): 1.0, CouplingKey(0, 1, "x", "z"): 0.7})
+    repeated = Schedule(2, ("XI", "XI", "II"), (0.3, 0.2, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
+    merged = Schedule(2, ("XI", "II"), (0.5, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
+    u = dense.replay_unitary(repeated, h)
+    assert np.abs(u - dense.replay_unitary(merged, h)).max() <= 1e-12
+    assert effective_couplings(repeated, h) == effective_couplings(merged, h)
+
+
 def test_replay_is_unitary(chain_problem):
     _, h_source, sched = chain_problem
     u = dense.replay_unitary(sched, h_source)
