@@ -94,11 +94,8 @@ def sign_columns(patterns: Sequence[str], keys: Sequence[CouplingKey]) -> np.nda
     unique = list(dict.fromkeys(patterns))
     if not unique or not keys:
         return np.zeros((len(keys), len(patterns)), dtype=np.int8)
-    entries = build_sign_matrix(unique, keys).entries
-    if len(unique) == len(patterns):
-        return entries
     column = {p: c for c, p in enumerate(unique)}
-    return entries[:, [column[p] for p in patterns]]
+    return build_sign_matrix(unique, keys).entries[:, [column[p] for p in patterns]]
 
 
 def sign_weights(
