@@ -6,8 +6,9 @@ g s^a g' = +/- s^a for g a Pauli or the identity.  A pattern is a string over
 ``IXYZ`` with one gate per qubit; the sign matrix collects the sign picked up
 by every coupling under every pattern.  ``sign_weights`` turns it into the
 time-weighted sign sum of a schedule, w_alpha = sum_k t_k s_alpha(P_k): the
-schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign in the
-package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``.
+schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign weight
+in the package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``; the
+dense replay conjugates by the gate matrices instead, independently of it.
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,11 @@ class SignMatrix:
 
 
 def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> SignMatrix:
-    """Entry-complete sign matrix for the given patterns and coupling keys."""
+    """Entry-complete sign matrix for the given patterns and coupling keys.
+
+    A repeated pattern repeats its column (a schedule read from text may list
+    a block twice).
+    """
     if not patterns:
         raise ValidationError("at least one pattern is required")
     if not rows:
@@ -77,25 +82,9 @@ def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> S
         validate_pattern(p)
         if len(p) < n_min:
             raise ValidationError(f"pattern {p!r} too short for rows up to qubit {n_min - 1}")
-    if len(set(patterns)) != len(patterns):
-        raise ValidationError("duplicate gate patterns add no expressive power")
     entries = _pattern_columns(patterns, rows)
     entries.setflags(write=False)
     return SignMatrix(tuple(rows), tuple(patterns), entries)
-
-
-def sign_columns(patterns: Sequence[str], keys: Sequence[CouplingKey]) -> np.ndarray:
-    """Signs of every key (rows) under every block (columns), in block order.
-
-    Unlike ``build_sign_matrix`` this takes an empty block list or key list
-    and repeated patterns (a schedule read from text may repeat a block);
-    repeats share one column of the sign matrix.
-    """
-    unique = list(dict.fromkeys(patterns))
-    if not unique or not keys:
-        return np.zeros((len(keys), len(patterns)), dtype=np.int8)
-    column = {p: c for c, p in enumerate(unique)}
-    return build_sign_matrix(unique, keys).entries[:, [column[p] for p in patterns]]
 
 
 def sign_weights(
@@ -105,12 +94,14 @@ def sign_weights(
 
     The blocks are added left to right, in schedule order, so every weight is
     bit-identical to the sequential per-key sum; a matrix-vector product
-    would reorder the additions.
+    would reorder the additions.  An empty schedule or key list gives zeros.
     """
     if len(times) != len(patterns):
         raise ValidationError("patterns and times must have equal length")
-    columns = sign_columns(patterns, keys)
     weights = np.zeros(len(keys))
+    if not patterns or not keys:
+        return weights
+    columns = build_sign_matrix(patterns, keys).entries
     for k, time in enumerate(times):
         weights += float(time) * columns[:, k]
     return weights

@@ -1,13 +1,14 @@
 """Exact dense ground truth for small systems.
 
-Builds 2^N x 2^N Hermitian matrices from coupling vectors, evaluates the two
-matrix norms used by the stability analysis, replays schedules as products of
-block unitaries, and measures exact observable deviations between the ideal
-and the faulty evolution.  Qubit 0 is the leftmost Kronecker factor.
+Builds Hermitian operators from coupling vectors, evaluates the two matrix
+norms used by the stability analysis, replays schedules as products of block
+unitaries, and measures exact observable deviations between the ideal and the
+faulty evolution.  Qubit 0 is the leftmost Kronecker factor.
 
-Everything here is a ground-truth provider: correctness over speed, with the
-single concession that purely-diagonal (ZZ) Hamiltonians skip the
-eigendecomposition.
+Everything here is a ground-truth provider: correctness over speed.  A ZZ-only
+Hamiltonian is diagonal, so it is kept as its real 2^N diagonal and its norms,
+exponentials and block conjugations are elementwise.  The replay conjugates
+by the gate layers themselves, independently of the sign kernel in ``blocks``.
 """
 
 import math
@@ -18,7 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import CouplingVector
-from .blocks import sign_columns
 
 DEFAULT_QUBIT_CAP = 10
 HERMITICITY_TOL = 1e-12
@@ -39,6 +39,8 @@ def _check_cap(n_qubits: int, cap: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DenseHamiltonian:
+    """``matrix``: the real diagonal, shape (2^N,), if ZZ-only, else the full matrix."""
+
     n_qubits: int
     matrix: np.ndarray
 
@@ -80,7 +82,7 @@ def build_dense(h: CouplingVector, cap: int = DEFAULT_QUBIT_CAP) -> DenseHamilto
         diag = np.zeros(dim)
         for key, value in h.items():
             diag += value * z[key.i] * z[key.j]
-        return DenseHamiltonian(n, np.diag(diag.astype(complex)))
+        return DenseHamiltonian(n, diag)
     matrix = np.zeros((dim, dim), dtype=complex)
     for key, value in h.items():
         factors = [_SIGMA["I"]] * n
@@ -97,15 +99,11 @@ def _require_hermitian(matrix: np.ndarray) -> None:
         raise ValidationError(f"matrix is not Hermitian (asymmetry {asymmetry:.3e})")
 
 
-def _is_diagonal(matrix: np.ndarray) -> bool:
-    return np.count_nonzero(matrix - np.diag(np.diag(matrix))) == 0
-
-
 def operator_norm(h: DenseHamiltonian) -> float:
-    """Largest eigenvalue magnitude; diagonal (ZZ-only) inputs short-circuit."""
+    """Largest eigenvalue magnitude; a diagonal is its own spectrum."""
+    if h.matrix.ndim == 1:
+        return float(np.abs(h.matrix).max())
     _require_hermitian(h.matrix)
-    if _is_diagonal(h.matrix):
-        return float(np.abs(np.diag(h.matrix).real).max())
     return float(np.abs(np.linalg.eigvalsh(h.matrix)).max())
 
 
@@ -121,12 +119,13 @@ def frobenius_norm(h: DenseHamiltonian) -> float:
 
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of an arbitrary (not necessarily Hermitian) matrix."""
-    if _is_diagonal(matrix):
-        return float(np.abs(np.diag(matrix)).max())
     return float(np.linalg.norm(matrix, 2))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral norm of [A, B]; ``a`` may be a diagonal given as a vector."""
+    if a.ndim == 1:
+        return spectral_norm(a[:, None] * b - b * a)
     return spectral_norm(a @ b - b @ a)
 
 
@@ -219,16 +218,26 @@ def _validate_state(rho0: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _expm_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-1j * scale * H) for Hermitian H, via eigendecomposition."""
-    if _is_diagonal(matrix):
-        return np.diag(np.exp(-1j * scale * np.diag(matrix).real))
+    """exp(-1j * scale * H) for Hermitian H; elementwise on a diagonal vector."""
+    if matrix.ndim == 1:
+        return np.exp(-1j * scale * matrix)
     eigvals, eigvecs = np.linalg.eigh(matrix)
     return (eigvecs * np.exp(-1j * scale * eigvals)) @ eigvecs.conj().T
 
 
 def evolution_unitary(h: CouplingVector, time: float, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """exp(-i * time * H) for the Hamiltonian built from ``h``."""
-    return _expm_hermitian(build_dense(h, cap=cap).matrix, time)
+    """exp(-i * time * H) for the Hamiltonian built from ``h``, as a matrix."""
+    u = _expm_hermitian(build_dense(h, cap=cap).matrix, time)
+    return np.diag(u) if u.ndim == 1 else u
+
+
+def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
+    """G H G for the gate layer G of ``pattern``; on a diagonal, X and Y flip bits."""
+    if h.ndim == 2:
+        g = pauli_string_matrix(pattern)
+        return g @ h @ g
+    flips = int("".join("1" if gate in "XY" else "0" for gate in pattern), 2)
+    return h[np.arange(h.size) ^ flips]
 
 
 def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -237,6 +246,8 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
     With ``q = 1`` this is the plain product of block unitaries, the first
     block acting first.  With ``q > 1`` every block time is divided by ``q``
     and the whole sequence is repeated ``q`` times (first-order interleaving).
+    Block k evolves under G_k H G_k, with H built once from ``h_real`` and
+    G_k the gate layer of pattern k.
     """
     if q < 1 or int(q) != q:
         raise ValidationError(f"trotter step count must be a positive integer, got {q!r}")
@@ -244,15 +255,12 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     _check_cap(n, cap)
-    dim = 2**n
-    keys = h_real.keys()
-    values = h_real.values_array()
-    signs = sign_columns(schedule.patterns, keys)
-    cycle = np.eye(dim, dtype=complex)
-    for k, time in enumerate(schedule.times):
-        signed = CouplingVector(n, zip(keys, signs[:, k] * values))
-        block = _expm_hermitian(build_dense(signed, cap=cap).matrix, time / q)
-        cycle = block @ cycle  # earlier blocks act first
+    h = build_dense(h_real, cap=cap).matrix
+    cycle = np.eye(2**n, dtype=complex)
+    for pattern, time in zip(schedule.patterns, schedule.times):
+        block = _expm_hermitian(_conjugate(h, pattern), time / q)
+        # earlier blocks act first
+        cycle = block[:, None] * cycle if block.ndim == 1 else block @ cycle
     return np.linalg.matrix_power(cycle, int(q))
 
 

@@ -219,20 +219,15 @@ def synthesize(
         mode=mode,
         rows=rows,
     )
-    _verify_schedule(schedule, h_problem, h_source, rhs)
+    _verify_schedule(schedule, sign_entries[:, solution.times > 0.0], h_source, rhs)
     return schedule
 
 
-def _verify_schedule(schedule: Schedule, h_problem, h_source, rhs: np.ndarray) -> None:
-    """Replay and cancellation invariants, in physical coupling units."""
-    rows = schedule.rows
-    if schedule.patterns:
-        entries = build_sign_matrix(schedule.patterns, rows).entries.astype(float)
-        residual = entries @ np.array(schedule.times) - rhs
-    else:
-        residual = -rhs
+def _verify_schedule(schedule: Schedule, entries: np.ndarray, h_source, rhs: np.ndarray) -> None:
+    """Replay and cancellation invariants, from the kept blocks' sign columns ``entries``."""
+    residual = entries @ np.array(schedule.times) - rhs
     T = schedule.target_time
-    for alpha, key in enumerate(rows):
+    for alpha, key in enumerate(schedule.rows):
         if h_source[key] != 0.0:
             err = abs(residual[alpha] * h_source[key] / T)
             what = f"replayed coupling {key} misses its target by {err:.3e}"
@@ -269,7 +264,11 @@ def error_vector(
 
     Computed from the block-sum definition, then cross-checked against the
     closed forms (target_ratio * delta on measured couplings, block sign sum
-    times delta elsewhere); disagreement signals a synthesis bug.
+    times delta elsewhere); disagreement signals a synthesis bug.  On
+    unmeasured couplings h_real equals h_delta, so the closed form repeats the
+    block sum through the same sign kernel and cannot catch a sign fault there;
+    the check independent of that kernel is the exact replay,
+    ``dense.replay_unitary``.
     """
     h_real = h_source + h_delta
     h_eps = effective_couplings(schedule, h_real) - h_problem

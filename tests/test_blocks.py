@@ -94,9 +94,12 @@ def test_mixed_axis_entry():
     assert sm.entries[0, 0] == -1
 
 
-def test_duplicate_patterns_rejected():
-    with pytest.raises(ValidationError):
-        build_sign_matrix(["II", "II"], [zz(0, 1)])
+def test_repeated_pattern_repeats_its_column():
+    # a schedule read from text may list a block twice
+    rows = [zz(0, 1), CouplingKey(0, 1, "x", "z")]
+    sm = build_sign_matrix(["XI", "II", "XI"], rows)
+    assert np.array_equal(sm.entries[:, 0], sm.entries[:, 2])
+    assert np.array_equal(sm.entries[:, :2], build_sign_matrix(["XI", "II"], rows).entries)
 
 
 def test_ix_columns_equal_cut_signs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from daqc import dense
+from daqc import blocks, dense
 from daqc.errors import ValidationError
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph
 from daqc.schedule import Schedule, SynthesisMode, effective_couplings, synthesize
@@ -31,7 +31,8 @@ def random_two_body(n, rng, mixed=True):
 def test_single_zz_term_is_diagonal():
     h = CouplingVector(2, {zz(0, 1): 1.0})
     built = dense.build_dense(h)
-    assert np.array_equal(built.matrix, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
+    # a ZZ-only Hamiltonian is kept as its diagonal
+    assert np.array_equal(built.matrix, [1.0, -1.0, -1.0, 1.0])
 
 
 def test_empty_vector_builds_zero_matrix():
@@ -40,7 +41,7 @@ def test_empty_vector_builds_zero_matrix():
 
 def test_zz_triangle_energies():
     h = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): 1.0, zz(1, 2): 1.0})
-    diag = np.diag(dense.build_dense(h).matrix).real
+    diag = dense.build_dense(h).matrix
     assert np.abs(diag).max() == pytest.approx(3.0)
     assert sorted(set(np.round(diag, 12))) == [-1.0, 3.0]
 
@@ -74,7 +75,7 @@ def test_diagonal_fast_path_matches_eigendecomposition():
         h = random_two_body(4, rng, mixed=False)
         built = dense.build_dense(h)
         fast = dense.operator_norm(built)
-        full = float(np.abs(np.linalg.eigvalsh(built.matrix)).max())
+        full = float(np.abs(np.linalg.eigvalsh(np.diag(built.matrix))).max())
         assert fast == pytest.approx(full, abs=1e-10)
 
 
@@ -183,6 +184,30 @@ def test_repeated_block_replays_like_one_longer_block():
     u = dense.replay_unitary(repeated, h)
     assert np.abs(u - dense.replay_unitary(merged, h)).max() <= 1e-12
     assert effective_couplings(repeated, h) == effective_couplings(merged, h)
+
+
+def test_replay_does_not_read_the_sign_kernel(chain_problem, monkeypatch):
+    # the replay is the independent check of the block signs: with every sign
+    # of the kernel forced to +1 it must still reproduce the target evolution
+    h_problem, h_source, sched = chain_problem
+    monkeypatch.setattr(blocks, "_SIGN_TABLE", np.ones_like(blocks._SIGN_TABLE))
+    u = dense.replay_unitary(sched, h_source)
+    assert np.abs(u - dense.evolution_unitary(h_problem, 1.0)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_diagonal_and_full_replay_agree(q):
+    zz_couplings = {zz(0, 1): 0.8, zz(1, 2): -1.3, zz(0, 2): 0.4}
+    diagonal = CouplingVector(3, zz_couplings)
+    # a zero-valued XX key keeps the couplings off the ZZ-only (diagonal) path
+    full = CouplingVector(3, {**zz_couplings, CouplingKey(0, 1, "x", "x"): 0.0})
+    assert dense.build_dense(diagonal).matrix.ndim == 1
+    assert dense.build_dense(full).matrix.ndim == 2
+    patterns = ("XYZ", "IXI", "XYZ", "YIZ")  # one block repeated
+    sched = Schedule(3, patterns, (0.2, 0.3, 0.1, 0.4), 1.0, SynthesisMode.REMOVE_ZEROS)
+    u_diagonal = dense.replay_unitary(sched, diagonal, q=q)
+    u_full = dense.replay_unitary(sched, full, q=q)
+    assert np.abs(u_diagonal - u_full).max() <= 1e-12
 
 
 def test_replay_is_unitary(chain_problem):
