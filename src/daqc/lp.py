@@ -2,15 +2,19 @@
 
 Since every variable carries unit cost, the objective is the total analog
 time of the schedule.  The solver is a dense two-phase primal simplex with
-Bland's anti-cycling rule; it returns vertex solutions, re-solved against the
-original constraint matrix with one step of iterative refinement so the
-reported times satisfy the equations to near machine precision.
+Bland's anti-cycling rule, pivoting one tableau B^-1 [A | b] over two
+reduced-cost rows (unit time, then the sum of the artificials).  Every
+"unbounded" or "infeasible" verdict is re-checked on that tableau rebuilt from
+the original data, so round-off carried through many pivots cannot end a
+feasible program, and the reported times are the final basis re-solved against
+the original matrix with one step of iterative refinement.
 
 A brute-force vertex enumerator doubles as an independent test oracle for
 small instances.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -89,47 +93,69 @@ class _PivotBudget:
             raise LpSolverStallError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list[int], n_scan: int, budget: _PivotBudget) -> None:
-    """Run Bland-rule pivots until the reduced costs over n_scan columns are nonnegative."""
-    m = tableau.shape[0] - 1
+def _basis_solve(system: np.ndarray, basis: list[int], rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs for the basis columns B of ``system``, with one refinement step."""
+    sub = system.take(basis, axis=1)  # row-major, which fixes the residual's summation order
+    try:
+        x = np.linalg.solve(sub, rhs)
+        return x + np.linalg.solve(sub, rhs - sub @ x)
+    except np.linalg.LinAlgError as exc:
+        raise InternalConsistencyError("simplex basis became singular") from exc
+
+
+def _tableau(system: np.ndarray, costs: np.ndarray, basis: list[int]) -> np.ndarray:
+    """B^-1 ``system`` over one reduced-cost row per row of ``costs``.
+
+    Each cost is zero under b, so its row holds minus its objective value there.
+    """
+    body = _basis_solve(system, basis, system)
+    return np.vstack([body, costs - costs[:, basis] @ body])
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int) -> None:
+    """Gauss-Jordan step: column ``enter`` replaces the basic variable of row ``leave``."""
+    tableau[leave, :] /= tableau[leave, enter]
+    factors = tableau[:, enter].copy()
+    factors[leave] = 0.0
+    tableau -= np.outer(factors, tableau[leave, :])
+    tableau[:, enter] = 0.0
+    tableau[leave, enter] = 1.0
+    basis[leave] = enter
+
+
+def _bland_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budget: _PivotBudget,
+                   rebuild: Callable[[], None]) -> int:
+    """Bland-rule pivots until the reduced costs in ``cost_row`` are nonnegative.
+
+    Returns the number of pivots made.  An entering column with no usable
+    pivot is re-checked on a tableau ``rebuild`` makes from the original data
+    before the direction is declared unbounded.
+    """
+    m = len(basis)
+    pivots = 0
+    fresh = False
     while True:
-        reduced = tableau[m, :n_scan]
-        candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
+        candidates = np.nonzero(tableau[cost_row, :-1] < -PIVOT_TOL)[0]
         if candidates.size == 0:
-            return
+            return pivots
         enter = int(candidates[0])  # smallest index: Bland's entering rule
         column = tableau[:m, enter]
-        positive = np.nonzero(column > PIVOT_TOL)[0]
+        # entries tiny against their column are round-off; pivoting on them inflates the tableau
+        positive = np.nonzero(column > PIVOT_TOL * np.abs(column).max())[0]
         if positive.size == 0:
-            # cannot happen for these programs (objective bounded below by 0)
-            raise InternalConsistencyError("simplex detected an unbounded direction")
+            if fresh:
+                # cannot happen for these programs (objective bounded below by 0)
+                raise InternalConsistencyError("simplex detected an unbounded direction")
+            rebuild()
+            fresh = True
+            continue
         ratios = tableau[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = positive[ratios == best]
+        ties = positive[ratios == ratios.min()]
         leave = int(min(ties, key=lambda r: basis[r]))  # smallest basis var: Bland's leaving rule
         budget.spend()
-        pivot = tableau[leave, enter]
-        tableau[leave, :] /= pivot
-        factors = tableau[:, enter].copy()
-        factors[leave] = 0.0
-        tableau -= np.outer(factors, tableau[leave, :])
-        tableau[:, enter] = 0.0
-        tableau[leave, enter] = 1.0
-        basis[leave] = enter
-
-
-def _refined_basis_solution(matrix: np.ndarray, rhs: np.ndarray, rows: list[int], basis: list[int], n_cols: int) -> np.ndarray:
-    """Re-solve the final basis system from the original data, with one refinement step."""
-    sub = matrix[np.ix_(rows, basis)]
-    sub_rhs = rhs[rows]
-    try:
-        x_basis = np.linalg.solve(sub, sub_rhs)
-        x_basis += np.linalg.solve(sub, sub_rhs - sub @ x_basis)
-    except np.linalg.LinAlgError:
-        x_basis = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
-    x = np.zeros(n_cols)
-    x[basis] = x_basis
-    return x
+        _pivot(tableau, basis, leave, enter)
+        pivots += 1
+        fresh = False
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
@@ -146,75 +172,48 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
     m, n = matrix.shape
     budget = _PivotBudget()
 
-    # normalize rows so the rhs is nonnegative
+    # [A | b | I] with rows flipped so b >= 0; column n + 1 + r is row r's artificial
     flip = np.where(rhs < 0, -1.0, 1.0)
-    a_norm = matrix * flip[:, None]
-    b_norm = rhs * flip
+    system = np.hstack([matrix * flip[:, None], (rhs * flip)[:, None], np.eye(m)])
+    # tableau row m: unit time on the structural variables; row m + 1: sum of the artificials
+    costs = np.zeros((2, n + 1 + m))
+    costs[0, :n] = 1.0
+    costs[1, n + 1:] = 1.0
+    basis = list(range(n + 1, n + 1 + m))
+    # the [A | b] columns of _tableau(system, costs, basis) for the all-artificial
+    # basis, written out; an artificial that leaves the basis never re-enters
+    tableau = np.vstack([system[:, :n + 1], costs[:, :n + 1]])
+    tableau[m + 1] -= system[:, :n + 1].sum(axis=0)
 
-    # ---- phase one: minimize the sum of artificial variables ----
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_norm
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b_norm
-    tableau[m, :] = -tableau[:m, :].sum(axis=0)
-    tableau[m, n:n + m] = 0.0
-    basis = list(range(n, n + m))
+    def rebuild() -> None:
+        tableau[:] = _tableau(system, costs, basis)[:, :n + 1]
 
-    _bland_iterate(tableau, basis, n + m, budget)
-    phase_one = -tableau[m, -1]
-    if phase_one > tol:
-        return _infeasible(n)
+    # ---- phase one: minimize the sum of the artificials ----
+    _bland_iterate(tableau, basis, m + 1, budget, rebuild)
+    while -tableau[m + 1, -1] > tol:
+        rebuild()
+        if not _bland_iterate(tableau, basis, m + 1, budget, rebuild):
+            return _infeasible(n)
 
-    # drive leftover artificials out of the basis; rows with no real pivot are
-    # redundant (pick the largest entry, not Bland: this is a one-shot cleanup)
-    drop_rows: set[int] = set()
+    # drive leftover artificials out of the basis (largest entry, not Bland: a
+    # one-shot cleanup); a row with no real pivot is redundant, and its
+    # artificial stays basic at zero, out of every ratio test
     for r in range(m):
         if basis[r] < n:
             continue
         row = tableau[r, :n]
         enter = int(np.argmax(np.abs(row)))
-        if abs(row[enter]) <= PIVOT_TOL:
-            drop_rows.add(r)
-            continue
-        budget.spend()
-        pivot = tableau[r, enter]
-        tableau[r, :] /= pivot
-        factors = tableau[:, enter].copy()
-        factors[r] = 0.0
-        tableau -= np.outer(factors, tableau[r, :])
-        tableau[:, enter] = 0.0
-        tableau[r, enter] = 1.0
-        basis[r] = enter
+        if abs(row[enter]) > PIVOT_TOL:
+            budget.spend()
+            _pivot(tableau, basis, r, enter)
 
-    keep = [r for r in range(m) if r not in drop_rows]
+    # ---- phase two: unit cost on every structural variable ----
+    _bland_iterate(tableau, basis, m, budget, rebuild)
 
-    if not keep:
-        # every row was redundant against zero rhs: the origin is optimal
-        return LpSolution(np.zeros(n), 0.0, STATUS_OPTIMAL)
-
-    # ---- phase two: original unit-cost objective on the surviving rows ----
-    k = len(keep)
-    phase_two = np.zeros((k + 1, n + 1))
-    phase_two[:k, :n] = tableau[keep, :n]
-    phase_two[:k, -1] = tableau[keep, -1]
-    basis2 = [basis[r] for r in keep]
-    # unit cost on every structural variable, and all basis vars are structural here
-    phase_two[k, :n] = np.ones(n) - phase_two[:k, :n].sum(axis=0)
-    phase_two[k, -1] = -phase_two[:k, -1].sum()
-
-    _bland_iterate(phase_two, basis2, n, budget)
-
-    times = np.zeros(n)
-    for r, bv in enumerate(basis2):
-        times[bv] = phase_two[r, -1]
-
-    refined = _refined_basis_solution(matrix, rhs, keep, basis2, n)
-    residual_refined = np.abs(matrix @ refined - rhs).max()
-    residual_tableau = np.abs(matrix @ times - rhs).max()
-    if residual_refined <= residual_tableau:
-        times, residual = refined, residual_refined
-    else:
-        residual = residual_tableau
+    x = np.zeros(n + 1 + m)
+    x[basis] = _basis_solve(system, basis, system[:, n])
+    times = x[:n]
+    residual = np.abs(matrix @ times - rhs).max()
     if residual > tol:
         raise InternalConsistencyError(
             f"optimal basis violates the constraints: residual {residual:.3e} > {tol:.1e}"

@@ -105,9 +105,6 @@ class CouplingVector:
     def support_graph(self) -> "InteractionGraph":
         return InteractionGraph(self._n_qubits, self.support())
 
-    def declared_graph(self) -> "InteractionGraph":
-        return InteractionGraph(self._n_qubits, self.keys())
-
     def get(self, key: CouplingKey, default: float = 0.0) -> float:
         return self._entries.get(key, default)
 

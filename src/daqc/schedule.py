@@ -262,25 +262,19 @@ def error_vector(
 ) -> CouplingVector:
     """Coupling error h_eps of the schedule run on ``h_source + h_delta``.
 
-    Computed from the block-sum definition, then cross-checked against the
-    closed forms (target_ratio * delta on measured couplings, block sign sum
-    times delta elsewhere); disagreement signals a synthesis bug.  On
-    unmeasured couplings h_real equals h_delta, so the closed form repeats the
-    block sum through the same sign kernel and cannot catch a sign fault there;
-    the check independent of that kernel is the exact replay,
+    Computed from the block-sum definition, then cross-checked on measured
+    couplings against the closed form target_ratio * delta; disagreement
+    signals a synthesis bug.  On unmeasured couplings h_real equals h_delta,
+    so a closed form would only repeat the block sum through the same sign
+    kernel; the check independent of that kernel there is the exact replay,
     ``dense.replay_unitary``.
     """
     h_real = h_source + h_delta
     h_eps = effective_couplings(schedule, h_real) - h_problem
-    T = schedule.target_time
-    unmeasured = [key for key in h_eps.keys() if h_source[key] == 0.0]
-    weights = dict(zip(unmeasured, sign_weights(schedule.patterns, schedule.times, unmeasured)))
     for key in h_eps.keys():
-        if key in weights:
-            closed = weights[key] * h_delta[key] / T
-        else:
-            closed = h_problem[key] * h_delta[key] / h_source[key]
-        gap = abs(h_eps[key] - closed)
+        if h_source[key] == 0.0:
+            continue
+        gap = abs(h_eps[key] - h_problem[key] * h_delta[key] / h_source[key])
         if gap > REPLAY_TOL:
             raise InternalConsistencyError(
                 f"error vector at {key} deviates {gap:.3e} from its closed form"

@@ -20,7 +20,7 @@ from daqc.harness import (
     generate_problem,
     run_experiment,
 )
-from daqc.pauli import CouplingKey, CouplingVector, hadamard_divide
+from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 from daqc.schedule import REPLAY_TOL, SynthesisMode, error_vector, synthesize
 
 MASTER_SEED = 11
@@ -233,7 +233,7 @@ def test_c3_total_time_ordering(sweeps):
                 assert abs(r_rm.t_a - r_mi.t_a) <= 1e-9
 
     rng = np.random.default_rng(MASTER_SEED)
-    defect = CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}).declared_graph()
+    defect = InteractionGraph.from_declared(CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}))
     for trial in range(100):
         source_values = rng.uniform(0.5, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
         b = rng.uniform(-3.0, 3.0, size=2)

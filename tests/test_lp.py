@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from daqc import cli, lp
+from daqc.blocks import build_sign_matrix, generate_candidate_patterns
 from daqc.errors import OracleLimitError, ValidationError
+from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, run_trial
 from daqc.lp import (
     FEASIBILITY_TOL,
     LinearProgram,
     brute_force_optimum,
     solve,
 )
+from daqc.pauli import InteractionGraph
+from daqc.schedule import SynthesisMode
 
 THREE_QUBIT_MATRIX = [
     [1, -1, -1, 1],
@@ -149,3 +154,90 @@ def test_tolerance_validation():
     with pytest.raises(ValidationError):
         solve(LinearProgram([[1.0]], [1.0]), tol=0.0)
     assert FEASIBILITY_TOL == 1e-9
+
+
+# ---- regressions pinned to their seeds -----------------------------------------
+
+# (master seed, topology, mode, N, trial) -> t_A of the HiGHS optimum.  Each
+# once ended in "simplex detected an unbounded direction": round-off in a
+# tableau carried through hundreds of pivots.  With rebuilding alone, N = 13
+# trial 16 stalled past MAX_PIVOTS: the ratio test took entries near 1e-10 as pivots.
+PINNED_TRIALS = {
+    (11, "ata", "remove", 10, 11): 6.94134175887776,
+    (11, "random", "mitigate", 12, 6): 6.726727403712697,
+    (11, "random", "mitigate", 13, 16): 14.756128915129446,
+    (13, "random", "mitigate", 9, 18): 3.7696203772336747,
+}
+
+
+def _run_pinned(seed, kind, mode, n, index):
+    config = ExperimentConfig(
+        topology=TopologySpec(kind, n),
+        n_range=(n,),
+        trials=index + 1,
+        mode=SynthesisMode.from_name(mode),
+        master_seed=seed,
+    )
+    return run_trial(config, n, index)
+
+
+@pytest.mark.parametrize("trial", list(PINNED_TRIALS), ids=lambda t: "-".join(map(str, t)))
+def test_pinned_trial_reaches_the_highs_optimum(trial):
+    assert _run_pinned(*trial).t_a == pytest.approx(PINNED_TRIALS[trial], rel=1e-9, abs=0)
+
+
+def test_sweep_that_hit_an_unbounded_direction_exits_zero(tmp_path):
+    out = tmp_path / "ata10.csv"
+    args = ["sweep", "--topology", "ata", "--n-min", "10", "--n-max", "10",
+            "--trials", "12", "--seed", "11", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert out.read_text().count("\n") == 1 + 12
+
+
+# ---- cross-check against HiGHS -------------------------------------------------
+
+
+def _assert_agrees_with_highs(program, optimize):
+    fast = solve(program)
+    ref = optimize.linprog(np.ones(program.n_cols), A_eq=program.constraint_matrix,
+                           b_eq=program.rhs, bounds=(0, None), method="highs")
+    assert ref.status in (0, 2), ref.message
+    assert fast.is_optimal == (ref.status == 0)
+    if fast.is_optimal:
+        assert fast.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=0)
+    return fast
+
+
+@pytest.mark.parametrize("trial", list(PINNED_TRIALS), ids=lambda t: "-".join(map(str, t)))
+def test_pinned_trial_programs_match_highs(trial, monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    programs = []
+
+    def recording(program, tol=FEASIBILITY_TOL):
+        programs.append(program)
+        return solve(program, tol)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    _run_pinned(*trial)
+    assert programs
+    for program in programs:
+        _assert_agrees_with_highs(program, optimize)
+
+
+def test_sign_programs_above_the_oracle_limit_match_highs():
+    """Seeded +/-1 programs over 10-12 qubits, some rows zeroed as mitigation zeroes them."""
+    optimize = pytest.importorskip("scipy.optimize")
+    statuses = set()
+    for k in range(20):
+        rng = np.random.default_rng(1000 + k)
+        n_qubits = 10 + k % 3
+        graph = InteractionGraph(n_qubits, all_pair_edges(n_qubits))
+        rows = graph.sorted_edges()[: int(rng.integers(n_qubits, len(graph.edges) + 1))]
+        patterns = generate_candidate_patterns(graph, int(rng.integers(2, 5)) * len(rows), 7 + k)
+        matrix = build_sign_matrix(patterns, rows).entries.astype(float)
+        t0 = np.where(rng.random(len(patterns)) < 0.1, rng.uniform(0.0, 1.0, len(patterns)), 0.0)
+        rhs = matrix @ t0
+        if k % 2:
+            rhs[rng.random(len(rows)) < 0.3] = 0.0
+        statuses.add(_assert_agrees_with_highs(LinearProgram(matrix, rhs), optimize).status)
+    assert statuses == {"optimal", "infeasible"}

@@ -197,7 +197,7 @@ def test_absent_key_reads_zero_and_support_skips_zeros():
     assert v.support() == (zz(0, 1),)
     assert v.keys() == (zz(0, 1), zz(1, 2))
     assert v.support_graph().edges == {zz(0, 1)}
-    assert v.declared_graph().edge_count == 2
+    assert InteractionGraph.from_declared(v).edge_count == 2
 
 
 def test_text_round_trip_is_bit_exact():
