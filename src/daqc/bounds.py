@@ -279,9 +279,7 @@ def evaluate_bounds(
                 h_problem, schedule, h_source + defect.h_delta, state, observable, q=q, cap=qubit_cap
             )
             if all(dense.is_zz_only(v) for v in (h_problem, h_source, defect.h_delta)):
-                commutator_bound = target_time * dense.commutator_norm(
-                    h_eps_dense.matrix, observable.matrix
-                )
+                commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)
     else:
         exact_frob = 2.0 ** (n / 2.0) * vector_p_norm(h_eps, 2.0)
 

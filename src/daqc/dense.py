@@ -7,12 +7,21 @@ faulty evolution.  Qubit 0 is the leftmost Kronecker factor.
 
 Everything here is a ground-truth provider: correctness over speed.  A ZZ-only
 Hamiltonian is diagonal, so it is kept as its real 2^N diagonal and its norms,
-exponentials and block conjugations are elementwise.  The replay conjugates
-by the gate layers themselves, independently of the sign kernel in ``blocks``.
+exponentials, block conjugations, evolution and replay unitaries are vectors
+of that length, multiplied elementwise.  The replay conjugates by the gate
+layers themselves, independently of the sign kernel in ``blocks``.
+
+An observable is kept as its weighted Pauli strings.  A string acts on a
+state vector by an index flip and a phase, so expectation values in a state
+vector, and the commutator of one string with a diagonal, need no matrix; the
+observable's matrix is built only for density matrices and for the commutator
+with a full matrix or of a sum of strings.  On ZZ couplings, a state vector
+and Pauli-string observables nothing here allocates a 2^N x 2^N array.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +71,24 @@ def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
+
+
+def _mask(label: str, letters: str) -> int:
+    """Bit mask of the qubits whose letter is in ``letters``; qubit 0 is the top bit."""
+    n = len(label)
+    return sum(1 << (n - 1 - q) for q, gate in enumerate(label) if gate in letters)
+
+
+def apply_pauli_string(label: str, state: np.ndarray) -> np.ndarray:
+    """P @ state for the Pauli string ``label``, by index flip and phase.
+
+    (P psi)[t] = phase(t ^ f) * psi[t ^ f], where ``f`` flips the X and Y
+    qubits and phase(s) = i^(#Y) * (-1)^(parity of s on the Z and Y qubits).
+    """
+    source = np.arange(state.shape[0]) ^ _mask(label, "XY")
+    signed = [q for q, gate in enumerate(label) if gate in "YZ"]
+    signs = _z_sign_columns(len(label))[signed].prod(axis=0)[source]
+    return 1j ** (label.count("Y") % 4) * signs * state[source]
 
 
 def pauli_string_matrix(label: str) -> np.ndarray:
@@ -118,26 +145,42 @@ def frobenius_norm(h: DenseHamiltonian) -> float:
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of an arbitrary (not necessarily Hermitian) matrix."""
+    """Largest singular value of an arbitrary (not necessarily Hermitian) matrix.
+
+    A vector stands for the diagonal matrix it holds, as everywhere here.
+    """
+    if matrix.ndim == 1:
+        return float(np.abs(matrix).max(initial=0.0))
     return float(np.linalg.norm(matrix, 2))
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of [A, B]; ``a`` may be a diagonal given as a vector."""
-    if a.ndim == 1:
-        return spectral_norm(a[:, None] * b - b * a)
-    return spectral_norm(a @ b - b @ a)
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableSpec:
-    """Weighted sum of Pauli strings with its support and exact operator norm."""
+    """Weighted sum of Pauli strings with its support and exact operator norm.
+
+    ``op_norm`` and ``matrix`` are computed on first use and then kept; a
+    single string has eigenvalues +/-1, so its norm is |c| without a matrix.
+    """
 
     n_qubits: int
     terms: tuple[tuple[float, str], ...]
     support: frozenset[int]
-    op_norm: float
-    matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The full 2^N x 2^N matrix, read-only and checked to be Hermitian."""
+        matrix = np.zeros((2**self.n_qubits, 2**self.n_qubits), dtype=complex)
+        for coeff, label in self.terms:
+            matrix += coeff * pauli_string_matrix(label)
+        _require_hermitian(matrix)
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def op_norm(self) -> float:
+        if len(self.terms) == 1:
+            return abs(self.terms[0][0])
+        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
 
 
 def make_observable(
@@ -148,20 +191,36 @@ def make_observable(
         raise ValidationError("an observable needs at least one Pauli term")
     n = len(terms[0][1])
     _check_cap(n, cap)
-    matrix = np.zeros((2**n, 2**n), dtype=complex)
     support: set[int] = set()
     frozen: list[tuple[float, str]] = []
     for coeff, label in terms:
         coeff = float(coeff)
+        if not math.isfinite(coeff):
+            raise ValidationError(f"Pauli term {label!r} has a non-finite coefficient {coeff!r}")
         if len(label) != n:
             raise ValidationError("all Pauli strings of an observable must share one length")
-        matrix += coeff * pauli_string_matrix(label)
+        if not set(label) <= set("IXYZ"):
+            raise ValidationError(f"pauli string {label!r} uses letters outside IXYZ")
         support |= {q for q, g in enumerate(label) if g != "I"}
         frozen.append((coeff, label))
-    _require_hermitian(matrix)
-    norm = float(np.abs(np.linalg.eigvalsh(matrix)).max())
-    matrix.setflags(write=False)
-    return ObservableSpec(n, tuple(frozen), frozenset(support), norm, matrix)
+    return ObservableSpec(n, tuple(frozen), frozenset(support))
+
+
+def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
+    """Spectral norm of [H, O]; ``h`` may be a diagonal given as a vector.
+
+    For a diagonal D and one string c P, [D, P] = (D - P D P^dag) P is a
+    diagonal times a phased permutation, so its norm is
+    |c| * max |d - d[idx ^ flips]| with ``flips`` the X and Y qubits of P.
+    """
+    if h.ndim == 1 and len(observable.terms) == 1:
+        ((coeff, label),) = observable.terms
+        conjugated = h[np.arange(h.shape[0]) ^ _mask(label, "XY")]
+        return abs(coeff) * float(np.abs(h - conjugated).max(initial=0.0))
+    o = observable.matrix
+    if h.ndim == 1:
+        return spectral_norm(h[:, None] * o - o * h)
+    return spectral_norm(h @ o - o @ h)
 
 
 def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableSpec:
@@ -226,9 +285,12 @@ def _expm_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
 
 
 def evolution_unitary(h: CouplingVector, time: float, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """exp(-i * time * H) for the Hamiltonian built from ``h``, as a matrix."""
-    u = _expm_hermitian(build_dense(h, cap=cap).matrix, time)
-    return np.diag(u) if u.ndim == 1 else u
+    """exp(-i * time * H) for the Hamiltonian built from ``h``.
+
+    Like ``DenseHamiltonian.matrix``: the diagonal, shape (2^N,), if ``h`` is
+    ZZ-only, else the full matrix.
+    """
+    return _expm_hermitian(build_dense(h, cap=cap).matrix, time)
 
 
 def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
@@ -236,8 +298,7 @@ def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
     if h.ndim == 2:
         g = pauli_string_matrix(pattern)
         return g @ h @ g
-    flips = int("".join("1" if gate in "XY" else "0" for gate in pattern), 2)
-    return h[np.arange(h.size) ^ flips]
+    return h[np.arange(h.size) ^ _mask(pattern, "XY")]
 
 
 def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -247,7 +308,8 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
     block acting first.  With ``q > 1`` every block time is divided by ``q``
     and the whole sequence is repeated ``q`` times (first-order interleaving).
     Block k evolves under G_k H G_k, with H built once from ``h_real`` and
-    G_k the gate layer of pattern k.
+    G_k the gate layer of pattern k.  The result is a diagonal vector if
+    ``h_real`` is ZZ-only, else a matrix, as in ``evolution_unitary``.
     """
     if q < 1 or int(q) != q:
         raise ValidationError(f"trotter step count must be a positive integer, got {q!r}")
@@ -256,12 +318,29 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     _check_cap(n, cap)
     h = build_dense(h_real, cap=cap).matrix
-    cycle = np.eye(2**n, dtype=complex)
+    cycle = np.ones(2**n, dtype=complex) if h.ndim == 1 else np.eye(2**n, dtype=complex)
     for pattern, time in zip(schedule.patterns, schedule.times):
         block = _expm_hermitian(_conjugate(h, pattern), time / q)
         # earlier blocks act first
-        cycle = block[:, None] * cycle if block.ndim == 1 else block @ cycle
-    return np.linalg.matrix_power(cycle, int(q))
+        cycle = block * cycle if h.ndim == 1 else block @ cycle
+    return cycle ** int(q) if h.ndim == 1 else np.linalg.matrix_power(cycle, int(q))
+
+
+def _evolve(u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """U psi or U rho U^dag; ``u`` may be a diagonal given as a vector."""
+    if u.ndim == 1:
+        return u * state if state.ndim == 1 else u[:, None] * state * u.conj()
+    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+
+
+def _expectation(observable: ObservableSpec, state: np.ndarray) -> float:
+    """<O> in a state vector, string by string without a matrix, or in a density matrix."""
+    if state.ndim == 2:
+        return float(np.trace(observable.matrix @ state).real)
+    return sum(
+        coeff * np.vdot(state, apply_pauli_string(label, state)).real
+        for coeff, label in observable.terms
+    )
 
 
 def expectation_deviation(
@@ -281,13 +360,6 @@ def expectation_deviation(
         raise ValidationError("observable and Hamiltonian disagree on the number of qubits")
     time = schedule.target_time if target_time is None else float(target_time)
     state = _validate_state(rho0, 2**n)
-    u_ideal = evolution_unitary(h_problem, time, cap=cap)
-    u_faulty = replay_unitary(schedule, h_real, q=q, cap=cap)
-    obs = observable.matrix
-    if state.ndim == 1:
-        ideal = np.vdot(u_ideal @ state, obs @ (u_ideal @ state)).real
-        faulty = np.vdot(u_faulty @ state, obs @ (u_faulty @ state)).real
-    else:
-        ideal = np.trace(obs @ u_ideal @ state @ u_ideal.conj().T).real
-        faulty = np.trace(obs @ u_faulty @ state @ u_faulty.conj().T).real
+    ideal = _expectation(observable, _evolve(evolution_unitary(h_problem, time, cap=cap), state))
+    faulty = _expectation(observable, _evolve(replay_unitary(schedule, h_real, q=q, cap=cap), state))
     return float(abs(ideal - faulty))

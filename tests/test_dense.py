@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from daqc import blocks, dense
+from daqc import blocks, bounds, dense
 from daqc.errors import ValidationError
+from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph
 from daqc.schedule import Schedule, SynthesisMode, effective_couplings, synthesize
 
@@ -152,6 +156,93 @@ def test_composite_observable():
     assert obs.op_norm == pytest.approx(np.abs(np.linalg.eigvalsh(obs.matrix)).max())
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(float("nan"), "XZ")],
+        [(float("inf"), "XZ")],
+        [(1.0, "ZZ"), (float("-inf"), "XI")],
+        [(1.0, "XQ")],
+        [(1.0, "XZ"), (0.5, "X")],
+    ],
+    ids=["nan", "inf", "second-term-inf", "bad-letter", "unequal-length"],
+)
+def test_malformed_observable_rejected(terms):
+    with pytest.raises(ValidationError):
+        dense.make_observable(terms)
+
+
+def test_single_string_norm_needs_no_matrix():
+    obs = dense.make_observable([(-2.5, "IYZX")])
+    assert obs.op_norm == 2.5
+    assert "matrix" not in vars(obs)  # built only when a full-matrix consumer asks
+
+
+def test_flip_and_phase_matches_the_string_matrix():
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    for letters in itertools.product("IXYZ", repeat=3):
+        label = "".join(letters)
+        expected = dense.pauli_string_matrix(label) @ psi
+        assert np.array_equal(dense.apply_pauli_string(label, psi), expected), label
+
+
+def test_closed_form_commutator_matches_svd():
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        n = 1 + trial % 4
+        d = rng.normal(size=2**n)
+        label = "".join(rng.choice(list("IXYZ"), size=n))
+        coeff = float(rng.normal())
+        p = coeff * dense.pauli_string_matrix(label)
+        oracle = np.linalg.norm(np.diag(d) @ p - p @ np.diag(d), 2)
+        closed = dense.commutator_norm(d, dense.make_observable([(coeff, label)]))
+        assert closed == pytest.approx(oracle, abs=1e-12), label
+
+
+def test_two_term_observable_matches_its_matrix(chain_problem):
+    h_problem, h_source, sched = chain_problem
+    h_real = h_source + CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2})
+    obs = dense.make_observable([(0.5, "XIZ"), (-1.5, "YYI")])
+    o = obs.matrix
+    assert obs.op_norm == pytest.approx(np.abs(np.linalg.eigvalsh(o)).max())
+    d = dense.build_dense(effective_couplings(sched, h_real) - h_problem).matrix
+    assert dense.commutator_norm(d, obs) == pytest.approx(
+        np.linalg.norm(np.diag(d) @ o - o @ np.diag(d), 2), abs=1e-12
+    )
+    psi = dense.random_product_state(3, 4)
+    ideal = dense.evolution_unitary(h_problem, 1.0) * psi
+    faulty = dense.replay_unitary(sched, h_real) * psi
+    oracle = abs(np.vdot(ideal, o @ ideal).real - np.vdot(faulty, o @ faulty).real)
+    dev = dense.expectation_deviation(h_problem, sched, h_real, psi, obs)
+    assert dev == pytest.approx(oracle, abs=1e-12)
+    rho = np.outer(psi, psi.conj())
+    assert dense.expectation_deviation(h_problem, sched, h_real, rho, obs) == pytest.approx(dev, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_sigma_x_deviation_on_plus_is_a_difference_of_cosine_products(kind, mode):
+    # On |+>, <X_0> after exp(-iTH) for H = sum J_ij Z_i Z_j is
+    # prod_j cos(2T J_0j).  The ZZ replay commutes, so it realizes the
+    # effective couplings exactly and the deviation is a difference of two
+    # such products.
+    n, target_time = 7, 1.0
+    obs = dense.single_qubit_observable("x", 0, n)
+    for trial in range(3):
+        seed = derive_seed("cosines", kind, mode.value, trial)
+        h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
+        sched = synthesize(h_p, h_s, defect, target_time, mode, derive_seed(seed, "s"))
+        h_real = h_s + bounds.sample_defect(defect, 10.0, derive_seed(seed, "d")).h_delta
+        h_eff = effective_couplings(sched, h_real)
+
+        def x0(h):
+            return math.prod(math.cos(2 * target_time * h[zz(0, j)]) for j in range(1, n))
+
+        dev = dense.expectation_deviation(h_p, sched, h_real, dense.plus_state(n), obs)
+        assert dev == pytest.approx(abs(x0(h_p) - x0(h_eff)), abs=1e-12), trial
+
+
 def test_states_are_normalized():
     for state in (dense.zero_state(3), dense.plus_state(3), dense.random_product_state(3, 5)):
         assert np.linalg.norm(state) == pytest.approx(1.0)
@@ -173,7 +264,8 @@ def chain_problem():
 def test_zero_time_schedule_replays_to_identity():
     sched = Schedule(2, (), (), 1.0, SynthesisMode.REMOVE_ZEROS)
     h = CouplingVector(2, {zz(0, 1): 5.0})
-    assert np.array_equal(dense.replay_unitary(sched, h), np.eye(4, dtype=complex))
+    # ZZ couplings replay to the diagonal of the unitary
+    assert np.array_equal(dense.replay_unitary(sched, h), np.ones(4, dtype=complex))
 
 
 def test_repeated_block_replays_like_one_longer_block():
@@ -207,13 +299,16 @@ def test_diagonal_and_full_replay_agree(q):
     sched = Schedule(3, patterns, (0.2, 0.3, 0.1, 0.4), 1.0, SynthesisMode.REMOVE_ZEROS)
     u_diagonal = dense.replay_unitary(sched, diagonal, q=q)
     u_full = dense.replay_unitary(sched, full, q=q)
-    assert np.abs(u_diagonal - u_full).max() <= 1e-12
+    assert u_diagonal.shape == (8,) and u_full.shape == (8, 8)
+    assert np.abs(u_diagonal - np.diag(u_full)).max() <= 1e-12
+    assert np.abs(u_full - np.diag(np.diag(u_full))).max() <= 1e-12
 
 
 def test_replay_is_unitary(chain_problem):
     _, h_source, sched = chain_problem
     u = dense.replay_unitary(sched, h_source)
-    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-10
+    assert u.ndim == 1  # a diagonal unitary: every entry on the unit circle
+    assert np.abs(np.abs(u) - 1.0).max() <= 1e-10
 
 
 def test_commuting_replay_matches_exact_evolution(chain_problem):
@@ -266,7 +361,7 @@ def test_deviation_bounded_by_commutator_and_triviality(chain_problem):
     for state in (dense.plus_state(3), dense.random_product_state(3, 2)):
         dev = dense.expectation_deviation(h_problem, sched, h_real, state, obs)
         h_eps = effective_couplings(sched, h_real) - h_problem
-        commutator = dense.commutator_norm(dense.build_dense(h_eps).matrix, obs.matrix)
+        commutator = dense.commutator_norm(dense.build_dense(h_eps).matrix, obs)
         assert dev <= sched.target_time * commutator + 1e-12
         assert dev <= 2 * obs.op_norm
 

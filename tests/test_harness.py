@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ def test_observable_config_populates_exact_delta():
     for record in run_experiment(config):
         assert record.exact_delta_o is not None
         assert record.exact_delta_o <= record.expectation_bound + 1e-9
+
+
+def test_observable_trial_at_the_cap_allocates_no_full_matrix():
+    # one complex 1024 x 1024 matrix is 16 MB; the ZZ, sigma-x, state-vector
+    # path works on vectors of length 1024 only
+    config = ExperimentConfig(TopologySpec("nn", 10), (10,), trials=1, master_seed=11, observable_axis="x")
+    tracemalloc.start()
+    try:
+        record = run_trial(config, 10, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.exact_delta_o is not None
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_trial_failure_names_the_seed(monkeypatch):
