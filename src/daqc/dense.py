@@ -215,8 +215,7 @@ def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
     """
     if h.ndim == 1 and len(observable.terms) == 1:
         ((coeff, label),) = observable.terms
-        conjugated = h[np.arange(h.shape[0]) ^ _mask(label, "XY")]
-        return abs(coeff) * float(np.abs(h - conjugated).max(initial=0.0))
+        return abs(coeff) * float(np.abs(h - _conjugate(h, label)).max(initial=0.0))
     o = observable.matrix
     if h.ndim == 1:
         return spectral_norm(h[:, None] * o - o * h)
