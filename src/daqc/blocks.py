@@ -7,8 +7,9 @@ g s^a g' = +/- s^a for g a Pauli or the identity.  A pattern is a string over
 by every coupling under every pattern.  ``sign_weights`` turns it into the
 time-weighted sign sum of a schedule, w_alpha = sum_k t_k s_alpha(P_k): the
 schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign weight
-in the package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``; the
-dense replay conjugates by the gate matrices instead, independently of it.
+in the package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``, one
+gather over a (qubit, pattern) array of gate indices; the dense replay
+conjugates by the gate matrices instead, independently of it.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ _SIGN_TABLE = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
     dtype=np.int8,
 )
-_GATE_INDEX = {g: k for k, g in enumerate(GATES)}
+#: gate index of each ASCII letter in GATES, read by the letter's byte value
+_GATE_INDEX = np.zeros(128, dtype=np.intp)
+_GATE_INDEX[list(GATES.encode())] = range(len(GATES))
 _AXIS_INDEX = {a: k for k, a in enumerate(AXES)}
 
 
@@ -39,19 +42,6 @@ def validate_pattern(pattern: str, n_qubits: int | None = None) -> str:
     if n_qubits is not None and len(pattern) != n_qubits:
         raise ValidationError(f"pattern {pattern!r} has length {len(pattern)}, expected {n_qubits}")
     return pattern
-
-
-def _pattern_columns(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> np.ndarray:
-    """Sign matrix entries, one vectorized column per pattern."""
-    i_idx = np.array([k.i for k in rows], dtype=np.intp)
-    j_idx = np.array([k.j for k in rows], dtype=np.intp)
-    mu_idx = np.array([_AXIS_INDEX[k.mu] for k in rows], dtype=np.intp)
-    nu_idx = np.array([_AXIS_INDEX[k.nu] for k in rows], dtype=np.intp)
-    out = np.empty((len(rows), len(patterns)), dtype=np.int8)
-    for col, pattern in enumerate(patterns):
-        gates = np.array([_GATE_INDEX[g] for g in pattern], dtype=np.intp)
-        out[:, col] = _SIGN_TABLE[gates[i_idx], mu_idx] * _SIGN_TABLE[gates[j_idx], nu_idx]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,18 +61,30 @@ def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> S
     """Entry-complete sign matrix for the given patterns and coupling keys.
 
     A repeated pattern repeats its column (a schedule read from text may list
-    a block twice).
+    a block twice).  Each distinct pattern is validated once; the entries come
+    from one gather over the patterns' first ``n_min`` letters, where ``n_min``
+    is one past the highest qubit the rows touch.
     """
     if not patterns:
         raise ValidationError("at least one pattern is required")
     if not rows:
         raise ValidationError("at least one coupling row is required")
     n_min = max(k.j for k in rows) + 1
-    for p in patterns:
+    non_strings = [p for p in patterns if not isinstance(p, str)]
+    if non_strings:
+        raise ValidationError(f"pattern must be a nonempty string, got {non_strings[0]!r}")
+    for p in set(patterns):
         validate_pattern(p)
         if len(p) < n_min:
             raise ValidationError(f"pattern {p!r} too short for rows up to qubit {n_min - 1}")
-    entries = _pattern_columns(patterns, rows)
+    # gates[q, col]: gate index of qubit q in pattern col; one gather gives every entry
+    letters = np.frombuffer("".join(p[:n_min] for p in patterns).encode("ascii"), dtype=np.uint8)
+    gates = _GATE_INDEX[letters.reshape(len(patterns), n_min).T]
+    i_idx = np.array([k.i for k in rows], dtype=np.intp)
+    j_idx = np.array([k.j for k in rows], dtype=np.intp)
+    mu_idx = np.array([_AXIS_INDEX[k.mu] for k in rows], dtype=np.intp)[:, None]
+    nu_idx = np.array([_AXIS_INDEX[k.nu] for k in rows], dtype=np.intp)[:, None]
+    entries = _SIGN_TABLE[gates[i_idx], mu_idx] * _SIGN_TABLE[gates[j_idx], nu_idx]
     entries.setflags(write=False)
     return SignMatrix(tuple(rows), tuple(patterns), entries)
 
@@ -131,7 +133,9 @@ def generate_candidate_patterns(
 
     The identity pattern is always element 0; the rest are sampled from the
     seeded stream, so growing ``requested`` with the same seed extends the
-    previous list (prefix property).
+    previous list (prefix property).  Candidates stay fixed-width byte rows,
+    one letter per qubit, until the returned ones are decoded; they are never
+    packed into an integer, which would overflow at 4^32 patterns.
     """
     if requested < 1:
         raise ValidationError(f"requested must be >= 1, got {requested}")
@@ -142,18 +146,13 @@ def generate_candidate_patterns(
         raise PatternExhaustionError(
             f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}"
         )
-    identity = "I" * n
-    patterns = [identity]
-    seen = {identity}
+    # each chunk's rows become fixed-width byte strings by one gather into the
+    # alphabet's letters; a dict keeps them in first-occurrence order
+    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+    seen = dict.fromkeys([b"I" * n])
     rng = np.random.default_rng(rng_seed)
     chunk = max(64, requested)
-    while len(patterns) < requested:
+    while len(seen) < requested:
         draws = rng.integers(0, len(alphabet), size=(chunk, n))
-        for row in draws:
-            candidate = "".join(alphabet[g] for g in row)
-            if candidate not in seen:
-                seen.add(candidate)
-                patterns.append(candidate)
-                if len(patterns) == requested:
-                    break
-    return patterns
+        seen.update(dict.fromkeys(letters[draws].view(f"S{n}").ravel().tolist()))
+    return [row.decode("ascii") for row in list(seen)[:requested]]

@@ -160,6 +160,8 @@ class ObservableSpec:
 
     ``op_norm`` and ``matrix`` are computed on first use and then kept; a
     single string has eigenvalues +/-1, so its norm is |c| without a matrix.
+    Only building the matrix, which a sum of strings' norm reads, is held to
+    the dense cap.
     """
 
     n_qubits: int
@@ -169,6 +171,7 @@ class ObservableSpec:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The full 2^N x 2^N matrix, read-only and checked to be Hermitian."""
+        _check_cap(self.n_qubits, DEFAULT_QUBIT_CAP)
         matrix = np.zeros((2**self.n_qubits, 2**self.n_qubits), dtype=complex)
         for coeff, label in self.terms:
             matrix += coeff * pauli_string_matrix(label)
@@ -183,14 +186,10 @@ class ObservableSpec:
         return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
 
 
-def make_observable(
-    terms: Sequence[tuple[float, str]],
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> ObservableSpec:
+def make_observable(terms: Sequence[tuple[float, str]]) -> ObservableSpec:
     if not terms:
         raise ValidationError("an observable needs at least one Pauli term")
     n = len(terms[0][1])
-    _check_cap(n, cap)
     support: set[int] = set()
     frozen: list[tuple[float, str]] = []
     for coeff, label in terms:

@@ -13,6 +13,15 @@ Both modes draw their candidate patterns from the same seeded stream over
 the defect support, so paired syntheses of one problem differ only in their
 row sets.  That makes the removed-rows optimum provably no longer than the
 mitigated one whenever both solve over the same candidate set.
+
+Patterns with equal sign columns on the LP's rows are one variable to the LP;
+on ZZ rows a pattern and its global X flip always are.  Only the first such
+pattern in candidate order reaches ``lp.solve``, which leaves its pivots and
+vertex as they were with every copy present: a later copy has the same
+reduced cost as its first, so Bland's smallest-index rule never enters it
+first; the phase-one drive-out's ``argmax`` takes the first of equal entries;
+and dropping columns keeps the order of the rest.  The exhaustive ZZ program
+at N qubits thus has 2^(N-1) columns, not 2^N.
 """
 
 import enum
@@ -200,7 +209,16 @@ def synthesize(
     patterns: list[str] = []
     for requested in _candidate_counts(total, defect_support.edge_count):
         patterns = generate_candidate_patterns(defect_support, requested, rng_seed)
-        sign_entries = build_sign_matrix(patterns, rows).entries.astype(float)
+        entries = build_sign_matrix(patterns, rows).entries
+        # the LP gets each distinct column once, at its first pattern (module
+        # docstring); +/-1 bytes hold no NUL for the bytes view to strip
+        columns = np.ascontiguousarray(entries.T).view(f"S{len(rows)}").ravel().tolist()
+        first: dict[bytes, int] = {}
+        for k, column in enumerate(columns):
+            first.setdefault(column, k)
+        keep = list(first.values())
+        patterns = [patterns[k] for k in keep]
+        sign_entries = entries[:, keep].astype(float)
         candidate = lp.solve(lp.LinearProgram(sign_entries, rhs))
         if candidate.is_optimal:
             solution = candidate

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -73,6 +74,24 @@ def test_block_sign_single_and_double_flip():
 def test_block_sign_pattern_too_short():
     with pytest.raises(ValidationError):
         build_sign_matrix(["XI"], [zz(0, 2)])
+
+
+@pytest.mark.parametrize("patterns", [
+    [["I", "X"]], [b"IX"], [None], [""], ["ix"], ["IQ"], ["I\u00cf"], ["XI"], ["XIIQ"], ["XIX", 3],
+], ids=["list", "bytes", "none", "empty", "lowercase", "unknown", "non-ascii", "too-short",
+        "bad-letter-beyond-rows", "one-non-string"])
+def test_malformed_patterns_rejected(patterns):
+    with pytest.raises(ValidationError):
+        build_sign_matrix(patterns, [zz(0, 2)])
+
+
+def test_patterns_of_unequal_lengths_match_oracle():
+    patterns = ["XY", "ZIX", "IYZI", "YX"]
+    rows = [CouplingKey(0, 1, mu, nu) for mu, nu in itertools.product(AXES, repeat=2)]
+    sm = build_sign_matrix(patterns, rows)
+    for col, pattern in enumerate(patterns):
+        for alpha, key in enumerate(rows):
+            assert sm.entries[alpha, col] == oracle_sign(pattern, key)
 
 
 def test_three_qubit_sign_matrix_worked_example():
@@ -189,3 +208,32 @@ def test_candidates_deterministic_and_prefix_stable():
     grown = generate_candidate_patterns(g, 11, rng_seed=77)
     assert small == again
     assert grown[:5] == small
+
+
+def xz_graph(n):
+    return InteractionGraph(n, [CouplingKey(0, n - 1, "x", "z")])
+
+
+# SHA-256 of ",".join(patterns), recorded from the sampler that built each
+# candidate letter by letter; the draws consumed are in the comments
+@pytest.mark.parametrize("graph, requested, seed, digest", [
+    # IX, every pattern: 1, 2, 2, 3, 7 and 6 chunks of max(64, requested) rows
+    (zz_graph(3, [(0, 1)]), 8, 2024, "f1779596aa1c9a55ac7ee36684aee0d4893209c0ea48f66df3957c1398c4c35f"),
+    (zz_graph(4, [(0, 1)]), 16, 2024, "1f15191d941526038d4795ea663fbaf90fffdc1759a64b58afa429aff27d2850"),
+    (zz_graph(5, [(0, 1)]), 32, 2024, "dc6f46865f43dd9fc51f986d259e17b1ca90c049b8a9ddfffafa4640cb6d6935"),
+    (zz_graph(6, [(0, 1)]), 64, 2024, "62e7c0315245854824676c39190f1bb09f301481c41911a4891ed273bf393927"),
+    (zz_graph(7, [(0, 1)]), 128, 2024, "68f49754c66d57ee05109364809de122cf52677e5b67d84461035070d69c7f8a"),
+    (zz_graph(8, [(0, 1)]), 256, 2024, "1f9280e11a2e9df94ba76345a706b82f4397131bb37576b5674f9a95678ca522"),
+    # stops at row 26 of the second chunk of 100
+    (xz_graph(4), 100, 5, "ec3533d62cfd76d55b4223428006317e86098b8e3b53015985bba1b776cd9ec7"),
+    # three chunks of 120, stopping at row 72 of the third
+    (zz_graph(7, [(0, 1)]), 120, 31, "98e11e5fd76d8469abfb161aec5daaf74516cd74f633d128a4a08c6d6db5724e"),
+    # 4^32 and 4^40 patterns: the sampler must not encode a pattern as one integer
+    (xz_graph(32), 5, 7, "acd0c474d10166bb16a703a1b3f687cdba4f25e7c1d55101bb299a58c198d59a"),
+    (xz_graph(40), 9, 7, "8a6f1d20e44d2a05af9a754051e7ae1d1008b78bedf22b275d723e9179f62a8c"),
+    (xz_graph(40), 70, 8, "2b2c64b025569dfa108808c6d55257227fa4f541d909c8195941ecb21cf7e733"),
+])
+def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
+    patterns = generate_candidate_patterns(graph, requested, rng_seed=seed)
+    assert len(patterns) == requested
+    assert hashlib.sha256(",".join(patterns).encode("ascii")).hexdigest() == digest

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from daqc import cli
+from daqc import cli, harness
 from daqc.errors import InternalConsistencyError, SynthesisInfeasibleError
 from daqc.pauli import CouplingKey, CouplingVector
 from daqc.schedule import Schedule
@@ -156,6 +156,41 @@ def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
         csv_bytes.append(out.read_bytes())
     assert csv_bytes[0].count(b"\n") == 1 + 5 * 4
     assert csv_bytes[0] == csv_bytes[1]
+
+
+def test_observable_sweep_above_the_dense_cap_exits_zero(tmp_path):
+    # the bounds need only the observable's support and norm, not its matrix
+    out = tmp_path / "o.csv"
+    assert cli.main([
+        "sweep", "--topology", "nn", "--n-min", "11", "--n-max", "11",
+        "--trials", "1", "--observable-x", "0", "--out", str(out),
+    ]) == 0
+    (record,) = harness.load_records(out)
+    assert record.exact_delta_o is None
+    assert record.expectation_bound is not None
+
+
+def test_analyze_observable_on_an_eleven_qubit_source(tmp_path, capsys):
+    n = 11
+    chain = [zz(i, i + 1) for i in range(n - 1)]
+    paths = {name: tmp_path / f"{name}.txt" for name in ("problem", "source", "defects", "schedule")}
+    CouplingVector(n, {key: 40.0 + 3.0 * k for k, key in enumerate(chain)}).save(paths["problem"])
+    CouplingVector(n, {key: 90.0 - 2.0 * k for k, key in enumerate(chain)}).save(paths["source"])
+    CouplingVector(n, {key: 0.0 for key in chain}).save(paths["defects"])
+    assert run_synth(paths, mode="remove") == 0
+    capsys.readouterr()
+    assert cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--delta", "1", "--seed", "0",
+        "--observable-x", "0",
+        "--json",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_delta_o"] is None
+    assert payload["observable_norm"] == 1.0
+    assert payload["expectation_bound"] > 0.0
 
 
 def test_missing_file_exits_validation(workspace):

@@ -178,6 +178,18 @@ def test_single_string_norm_needs_no_matrix():
     assert "matrix" not in vars(obs)  # built only when a full-matrix consumer asks
 
 
+def test_observable_above_the_cap_builds_no_matrix():
+    # only the 2^N x 2^N matrix is held to the dense cap, not the spec
+    n = dense.DEFAULT_QUBIT_CAP + 1
+    assert dense.single_qubit_observable("x", 0, n).op_norm == 1.0
+    pair = dense.make_observable([(1.0, "X" * n), (0.5, "Z" * n)])
+    assert pair.support == frozenset(range(n))
+    with pytest.raises(ValidationError):
+        pair.matrix
+    with pytest.raises(ValidationError):
+        pair.op_norm
+
+
 def test_flip_and_phase_matches_the_string_matrix():
     rng = np.random.default_rng(17)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)

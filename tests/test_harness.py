@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 
@@ -152,6 +153,27 @@ def test_observable_trial_at_the_cap_allocates_no_full_matrix():
         tracemalloc.stop()
     assert record.exact_delta_o is not None
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_sweep_csv_digest_is_pinned():
+    """SHA-256 of a fixed sweep's CSV; a change to these bytes edits this test.
+
+    3 topologies x 2 modes x N = 3..8, one trial each, sigma-x observable;
+    the same digest at one and two BLAS threads.
+    """
+    records = [
+        record
+        for kind in ("nn", "random", "ata")
+        for mode in SynthesisMode
+        for record in run_experiment(ExperimentConfig(
+            TopologySpec(kind, 3), tuple(range(3, 9)), trials=1, mode=mode,
+            master_seed=11, observable_axis="x",
+        ))
+    ]
+    rows = io.StringIO()
+    harness.write_records(records, rows)
+    digest = hashlib.sha256(rows.getvalue().encode("ascii")).hexdigest()
+    assert digest == "3bcfa0363c409c0414b643e0352ce851eb6549dfc146d6acf362cfaf9f217a18"
 
 
 def test_trial_failure_names_the_seed(monkeypatch):

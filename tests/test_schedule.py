@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from daqc import lp
+from daqc.blocks import build_sign_matrix, generate_candidate_patterns, pattern_space_size
 from daqc.errors import SimulabilityError, ValidationError
-from daqc.harness import TopologySpec, generate_problem
-from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph
+from daqc.harness import TopologySpec, derive_seed, generate_problem
+from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 from daqc.schedule import (
     Schedule,
     SynthesisMode,
@@ -195,3 +197,51 @@ def test_synthesis_determinism(three_qubit_setup):
     a = synthesize(h_source, h_source, defect, 1.0, MITIGATE, rng_seed=33)
     b = synthesize(h_source, h_source, defect, 1.0, MITIGATE, rng_seed=33)
     assert a.to_text() == b.to_text()
+
+
+def _full_sign_program(h_problem, h_source, defect, mode, seed):
+    """The LP over every candidate pattern, duplicate sign columns included."""
+    if mode is REMOVE:
+        rows = tuple(sorted(h_source.support()))
+    else:
+        rows = defect.sorted_edges()
+    patterns = generate_candidate_patterns(defect, pattern_space_size(defect), seed)
+    rhs = hadamard_divide(h_problem, h_source.restricted(rows), "zero").values_array()
+    entries = build_sign_matrix(patterns, rows).entries.astype(float)
+    return patterns, lp.LinearProgram(entries, rhs)
+
+
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
+def test_dropping_duplicate_columns_keeps_the_lp_answer(monkeypatch, kind, mode):
+    solve = lp.solve
+    solved = []
+
+    def recording_solve(program):
+        solution = solve(program)
+        solved.append((program, solution))
+        return solution
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    for n in range(3, 9):
+        for index in range(2):
+            trial_seed = derive_seed(11, n, index)
+            h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
+            pattern_seed = derive_seed(trial_seed, "patterns")
+            solved.clear()
+            sched = synthesize(h_p, h_s, defect, 1.0, mode, pattern_seed)
+            ((program, solution),) = solved
+            matrix = program.constraint_matrix
+            # every ZZ pattern shares its column with its global X flip, and no other
+            assert matrix.shape[1] == 2 ** (n - 1)
+            assert len({column.tobytes() for column in matrix.T}) == matrix.shape[1]
+
+            patterns, full = _full_sign_program(h_p, h_s, defect, mode, pattern_seed)
+            assert full.n_cols == 2 ** n
+            reference = solve(full)
+            kept = [(p, t) for p, t in zip(patterns, reference.times) if t > 0.0]
+            assert sched.patterns == tuple(p for p, _ in kept)
+            assert sched.times == tuple(t for _, t in kept)
+            # the objective sums times vectors of different lengths, which numpy's
+            # pairwise summation may group differently, so only it may move in the last place
+            assert solution.objective_value == pytest.approx(reference.objective_value, rel=2 * np.finfo(float).eps, abs=0)
