@@ -21,7 +21,7 @@ vertex as they were with every copy present: a later copy has the same
 reduced cost as its first, so Bland's smallest-index rule never enters it
 first; the phase-one drive-out's ``argmax`` takes the first of equal entries;
 and dropping columns keeps the order of the rest.  The exhaustive ZZ program
-at N qubits thus has 2^(N-1) columns, not 2^N.
+at N qubits thus has 2^(N-1) columns, not 2^N, when its rows connect all N.
 """
 
 import enum
