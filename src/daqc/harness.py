@@ -104,9 +104,10 @@ def generate_problem(
     if spec.kind == "ata":
         support = all_pair_edges(n)
     elif spec.kind == "random":
-        extras = [e for e in all_pair_edges(n) if e not in set(chain_edges(n))]
+        chain = set(support)
+        extras = [e for e in all_pair_edges(n) if e not in chain]
         picks = rng.random(len(extras)) < spec.extra_edge_prob
-        support = sorted(chain_edges(n) + [e for e, hit in zip(extras, picks) if hit])
+        support += [e for e, hit in zip(extras, picks) if hit]
     support = sorted(support)
     h_problem = _sample_couplings(support, coupling_scale, rng, n)
     h_source = _sample_couplings(support, coupling_scale, rng, n)

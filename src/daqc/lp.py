@@ -1,13 +1,14 @@
 """Self-contained solver for  min ||t||_1  s.t.  M t = b,  t >= 0.
 
 Since every variable carries unit cost, the objective is the total analog
-time of the schedule.  The solver is a dense two-phase primal simplex with
-Bland's anti-cycling rule, pivoting one tableau B^-1 [A | b] over two
-reduced-cost rows (unit time, then the sum of the artificials).  Every
-"unbounded" or "infeasible" verdict is re-checked on that tableau rebuilt from
-the original data, so round-off carried through many pivots cannot end a
-feasible program, and the reported times are the final basis re-solved against
-the original matrix with one step of iterative refinement.
+time of the schedule.  The solver is a dense two-phase primal simplex pricing
+by Dantzig's rule, with Bland's on degenerate runs so that it cannot cycle,
+pivoting one tableau B^-1 [A | b] over two reduced-cost rows (unit time, then
+the sum of the artificials).  Every "unbounded" or "infeasible" verdict is
+re-checked on that tableau rebuilt from the original data, so round-off
+carried through many pivots cannot end a feasible program, and the reported
+times are the final basis re-solved against the original matrix with one step
+of iterative refinement.
 
 A brute-force vertex enumerator doubles as an independent test oracle for
 small instances.
@@ -123,22 +124,24 @@ def _pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int) -> Non
     basis[leave] = enter
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budget: _PivotBudget,
-                   rebuild: Callable[[], None]) -> int:
-    """Bland-rule pivots until the reduced costs in ``cost_row`` are nonnegative.
+def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budget: _PivotBudget,
+                     rebuild: Callable[[], None]) -> int:
+    """Pivots until the reduced costs in ``cost_row`` are nonnegative; returns how many.
 
-    Returns the number of pivots made.  An entering column with no usable
-    pivot is re-checked on a tableau ``rebuild`` makes from the original data
-    before the direction is declared unbounded.
+    Enters the first most negative reduced cost (Dantzig), or after a pivot of
+    round-off-level step the smallest negative index (Bland) until a step moves
+    the objective.  A column with no usable pivot is re-checked on a tableau
+    ``rebuild`` makes from the original data before it is declared unbounded.
     """
     m = len(basis)
     pivots = 0
     fresh = False
+    bland = False
     while True:
-        candidates = np.nonzero(tableau[cost_row, :-1] < -PIVOT_TOL)[0]
-        if candidates.size == 0:
+        reduced = tableau[cost_row, :-1]
+        enter = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
+        if reduced[enter] >= -PIVOT_TOL:
             return pivots
-        enter = int(candidates[0])  # smallest index: Bland's entering rule
         column = tableau[:m, enter]
         # entries tiny against their column are round-off; pivoting on them inflates the tableau
         positive = np.nonzero(column > PIVOT_TOL * np.abs(column).max())[0]
@@ -150,12 +153,14 @@ def _bland_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budget:
             fresh = True
             continue
         ratios = tableau[positive, -1] / column[positive]
-        ties = positive[ratios == ratios.min()]
+        step = ratios.min()
+        ties = positive[ratios == step]
         leave = int(min(ties, key=lambda r: basis[r]))  # smallest basis var: Bland's leaving rule
         budget.spend()
         _pivot(tableau, basis, leave, enter)
         pivots += 1
         fresh = False
+        bland = step <= PIVOT_TOL * max(1.0, tableau[:m, -1].max())
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
@@ -189,10 +194,10 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
         tableau[:] = _tableau(system, costs, basis)[:, :n + 1]
 
     # ---- phase one: minimize the sum of the artificials ----
-    _bland_iterate(tableau, basis, m + 1, budget, rebuild)
+    _dantzig_iterate(tableau, basis, m + 1, budget, rebuild)
     while -tableau[m + 1, -1] > tol:
         rebuild()
-        if not _bland_iterate(tableau, basis, m + 1, budget, rebuild):
+        if not _dantzig_iterate(tableau, basis, m + 1, budget, rebuild):
             return _infeasible(n)
 
     # drive leftover artificials out of the basis (largest entry, not Bland: a
@@ -208,7 +213,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
             _pivot(tableau, basis, r, enter)
 
     # ---- phase two: unit cost on every structural variable ----
-    _bland_iterate(tableau, basis, m, budget, rebuild)
+    _dantzig_iterate(tableau, basis, m, budget, rebuild)
 
     x = np.zeros(n + 1 + m)
     x[basis] = _basis_solve(system, basis, system[:, n])

@@ -74,14 +74,19 @@ class CouplingVector:
         cleaned: dict[CouplingKey, float] = {}
         for raw_key, raw_value in entries:
             key = validate_key(CouplingKey(*raw_key), n_qubits)
-            value = float(raw_value)
-            if not math.isfinite(value):
-                raise ValidationError(f"coupling {key} has non-finite value {raw_value!r}")
             if key in cleaned:
                 raise ValidationError(f"duplicate coupling key {key}")
-            cleaned[key] = value
+            cleaned[key] = float(raw_value)
         self._n_qubits = n_qubits
-        self._entries = dict(sorted(cleaned.items()))
+        self._entries = _finite_in_order(cleaned)
+
+    @classmethod
+    def _derived(cls, n_qubits: int, entries: dict[CouplingKey, float]) -> "CouplingVector":
+        """Vector over keys already validated for ``n_qubits``; skips ``validate_key``."""
+        vector = cls.__new__(cls)
+        vector._n_qubits = n_qubits
+        vector._entries = _finite_in_order(entries)
+        return vector
 
     @property
     def n_qubits(self) -> int:
@@ -110,7 +115,7 @@ class CouplingVector:
 
     def restricted(self, keys: Iterable[CouplingKey]) -> "CouplingVector":
         """Sub-vector declaring exactly the given keys (absent ones become 0)."""
-        return CouplingVector(self._n_qubits, {validate_key(CouplingKey(*k), self._n_qubits): self[k] for k in keys})
+        return CouplingVector._derived(self._n_qubits, {validate_key(CouplingKey(*k), self._n_qubits): self[k] for k in keys})
 
     def __getitem__(self, key: CouplingKey) -> float:
         return self._entries.get(key, 0.0)
@@ -135,25 +140,21 @@ class CouplingVector:
     def __repr__(self) -> str:
         return f"CouplingVector(n_qubits={self._n_qubits}, entries={self._entries!r})"
 
-    def __add__(self, other: "CouplingVector") -> "CouplingVector":
+    def _combined(self, other: "CouplingVector", sign: float, verb: str) -> "CouplingVector":
         if not isinstance(other, CouplingVector):
             return NotImplemented
         if other._n_qubits != self._n_qubits:
-            raise ValidationError("cannot add coupling vectors of different system sizes")
+            raise ValidationError(f"cannot {verb} coupling vectors of different system sizes")
         merged = dict(self._entries)
         for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0.0) + value
-        return CouplingVector(self._n_qubits, merged)
+            merged[key] = merged.get(key, 0.0) + sign * value
+        return CouplingVector._derived(self._n_qubits, merged)
+
+    def __add__(self, other: "CouplingVector") -> "CouplingVector":
+        return self._combined(other, 1.0, "add")
 
     def __sub__(self, other: "CouplingVector") -> "CouplingVector":
-        if not isinstance(other, CouplingVector):
-            return NotImplemented
-        if other._n_qubits != self._n_qubits:
-            raise ValidationError("cannot subtract coupling vectors of different system sizes")
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0.0) - value
-        return CouplingVector(self._n_qubits, merged)
+        return self._combined(other, -1.0, "subtract")
 
     # -- plain-text serialization ------------------------------------------
 
@@ -205,6 +206,16 @@ class CouplingVector:
     def load(cls, path) -> "CouplingVector":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _finite_in_order(entries: dict[CouplingKey, float]) -> dict[CouplingKey, float]:
+    """``entries`` in canonical key order, once every value is checked finite."""
+    for key, value in entries.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"coupling {key} has non-finite value {value!r}")
+    keys = list(entries)
+    in_order = all(a < b for a, b in zip(keys, keys[1:]))
+    return entries if in_order else dict(sorted(entries.items()))
 
 
 @dataclass(frozen=True)
@@ -303,7 +314,7 @@ def hadamard_divide(a: CouplingVector, b: CouplingVector, indeterminate_policy: 
             result[key] = a[key] / den
         elif indeterminate_policy == "zero":
             result[key] = 0.0
-    return CouplingVector(a.n_qubits, result)
+    return CouplingVector._derived(a.n_qubits, result)
 
 
 def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGraph:

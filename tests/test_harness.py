@@ -173,7 +173,7 @@ def test_sweep_csv_digest_is_pinned():
     rows = io.StringIO()
     harness.write_records(records, rows)
     digest = hashlib.sha256(rows.getvalue().encode("ascii")).hexdigest()
-    assert digest == "3bcfa0363c409c0414b643e0352ce851eb6549dfc146d6acf362cfaf9f217a18"
+    assert digest == "ace8ec0653d35a47b8e612f481fa971cd48710e7494c0aa9940600d3c849a522"
 
 
 def test_trial_failure_names_the_seed(monkeypatch):

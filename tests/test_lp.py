@@ -224,6 +224,29 @@ def test_pinned_trial_programs_match_highs(trial, monkeypatch):
         _assert_agrees_with_highs(program, optimize)
 
 
+def test_replay_shaped_programs_match_highs(monkeypatch):
+    """Every program of trial 0 at N = 7, 8, each topology and mode, master seed 11.
+
+    On nn and random, mitigate rows carry a zero rhs, so pivots there run
+    degenerate and pricing falls back from Dantzig's rule to Bland's.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    programs = []
+
+    def recording(program, tol=FEASIBILITY_TOL):
+        programs.append(program)
+        return solve(program, tol)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for kind in ("nn", "random", "ata"):
+        for mode in ("remove", "mitigate"):
+            for n in (7, 8):
+                _run_pinned(11, kind, mode, n, 0)
+    assert len(programs) == 12
+    for program in programs:
+        assert _assert_agrees_with_highs(program, optimize).is_optimal
+
+
 def test_sign_programs_above_the_oracle_limit_match_highs():
     """Seeded +/-1 programs over 10-12 qubits, some rows zeroed as mitigation zeroes them."""
     optimize = pytest.importorskip("scipy.optimize")

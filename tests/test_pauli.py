@@ -31,6 +31,22 @@ def test_coupling_vector_iterates_canonically():
     assert v.keys() == (CouplingKey(0, 1, "x", "x"), zz(0, 1), zz(1, 2))
 
 
+def test_derived_vectors_are_canonical_and_checked():
+    a = CouplingVector(3, {zz(1, 2): 1.0})
+    b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.5})
+    assert (a + b).keys() == (a - b).keys() == (zz(0, 1), zz(1, 2))
+    assert (a - b)[zz(0, 1)] == -2.0 and (a - b)[zz(1, 2)] == 0.5
+    restricted = b.restricted([zz(1, 2), zz(0, 2)])
+    assert restricted.keys() == (zz(0, 2), zz(1, 2)) and restricted[zz(0, 2)] == 0.0
+    with pytest.raises(ValidationError, match="out of range"):
+        b.restricted([zz(1, 3)])
+    huge = CouplingVector(3, {zz(0, 1): 1e308})
+    with pytest.raises(ValidationError, match="non-finite"):
+        huge + huge
+    with pytest.raises(ValidationError, match="non-finite"):
+        hadamard_divide(huge, CouplingVector(3, {zz(0, 1): 1e-308}), "zero")
+
+
 # ---- p-norms ---------------------------------------------------------------
 
 
