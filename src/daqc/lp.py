@@ -1,14 +1,13 @@
 """Self-contained solver for  min ||t||_1  s.t.  M t = b,  t >= 0.
 
 Since every variable carries unit cost, the objective is the total analog
-time of the schedule.  The solver is a dense two-phase primal simplex pricing
-by Dantzig's rule, with Bland's on degenerate runs so that it cannot cycle,
-pivoting one tableau B^-1 [A | b] over two reduced-cost rows (unit time, then
-the sum of the artificials).  Every "unbounded" or "infeasible" verdict is
-re-checked on that tableau rebuilt from the original data, so round-off
-carried through many pivots cannot end a feasible program, and the reported
-times are the final basis re-solved against the original matrix with one step
-of iterative refinement.
+time of the schedule.  The solver is a dense two-phase primal simplex, Dantzig
+pricing with Bland's rule on degenerate runs, pivoting one tableau B^-1 [A | b]
+over two reduced-cost rows (unit time, then the sum of the artificials).  Every
+"unbounded" or "infeasible" verdict is re-checked on that tableau rebuilt from
+the original data, so round-off carried through many pivots cannot end a
+feasible program, and the reported times are the final basis re-solved against
+the original matrix with one step of iterative refinement.
 
 A brute-force vertex enumerator doubles as an independent test oracle for
 small instances.

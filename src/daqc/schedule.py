@@ -18,11 +18,11 @@ Patterns with equal sign columns on the LP's rows are one variable to the LP;
 on ZZ rows a pattern and its global X flip always are.  Only the first such
 pattern in candidate order reaches ``lp.solve``, which leaves its pivots and
 vertex as they were with every copy present: a later copy has the same
-reduced cost as its first, so neither Dantzig's first most negative reduced
-cost nor Bland's smallest index, on degenerate runs, enters it first; the
-phase-one drive-out's ``argmax`` takes the first of equal entries; and
-dropping columns keeps the order of the rest.  The exhaustive ZZ program
-at N qubits thus has 2^(N-1) columns, not 2^N, when its rows connect all N.
+reduced cost as its first, so neither Dantzig pricing (first minimum) nor
+Bland's rule on degenerate runs enters it first; the drive-out's ``argmax``
+takes the first of equal entries; and dropping columns keeps the order of
+the rest.  The exhaustive ZZ program at N qubits thus has 2^(N-1) columns,
+not 2^N, when its rows connect all N.
 """
 
 import enum
