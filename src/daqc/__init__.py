@@ -11,7 +11,6 @@ from .errors import (
     InternalConsistencyError,
     LpSolverStallError,
     OracleLimitError,
-    PatternExhaustionError,
     SimulabilityError,
     SynthesisInfeasibleError,
     ValidationError,
@@ -89,7 +88,6 @@ __all__ = [
     "LpSolverStallError",
     "ObservableSpec",
     "OracleLimitError",
-    "PatternExhaustionError",
     "Schedule",
     "SignMatrix",
     "SimulabilityError",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PatternExhaustionError, ValidationError
+from .errors import ValidationError
 from .pauli import AXES, CouplingKey, InteractionGraph
 
 GATES = "IXYZ"
@@ -143,9 +143,7 @@ def generate_candidate_patterns(
     alphabet = pattern_alphabet(source_support)
     total = len(alphabet) ** n
     if requested > total:
-        raise PatternExhaustionError(
-            f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}"
-        )
+        raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}")
     # each chunk's rows become fixed-width byte strings by one gather into the
     # alphabet's letters; a dict keeps them in first-occurrence order
     letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)

@@ -12,7 +12,6 @@ from . import bounds, dense, harness
 from .errors import (
     InternalConsistencyError,
     LpSolverStallError,
-    PatternExhaustionError,
     SynthesisInfeasibleError,
     ValidationError,
 )
@@ -180,7 +179,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SynthesisInfeasibleError, PatternExhaustionError) as exc:
+    except SynthesisInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (InternalConsistencyError, LpSolverStallError) as exc:

@@ -347,7 +347,6 @@ def expectation_deviation(
     h_real: CouplingVector,
     rho0: np.ndarray,
     observable: ObservableSpec,
-    target_time: float | None = None,
     q: int = 1,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> float:
@@ -356,8 +355,7 @@ def expectation_deviation(
     _check_cap(n, cap)
     if observable.n_qubits != n:
         raise ValidationError("observable and Hamiltonian disagree on the number of qubits")
-    time = schedule.target_time if target_time is None else float(target_time)
     state = _validate_state(rho0, 2**n)
-    ideal = _expectation(observable, _evolve(evolution_unitary(h_problem, time, cap=cap), state))
+    ideal = _expectation(observable, _evolve(evolution_unitary(h_problem, schedule.target_time, cap=cap), state))
     faulty = _expectation(observable, _evolve(replay_unitary(schedule, h_real, q=q, cap=cap), state))
     return float(abs(ideal - faulty))

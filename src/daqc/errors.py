@@ -17,10 +17,6 @@ class SimulabilityError(ValidationError):
     """A nonzero target coupling has no nonzero source coupling behind it."""
 
 
-class PatternExhaustionError(DaqcError):
-    """More distinct gate patterns requested than the alphabet provides."""
-
-
 class SynthesisInfeasibleError(DaqcError):
     """No nonnegative block-time assignment exists, even with every pattern."""
 

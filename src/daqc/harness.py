@@ -131,7 +131,6 @@ class ExperimentConfig:
     master_seed: int = 0
     observable_axis: str | None = None
     observable_qubit: int = 0
-    requested_p: float = 2.0
     q: int = 1
     qubit_cap: int = dense.DEFAULT_QUBIT_CAP
 
@@ -241,7 +240,6 @@ def run_trial(config: ExperimentConfig, n_qubits: int, trial_index: int) -> Tria
             sched,
             defect,
             observable=observable,
-            requested_p=config.requested_p,
             q=config.q,
             qubit_cap=config.qubit_cap,
         )

@@ -8,13 +8,17 @@ stable position for every coupling in the vectorized form.  Absent keys mean
 a coupling of exactly zero; explicitly stored zeros are allowed and count as
 part of the declared support.
 
+A ``CouplingKey`` is valid by construction, so the containers check only
+what a key cannot know: ``j < n_qubits`` and, for vectors, finite values.
+Raw tuples handed to a container become ``CouplingKey``s on the way in.
+
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
 labeled by the axis pair, so a qubit pair may carry up to nine edges.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,30 +31,46 @@ AXES = ("x", "y", "z")
 FLOAT_DIGITS = 17
 
 
-class CouplingKey(NamedTuple):
-    """Identifier of one two-body term: qubits ``i < j`` and axes ``mu``, ``nu``."""
-
+class _KeyFields(NamedTuple):
     i: int
     j: int
     mu: str
     nu: str
 
+
+class CouplingKey(_KeyFields):
+    """Identifier of one two-body term: qubits ``i < j`` and axes ``mu``, ``nu``.
+
+    Every way of building one, ``_make`` and ``_replace`` included, checks
+    integer indices with ``0 <= i < j`` and axes in ``AXES``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, mu: str, nu: str) -> "CouplingKey":
+        key = super().__new__(cls, i, j, mu, nu)
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise ValidationError(f"qubit indices must be integers, got {key}")
+        if mu not in AXES or nu not in AXES:
+            raise ValidationError(f"axes must be in {AXES}, got {key}")
+        if not 0 <= i < j:
+            raise ValidationError(f"key requires 0 <= i < j, got {key}")
+        return key
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CouplingKey":
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"({self.i},{self.j},{self.mu},{self.nu})"
 
 
-def validate_key(key: CouplingKey, n_qubits: int | None = None) -> CouplingKey:
-    """Check the key invariants (0 <= i < j < n_qubits, axes in {x,y,z})."""
-    i, j, mu, nu = key
-    if not (isinstance(i, int) and isinstance(j, int)):
-        raise ValidationError(f"qubit indices must be integers, got {key}")
-    if mu not in AXES or nu not in AXES:
-        raise ValidationError(f"axes must be in {AXES}, got {key}")
-    if not 0 <= i < j:
-        raise ValidationError(f"key requires 0 <= i < j, got {key}")
-    if n_qubits is not None and j >= n_qubits:
+def _key_in_range(raw: tuple, n_qubits: int) -> CouplingKey:
+    """``raw`` as a ``CouplingKey``, checked to address one of ``n_qubits`` qubits."""
+    key = raw if isinstance(raw, CouplingKey) else CouplingKey(*raw)
+    if key.j >= n_qubits:
         raise ValidationError(f"key {key} out of range for {n_qubits} qubits")
-    return CouplingKey(i, j, mu, nu)
+    return key
 
 
 class CouplingVector:
@@ -62,31 +82,20 @@ class CouplingVector:
 
     __slots__ = ("_n_qubits", "_entries")
 
-    def __init__(
-        self,
-        n_qubits: int,
-        entries: Union[Mapping[CouplingKey, float], Iterable[tuple[CouplingKey, float]]] = (),
-    ):
+    def __init__(self, n_qubits: int, entries: Mapping[CouplingKey, float] = {}):
         if not isinstance(n_qubits, int) or n_qubits < 1:
             raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        if isinstance(entries, Mapping):
-            entries = entries.items()
         cleaned: dict[CouplingKey, float] = {}
-        for raw_key, raw_value in entries:
-            key = validate_key(CouplingKey(*raw_key), n_qubits)
-            if key in cleaned:
-                raise ValidationError(f"duplicate coupling key {key}")
-            cleaned[key] = float(raw_value)
+        for raw_key, raw_value in entries.items():
+            key = _key_in_range(raw_key, n_qubits)
+            value = float(raw_value)
+            if not math.isfinite(value):
+                raise ValidationError(f"coupling {key} has non-finite value {value!r}")
+            cleaned[key] = value
+        keys = list(cleaned)
+        in_order = all(a < b for a, b in zip(keys, keys[1:]))
         self._n_qubits = n_qubits
-        self._entries = _finite_in_order(cleaned)
-
-    @classmethod
-    def _derived(cls, n_qubits: int, entries: dict[CouplingKey, float]) -> "CouplingVector":
-        """Vector over keys already validated for ``n_qubits``; skips ``validate_key``."""
-        vector = cls.__new__(cls)
-        vector._n_qubits = n_qubits
-        vector._entries = _finite_in_order(entries)
-        return vector
+        self._entries = cleaned if in_order else dict(sorted(cleaned.items()))
 
     @property
     def n_qubits(self) -> int:
@@ -115,7 +124,7 @@ class CouplingVector:
 
     def restricted(self, keys: Iterable[CouplingKey]) -> "CouplingVector":
         """Sub-vector declaring exactly the given keys (absent ones become 0)."""
-        return CouplingVector._derived(self._n_qubits, {validate_key(CouplingKey(*k), self._n_qubits): self[k] for k in keys})
+        return CouplingVector(self._n_qubits, {k: self[k] for k in keys})
 
     def __getitem__(self, key: CouplingKey) -> float:
         return self._entries.get(key, 0.0)
@@ -148,7 +157,7 @@ class CouplingVector:
         merged = dict(self._entries)
         for key, value in other._entries.items():
             merged[key] = merged.get(key, 0.0) + sign * value
-        return CouplingVector._derived(self._n_qubits, merged)
+        return CouplingVector(self._n_qubits, merged)
 
     def __add__(self, other: "CouplingVector") -> "CouplingVector":
         return self._combined(other, 1.0, "add")
@@ -190,7 +199,7 @@ class CouplingVector:
                 key = CouplingKey(int(parts[0]), int(parts[1]), parts[2], parts[3])
                 value = float(parts[4])
             except ValueError as exc:
-                raise ValidationError(f"line {lineno}: cannot parse {line!r}") from exc
+                raise ValidationError(f"line {lineno}: cannot parse {line!r}: {exc}") from exc
             if key in entries:
                 raise ValidationError(f"line {lineno}: duplicate coupling key {key}")
             entries[key] = value
@@ -208,16 +217,6 @@ class CouplingVector:
             return cls.from_text(fh.read())
 
 
-def _finite_in_order(entries: dict[CouplingKey, float]) -> dict[CouplingKey, float]:
-    """``entries`` in canonical key order, once every value is checked finite."""
-    for key, value in entries.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"coupling {key} has non-finite value {value!r}")
-    keys = list(entries)
-    in_order = all(a < b for a, b in zip(keys, keys[1:]))
-    return entries if in_order else dict(sorted(entries.items()))
-
-
 @dataclass(frozen=True)
 class InteractionGraph:
     """Edge set of a coupling vector, viewed as a weighted multigraph support.
@@ -228,12 +227,12 @@ class InteractionGraph:
     """
 
     n_qubits: int
-    edges: frozenset[CouplingKey] = field(default_factory=frozenset)
+    edges: frozenset[CouplingKey]
 
     def __init__(self, n_qubits: int, edges: Iterable[CouplingKey] = ()):
         if not isinstance(n_qubits, int) or n_qubits < 1:
             raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        edge_set = frozenset(validate_key(CouplingKey(*e), n_qubits) for e in edges)
+        edge_set = frozenset(_key_in_range(e, n_qubits) for e in edges)
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "edges", edge_set)
 
@@ -256,11 +255,6 @@ class InteractionGraph:
             counts[e.i] += 1
             counts[e.j] += 1
         return max(counts, default=0)
-
-    def union(self, other: "InteractionGraph") -> "InteractionGraph":
-        if self.n_qubits != other.n_qubits:
-            raise ValidationError("graph union requires matching system sizes")
-        return InteractionGraph(self.n_qubits, self.edges | other.edges)
 
 
 def vector_p_norm(vector: CouplingVector, p: float) -> float:
@@ -314,7 +308,7 @@ def hadamard_divide(a: CouplingVector, b: CouplingVector, indeterminate_policy: 
             result[key] = a[key] / den
         elif indeterminate_policy == "zero":
             result[key] = 0.0
-    return CouplingVector._derived(a.n_qubits, result)
+    return CouplingVector(a.n_qubits, result)
 
 
 def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGraph:

@@ -11,7 +11,7 @@ from daqc.blocks import (
     pattern_alphabet,
     sign_weights,
 )
-from daqc.errors import PatternExhaustionError, ValidationError
+from daqc.errors import ValidationError
 from daqc.pauli import AXES, CouplingKey, InteractionGraph
 
 _MATS = {
@@ -197,7 +197,7 @@ def test_exhaustive_request_covers_whole_alphabet():
 
 def test_request_beyond_alphabet_exhausts():
     g = zz_graph(3, [(0, 1)])
-    with pytest.raises(PatternExhaustionError):
+    with pytest.raises(ValidationError, match="only 8 exist"):
         generate_candidate_patterns(g, 9, rng_seed=0)
 
 

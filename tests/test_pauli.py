@@ -190,7 +190,7 @@ def test_difference_then_union_restores_supergraph():
         s_edges = [e for e in d_edges if rng.random() < 0.5]
         d = InteractionGraph(5, d_edges)
         s = InteractionGraph(5, s_edges)
-        assert graph_difference(d, s).union(s).edges == d.edges
+        assert graph_difference(d, s).edges | s.edges == d.edges
 
 
 # ---- construction and serialization ----------------------------------------
@@ -205,6 +205,37 @@ def test_key_validation():
         CouplingVector(3, {CouplingKey(0, 1, "z", "w"): 1.0})
     with pytest.raises(ValidationError):
         CouplingVector(3, {zz(0, 1): math.nan})
+
+
+@pytest.mark.parametrize("fields", [(1, 0, "z", "z"), (0, 1, "z", "w"), (0.0, 1, "z", "z"), (-1, 1, "z", "z")])
+def test_invalid_key_is_rejected_when_built(fields):
+    with pytest.raises(ValidationError):
+        CouplingKey(*fields)
+    with pytest.raises(ValidationError):
+        CouplingKey._make(fields)
+
+
+def test_replace_checks_the_new_key():
+    with pytest.raises(ValidationError):
+        zz(0, 1)._replace(i=2)
+    assert type(zz(0, 1)._replace(j=2)) is CouplingKey and zz(0, 1)._replace(j=2) == zz(0, 2)
+
+
+@pytest.mark.parametrize("key", [(0, 3, "z", "z"), zz(0, 3)])
+def test_containers_reject_keys_beyond_their_qubits(key):
+    with pytest.raises(ValidationError, match="out of range"):
+        CouplingVector(3, {key: 1.0})
+    with pytest.raises(ValidationError, match="out of range"):
+        InteractionGraph(3, [key])
+
+
+def test_raw_tuple_keys_are_stored_as_coupling_keys():
+    v = CouplingVector(3, {(0, 1, "z", "z"): 1.0})
+    g = InteractionGraph(3, [(1, 2, "x", "y")])
+    assert all(type(k) is CouplingKey for k in (*v.keys(), *g.edges))
+    assert v[zz(0, 1)] == 1.0 and CouplingKey(1, 2, "x", "y") in g.edges
+    with pytest.raises(ValidationError):
+        CouplingVector(3, {(1, 0, "z", "z"): 1.0})
 
 
 def test_absent_key_reads_zero_and_support_skips_zeros():
