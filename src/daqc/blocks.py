@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import AXES, CouplingKey, InteractionGraph
+from .pauli import AXES, CouplingKey, InteractionGraph, is_zz_only
 
 GATES = "IXYZ"
 
@@ -115,7 +115,7 @@ def pattern_alphabet(source_support: InteractionGraph) -> str:
     ZZ-only supports need only ``IX`` (an X on either endpoint flips a ZZ
     term); anything with other axes gets the full Pauli alphabet.
     """
-    if all(e.mu == "z" and e.nu == "z" for e in source_support.edges):
+    if is_zz_only(source_support.edges):
         return "IX"
     return GATES
 

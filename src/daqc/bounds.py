@@ -1,9 +1,9 @@
 """Defect sampling and the analytic error bounds, with exact counterparts.
 
 The bounds take the schedule-level quantities (total analog time, edge
-counts, degrees, the elementwise target/source coupling ratios) and return
-upper bounds on norms of the coupling error and on the deviation of an
-observable's expectation value.  ``evaluate_bounds`` packages one full
+counts, degrees, the ratio vector h_P/h_S from ``pauli.hadamard_divide``,
+which leaves 0/0 ratios out) and return upper bounds on norms of the
+coupling error and on the deviation of an observable's expectation value.  ``evaluate_bounds`` packages one full
 evaluation, pairing every bound with its exact dense value when the system
 is small enough.
 """
@@ -21,6 +21,7 @@ from .pauli import (
     InteractionGraph,
     graph_difference,
     hadamard_divide,
+    is_zz_only,
     vector_p_norm,
 )
 from .schedule import REPLAY_TOL, Schedule, SynthesisMode, error_vector
@@ -59,15 +60,14 @@ def _edge_count_root(e_ds: int, p: float) -> float:
 
 
 def p_norm_error_bound(
-    h_problem: CouplingVector,
-    h_source: CouplingVector,
+    ratios: CouplingVector,
     delta: float,
     target_time: float,
     total_analog_time: float,
     e_ds: int,
     p: float,
 ) -> float:
-    """Bound on the p-norm of the coupling error vector.
+    """Bound on the p-norm of the coupling error vector, from ``ratios`` = h_P/h_S.
 
     delta * ||h_P/h_S||_p over the measured couplings, plus
     delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.
@@ -76,35 +76,34 @@ def p_norm_error_bound(
         raise ValidationError("the coupling error bound is stated for proper p-norms only")
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_norm = vector_p_norm(hadamard_divide(h_problem, h_source, "skip"), p)
+    ratio_norm = vector_p_norm(ratios, p)
     return delta * ratio_norm + delta * (total_analog_time / target_time) * _edge_count_root(e_ds, p)
 
 
 def op_norm_error_bound(
-    h_problem: CouplingVector,
-    h_source: CouplingVector,
+    ratios: CouplingVector,
     delta: float,
     target_time: float,
     total_analog_time: float,
     e_ds: int,
 ) -> float:
     """Operator-norm bound on the error Hamiltonian: the p=1 case above."""
-    return p_norm_error_bound(
-        h_problem, h_source, delta, target_time, total_analog_time, e_ds, p=1.0
-    )
+    return p_norm_error_bound(ratios, delta, target_time, total_analog_time, e_ds, p=1.0)
 
 
 def frobenius_stability_factor(
-    h_problem: CouplingVector,
-    h_source: CouplingVector,
+    ratios: CouplingVector,
     total_analog_time: float,
     target_time: float,
     e_ds: int,
 ) -> float:
-    """Dimensionless multiplier f with ||H_eps||_F <= f * ||H_delta||_F."""
+    """Dimensionless multiplier f with ||H_eps||_F <= f * ||H_delta||_F.
+
+    ``ratios`` is h_P/h_S; f = sqrt(||h_P/h_S||_2^2 + |E| * (t_A/T)^2).
+    """
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_sq = vector_p_norm(hadamard_divide(h_problem, h_source, "skip"), 2.0) ** 2
+    ratio_sq = vector_p_norm(ratios, 2.0) ** 2
     return math.sqrt(ratio_sq + e_ds * (total_analog_time / target_time) ** 2)
 
 
@@ -233,8 +232,9 @@ def evaluate_bounds(
         raise ValidationError("defect sample declares couplings outside the defect support")
 
     h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
-    ratios = hadamard_divide(h_problem, h_source, "skip")
-    ds_graph = graph_difference(defect_support, h_source.support_graph())
+    ratios = hadamard_divide(h_problem, h_source)
+    source_graph = h_source.support_graph()
+    ds_graph = graph_difference(defect_support, source_graph)
     e_ds = ds_graph.edge_count
     t_a = schedule.total_analog_time
     target_time = schedule.target_time
@@ -250,11 +250,9 @@ def evaluate_bounds(
             )
     effective_e_ds = 0 if mitigated else e_ds
 
-    p_bound = p_norm_error_bound(
-        h_problem, h_source, delta, target_time, t_a, effective_e_ds, requested_p
-    )
-    op_bound = op_norm_error_bound(h_problem, h_source, delta, target_time, t_a, effective_e_ds)
-    frob_factor = frobenius_stability_factor(h_problem, h_source, t_a, target_time, e_ds)
+    p_bound = p_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds, requested_p)
+    op_bound = op_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds)
+    frob_factor = frobenius_stability_factor(ratios, t_a, target_time, e_ds)
     defect_frob = 2.0 ** (n / 2.0) * vector_p_norm(defect.h_delta, 2.0)
     frob_bound = frob_factor * defect_frob
 
@@ -278,7 +276,7 @@ def evaluate_bounds(
             exact_delta_o = dense.expectation_deviation(
                 h_problem, schedule, h_source + defect.h_delta, state, observable, q=q, cap=qubit_cap
             )
-            if all(dense.is_zz_only(v) for v in (h_problem, h_source, defect.h_delta)):
+            if all(is_zz_only(v.keys()) for v in (h_problem, h_source, defect.h_delta)):
                 commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)
     else:
         exact_frob = 2.0 ** (n / 2.0) * vector_p_norm(h_eps, 2.0)
@@ -296,7 +294,7 @@ def evaluate_bounds(
         delta=delta,
         target_time=target_time,
         total_analog_time=t_a,
-        source_edge_count=h_source.support_graph().edge_count,
+        source_edge_count=source_graph.edge_count,
         defect_edge_count=defect_support.edge_count,
         defect_only_edge_count=e_ds,
         problem_degree=deg_p,

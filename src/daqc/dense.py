@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import CouplingVector
+from .pauli import CouplingVector, is_zz_only
 
 DEFAULT_QUBIT_CAP = 10
 HERMITICITY_TOL = 1e-12
@@ -60,10 +60,6 @@ def _z_sign_columns(n_qubits: int) -> np.ndarray:
     shifts = n_qubits - 1 - np.arange(n_qubits)
     bits = (states[None, :] >> shifts[:, None]) & 1
     return 1.0 - 2.0 * bits
-
-
-def is_zz_only(h: CouplingVector) -> bool:
-    return all(k.mu == "z" and k.nu == "z" for k in h.keys())
 
 
 def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -104,7 +100,7 @@ def build_dense(h: CouplingVector, cap: int = DEFAULT_QUBIT_CAP) -> DenseHamilto
     _check_cap(h.n_qubits, cap)
     n = h.n_qubits
     dim = 2**n
-    if is_zz_only(h):
+    if is_zz_only(h.keys()):
         z = _z_sign_columns(n)
         diag = np.zeros(dim)
         for key, value in h.items():

@@ -257,6 +257,11 @@ class InteractionGraph:
         return max(counts, default=0)
 
 
+def is_zz_only(keys: Iterable[CouplingKey]) -> bool:
+    """Whether every key couples Z to Z (true for no keys)."""
+    return all(k.mu == "z" and k.nu == "z" for k in keys)
+
+
 def vector_p_norm(vector: CouplingVector, p: float) -> float:
     """p-norm of the declared entries: (sum |v|^p)^(1/p).
 
@@ -287,28 +292,20 @@ def vector_p_norm(vector: CouplingVector, p: float) -> float:
     return float(top * np.power(np.power(values / top, p).sum(), 1.0 / p))
 
 
-def hadamard_divide(a: CouplingVector, b: CouplingVector, indeterminate_policy: str) -> CouplingVector:
+def hadamard_divide(a: CouplingVector, b: CouplingVector) -> CouplingVector:
     """Elementwise division a/b over the declared keys of ``b``.
 
-    Keys where both entries are zero are indeterminate (0/0); the policy
-    decides whether to emit 0 (``zero``) or drop the key (``skip``).  A
-    nonzero numerator over a zero denominator always raises: the target
-    coupling would not be reachable from the source.
+    Keys where both entries are zero are indeterminate (0/0) and left out,
+    so they read as 0 and add nothing to any p-norm.  A nonzero numerator
+    over a zero denominator raises: the target coupling would not be
+    reachable from the source.
     """
-    if indeterminate_policy not in ("zero", "skip"):
-        raise ValidationError(f"unknown indeterminate policy {indeterminate_policy!r}")
     if a.n_qubits != b.n_qubits:
         raise ValidationError("hadamard division requires matching system sizes")
     for key in a.support():
         if b[key] == 0.0:
             raise SimulabilityError(f"nonzero coupling {key} divided by zero source coupling")
-    result: dict[CouplingKey, float] = {}
-    for key, den in b.items():
-        if den != 0.0:
-            result[key] = a[key] / den
-        elif indeterminate_policy == "zero":
-            result[key] = 0.0
-    return CouplingVector(a.n_qubits, result)
+    return CouplingVector(a.n_qubits, {key: a[key] / den for key, den in b.items() if den != 0.0})
 
 
 def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGraph:

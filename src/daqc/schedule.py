@@ -1,8 +1,10 @@
 """Schedule synthesis: from target and source couplings to timed gate blocks.
 
 The block times solve  M t = T * (h_P / h_S)  elementwise over a chosen row
-set, minimizing the total analog time with t >= 0.  Two row policies exist
-for couplings whose source entry is zero (the 0/0 indeterminate forms):
+set, minimizing the total analog time with t >= 0.  The ratio is divided
+once, by ``pauli.hadamard_divide``, which leaves the 0/0 indeterminate forms
+out, so a row whose source entry is zero has a zero right-hand side.  Two
+row policies exist for those couplings:
 
 * ``RemoveZeros`` drops those rows, which minimizes the total time;
 * ``MitigateZeros`` keeps every edge of the declared defect support with a
@@ -86,8 +88,9 @@ class Schedule:
             raise ValidationError("patterns and times must have equal length")
         for p in self.patterns:
             validate_pattern(p, self.n_qubits)
-        if any(t < 0 for t in self.times):
-            raise ValidationError("block times must be nonnegative")
+        bad = [t for t in self.times if not (t >= 0 and math.isfinite(t))]
+        if bad:
+            raise ValidationError(f"block times must be finite and nonnegative, got {bad[0]}")
         if not (self.target_time > 0 and math.isfinite(self.target_time)):
             raise ValidationError(f"target time must be positive, got {self.target_time}")
 
@@ -199,8 +202,10 @@ def synthesize(
         rows = defect_support.sorted_edges()
     else:
         raise ValidationError(f"unknown synthesis mode {mode!r}")
-    # raises SimulabilityError for a problem coupling outside the source support
-    rhs = target_time * hadamard_divide(h_problem, h_source.restricted(rows), "zero").values_array()
+    # raises SimulabilityError for a problem coupling outside the source support;
+    # a row without a source coupling is a 0/0 ratio, absent, so its rhs is 0
+    ratios = hadamard_divide(h_problem, h_source)
+    rhs = target_time * np.array([ratios[k] for k in rows])
 
     if not rows:
         return Schedule(h_problem.n_qubits, (), (), float(target_time), mode, rows)

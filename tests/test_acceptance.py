@@ -121,7 +121,7 @@ def test_c2_mitigated_bound_tightening(sweeps):
         for record in records[:: len(records) // 25]:
             h_p, h_s, defect = _regenerate(kind, record)
             sched = synthesize(h_p, h_s, defect, 1.0, MITIGATE, derive_seed(record.seed, "patterns"))
-            ratios = hadamard_divide(h_p, h_s, "skip")
+            ratios = hadamard_divide(h_p, h_s)
             first_term = 10.0 * float(np.abs(ratios.values_array()).sum())
             assert record.bound_op_norm == pytest.approx(first_term, rel=1e-12)
             for key in sorted(defect.edges - set(h_s.support())):

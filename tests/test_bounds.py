@@ -48,23 +48,25 @@ def ratio_pair():
     return h_p, h_s
 
 
+def unit_ratios():
+    return hadamard_divide(*ratio_pair())
+
+
 def test_p_norm_bound_zero_delta():
-    h_p, h_s = ratio_pair()
-    assert bounds.p_norm_error_bound(h_p, h_s, 0.0, 1.0, 1.0, 1, p=2.0) == 0.0
+    assert bounds.p_norm_error_bound(unit_ratios(), 0.0, 1.0, 1.0, 1, p=2.0) == 0.0
 
 
 def test_p_norm_bound_direct_evaluation():
     # ratio one-norm 2, t_A/T = 1, one extra edge, delta 0.1 -> 0.1*2 + 0.1*1
-    h_p, h_s = ratio_pair()
-    value = bounds.p_norm_error_bound(h_p, h_s, 0.1, 1.0, 1.0, 1, p=1.0)
+    value = bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1, p=1.0)
     assert value == pytest.approx(0.3)
 
 
 def test_p_norm_bound_no_defect_only_edges():
-    h_p, h_s = ratio_pair()
+    ratios = unit_ratios()
     for p in (1.0, 2.0, math.inf):
-        value = bounds.p_norm_error_bound(h_p, h_s, 0.5, 1.0, 7.0, 0, p=p)
-        assert value == pytest.approx(0.5 * vector_p_norm(hadamard_divide(h_p, h_s, "skip"), p))
+        value = bounds.p_norm_error_bound(ratios, 0.5, 1.0, 7.0, 0, p=p)
+        assert value == pytest.approx(0.5 * vector_p_norm(ratios, p))
 
 
 def test_ratio_bounds_reject_problem_coupling_without_source():
@@ -72,51 +74,52 @@ def test_ratio_bounds_reject_problem_coupling_without_source():
     _, h_s = ratio_pair()
     h_p = CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 1.0})
     with pytest.raises(SimulabilityError):
-        bounds.p_norm_error_bound(h_p, h_s, 0.1, 1.0, 1.0, 1, p=2.0)
+        hadamard_divide(h_p, h_s)
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
+    unmeasured = sorted(defect.edges - set(h_s.support()))[0]
+    h_p = h_p + CouplingVector(h_p.n_qubits, {unmeasured: 1.0})
     with pytest.raises(SimulabilityError):
-        bounds.frobenius_stability_factor(h_p, h_s, 1.0, 1.0, 1)
+        bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
 
 
 def test_p_norm_bound_rejects_minus_inf():
-    h_p, h_s = ratio_pair()
     with pytest.raises(ValidationError):
-        bounds.p_norm_error_bound(h_p, h_s, 0.1, 1.0, 1.0, 1, p=-math.inf)
+        bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1, p=-math.inf)
 
 
 def test_op_norm_bound_is_one_norm_case():
-    h_p, h_s = ratio_pair()
+    ratios = unit_ratios()
     for delta, t_a, e_ds in [(0.1, 1.0, 1), (2.0, 3.5, 4), (0.0, 1.0, 0)]:
-        assert bounds.op_norm_error_bound(h_p, h_s, delta, 1.0, t_a, e_ds) == \
-            bounds.p_norm_error_bound(h_p, h_s, delta, 1.0, t_a, e_ds, p=1.0)
+        assert bounds.op_norm_error_bound(ratios, delta, 1.0, t_a, e_ds) == \
+            bounds.p_norm_error_bound(ratios, delta, 1.0, t_a, e_ds, p=1.0)
 
 
 def test_op_norm_bound_three_qubit_path():
-    h_p, h_s = ratio_pair()
-    assert bounds.op_norm_error_bound(h_p, h_s, 0.1, 1.0, 1.0, 1) == pytest.approx(0.3)
+    assert bounds.op_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1) == pytest.approx(0.3)
 
 
 def test_frobenius_factor_single_ratio():
     h_s = CouplingVector(2, {zz(0, 1): 2.0})
     h_p = CouplingVector(2, {zz(0, 1): -3.0})
-    assert bounds.frobenius_stability_factor(h_p, h_s, 1.0, 1.0, 0) == pytest.approx(1.5)
+    assert bounds.frobenius_stability_factor(hadamard_divide(h_p, h_s), 1.0, 1.0, 0) == pytest.approx(1.5)
 
 
 def test_frobenius_factor_equal_ratios():
     m = 4
     h_s = CouplingVector(5, {zz(i, i + 1): 2.0 for i in range(m)})
     h_p = CouplingVector(5, {zz(i, i + 1): 1.0 for i in range(m)})
-    assert bounds.frobenius_stability_factor(h_p, h_s, 1.0, 1.0, 0) == \
+    assert bounds.frobenius_stability_factor(hadamard_divide(h_p, h_s), 1.0, 1.0, 0) == \
         pytest.approx(0.5 * math.sqrt(m))
 
 
 def test_frobenius_factor_two_couplings_max_min_form():
     h_s = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): 2.0})
     h_p = CouplingVector(3, {zz(0, 1): 3.0, zz(0, 2): 1.0})
-    ratios = hadamard_divide(h_p, h_s, "skip")
+    ratios = hadamard_divide(h_p, h_s)
     expected = math.sqrt(
         vector_p_norm(ratios, math.inf) ** 2 + vector_p_norm(ratios, -math.inf) ** 2
     )
-    assert bounds.frobenius_stability_factor(h_p, h_s, 1.0, 1.0, 0) == pytest.approx(expected)
+    assert bounds.frobenius_stability_factor(ratios, 1.0, 1.0, 0) == pytest.approx(expected)
 
 
 def test_expectation_bound_zero_delta():
@@ -170,18 +173,18 @@ def test_max_allowed_delta_degenerate_inputs():
 
 
 def test_bound_monotonicity_under_perturbation():
-    h_p, h_s = ratio_pair()
+    ratios = unit_ratios()
     rng = np.random.default_rng(9)
     base = dict(delta=0.3, t=1.0, t_a=2.0, e_ds=2)
-    b0 = bounds.op_norm_error_bound(h_p, h_s, base["delta"], base["t"], base["t_a"], base["e_ds"])
-    f0 = bounds.frobenius_stability_factor(h_p, h_s, base["t_a"], base["t"], base["e_ds"])
+    b0 = bounds.op_norm_error_bound(ratios, base["delta"], base["t"], base["t_a"], base["e_ds"])
+    f0 = bounds.frobenius_stability_factor(ratios, base["t_a"], base["t"], base["e_ds"])
     e0 = bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"], base["t"], base["t_a"])
     for _ in range(25):
         bump = float(rng.uniform(0, 1))
-        assert bounds.op_norm_error_bound(h_p, h_s, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"]) >= b0
-        assert bounds.op_norm_error_bound(h_p, h_s, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"]) >= b0
-        assert bounds.frobenius_stability_factor(h_p, h_s, base["t_a"] + bump, base["t"], base["e_ds"]) >= f0
-        assert bounds.frobenius_stability_factor(h_p, h_s, base["t_a"], base["t"], base["e_ds"] + 1) >= f0
+        assert bounds.op_norm_error_bound(ratios, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"]) >= b0
+        assert bounds.op_norm_error_bound(ratios, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"]) >= b0
+        assert bounds.frobenius_stability_factor(ratios, base["t_a"] + bump, base["t"], base["e_ds"]) >= f0
+        assert bounds.frobenius_stability_factor(ratios, base["t_a"], base["t"], base["e_ds"] + 1) >= f0
         assert bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"] + bump, base["t"], base["t_a"]) >= e0
 
 
@@ -221,9 +224,27 @@ def test_report_mitigated_bound_keeps_first_term_only():
     # the factor itself stays protocol-generic
     assert report.frobenius_factor == pytest.approx(
         bounds.frobenius_stability_factor(
-            h_p, h_s, sched.total_analog_time, 1.0, report.defect_only_edge_count
+            hadamard_divide(h_p, h_s), sched.total_analog_time, 1.0, report.defect_only_edge_count
         )
     )
+
+
+@pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
+def test_declared_zero_source_coupling_reads_as_absent(mode):
+    # a 0.0 source entry on a defect edge is a 0/0 ratio, like the absent key
+    h_p, h_s, defect, _, sample = make_case(mode, seed=7)
+    unmeasured = sorted(defect.edges - set(h_s.support()))
+    assert unmeasured
+    h_s_zeros = CouplingVector(h_s.n_qubits, {**dict(h_s.items()), **{k: 0.0 for k in unmeasured}})
+    assert set(h_s_zeros.keys()) == defect.edges
+    obs = dense.single_qubit_observable("x", 0, h_s.n_qubits)
+    schedules, reports = [], []
+    for source in (h_s, h_s_zeros):
+        sched = synthesize(h_p, source, defect, 1.0, mode, 8)
+        schedules.append(sched.to_text())
+        reports.append(bounds.evaluate_bounds(h_p, source, defect, sched, sample, observable=obs))
+    assert schedules[0] == schedules[1]
+    assert reports[0] == reports[1]
 
 
 def test_report_without_observable_uses_unit_observable():

@@ -221,6 +221,21 @@ def test_unsimulatable_problem_exits_validation(workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad_time", ["nan", "inf"])
+def test_analyze_rejects_non_finite_block_time(workspace, capsys, bad_time):
+    _, paths = workspace
+    paths["schedule"].write_text(f"n_qubits=3\nT=1\nmode=remove\nIII 0.5\nXII {bad_time}\n")
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--delta", "10",
+        "--seed", "4",
+    ])
+    assert code == 2
+    assert f"block times must be finite and nonnegative, got {bad_time}" in capsys.readouterr().err
+
+
 def test_infeasible_synthesis_exit_code(workspace, monkeypatch):
     _, paths = workspace
 

@@ -12,6 +12,7 @@ from daqc.pauli import (
     InteractionGraph,
     graph_difference,
     hadamard_divide,
+    is_zz_only,
     vector_p_norm,
 )
 
@@ -44,7 +45,7 @@ def test_derived_vectors_are_canonical_and_checked():
     with pytest.raises(ValidationError, match="non-finite"):
         huge + huge
     with pytest.raises(ValidationError, match="non-finite"):
-        hadamard_divide(huge, CouplingVector(3, {zz(0, 1): 1e-308}), "zero")
+        hadamard_divide(huge, CouplingVector(3, {zz(0, 1): 1e-308}))
 
 
 # ---- p-norms ---------------------------------------------------------------
@@ -91,30 +92,29 @@ def test_norm_ordering_property(values):
 def test_hadamard_divide_plain():
     a = CouplingVector(2, {zz(0, 1): 2.0})
     b = CouplingVector(2, {zz(0, 1): 4.0})
-    assert hadamard_divide(a, b, "skip")[zz(0, 1)] == 0.5
+    assert hadamard_divide(a, b)[zz(0, 1)] == 0.5
 
 
 def test_hadamard_divide_zero_numerator():
     b = CouplingVector(2, {zz(0, 1): 4.0})
-    out = hadamard_divide(CouplingVector(2), b, "skip")
+    out = hadamard_divide(CouplingVector(2), b)
     assert out.items() == ((zz(0, 1), 0.0),)
 
 
-def test_hadamard_divide_indeterminate_policies():
+def test_hadamard_divide_leaves_out_indeterminate_keys():
     a = CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 0.0})
-    b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.0})
-    zeroed = hadamard_divide(a, b, "zero")
-    assert zeroed.items() == ((zz(0, 1), 0.5), (zz(1, 2), 0.0))
-    skipped = hadamard_divide(a, b, "skip")
-    assert skipped.keys() == (zz(0, 1),)
-    with pytest.raises(ValidationError, match="unknown indeterminate policy"):
-        hadamard_divide(a, b, "error")
+    b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.0, zz(0, 2): 0.0})
+    ratios = hadamard_divide(a, b)
+    assert ratios.items() == ((zz(0, 1), 0.5),)
+    assert ratios[zz(1, 2)] == ratios[zz(0, 2)] == 0.0
+    for p in (1.0, 2.0, 3.0, math.inf):
+        assert vector_p_norm(ratios, p) == 0.5
 
 
 def test_hadamard_divide_nonzero_over_zero_is_simulability_violation():
     a = CouplingVector(2, {zz(0, 1): 1.0})
     with pytest.raises(SimulabilityError):
-        hadamard_divide(a, CouplingVector(2), "zero")
+        hadamard_divide(a, CouplingVector(2))
 
 
 def test_hadamard_divide_multiply_back_recovers_numerator():
@@ -125,7 +125,7 @@ def test_hadamard_divide_multiply_back_recovers_numerator():
         a_vals = rng.normal(size=len(keys)) * (b_vals != 0)
         a = CouplingVector(3, dict(zip(keys, a_vals)))
         b = CouplingVector(3, dict(zip(keys, b_vals)))
-        ratio = hadamard_divide(a, b, "zero")
+        ratio = hadamard_divide(a, b)
         for k in b.keys():
             assert ratio[k] * b[k] == pytest.approx(a[k], abs=1e-12)
 
@@ -284,3 +284,10 @@ def test_vector_arithmetic():
     assert total[zz(1, 2)] == 0.0
     assert total[zz(0, 2)] == 5.0
     assert (total - b) == CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 2.0, zz(0, 2): 0.0})
+
+
+def test_is_zz_only():
+    assert is_zz_only([zz(0, 1), zz(1, 2)])
+    assert is_zz_only([])
+    assert not is_zz_only([zz(0, 1), CouplingKey(0, 1, "z", "x")])
+    assert not is_zz_only([CouplingKey(0, 1, "x", "z")])

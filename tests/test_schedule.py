@@ -190,6 +190,9 @@ def test_schedule_invariant_checks():
         Schedule(2, ("II", "IX"), (0.5,), 1.0, REMOVE)
     with pytest.raises(ValidationError):
         Schedule(2, ("II",), (0.5,), math.inf, REMOVE)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="block times must be finite and nonnegative"):
+            Schedule(2, ("II", "IX"), (0.5, bad), 1.0, REMOVE)
 
 
 def test_synthesis_determinism(three_qubit_setup):
@@ -206,7 +209,8 @@ def _full_sign_program(h_problem, h_source, defect, mode, seed):
     else:
         rows = defect.sorted_edges()
     patterns = generate_candidate_patterns(defect, pattern_space_size(defect), seed)
-    rhs = hadamard_divide(h_problem, h_source.restricted(rows), "zero").values_array()
+    ratios = hadamard_divide(h_problem, h_source)
+    rhs = np.array([ratios[k] for k in rows])
     entries = build_sign_matrix(patterns, rows).entries.astype(float)
     return patterns, lp.LinearProgram(entries, rhs)
 
