@@ -42,10 +42,8 @@ from .dense import (
     make_observable,
     operator_norm,
     plus_state,
-    random_product_state,
     replay_unitary,
     single_qubit_observable,
-    zero_state,
 )
 from .bounds import (
     BoundReport,
@@ -53,7 +51,6 @@ from .bounds import (
     evaluate_bounds,
     expectation_error_bound,
     frobenius_stability_factor,
-    max_allowed_delta,
     mitigated_expectation_bound,
     op_norm_error_bound,
     p_norm_error_bound,
@@ -111,13 +108,11 @@ __all__ = [
     "graph_difference",
     "hadamard_divide",
     "make_observable",
-    "max_allowed_delta",
     "mitigated_expectation_bound",
     "op_norm_error_bound",
     "operator_norm",
     "p_norm_error_bound",
     "plus_state",
-    "random_product_state",
     "replay_unitary",
     "run_experiment",
     "run_trial",
@@ -128,5 +123,4 @@ __all__ = [
     "summarize",
     "synthesize",
     "vector_p_norm",
-    "zero_state",
 ]

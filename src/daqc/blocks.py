@@ -33,13 +33,13 @@ _GATE_INDEX[list(GATES.encode())] = range(len(GATES))
 _AXIS_INDEX = {a: k for k, a in enumerate(AXES)}
 
 
-def validate_pattern(pattern: str, n_qubits: int | None = None) -> str:
+def validate_pattern(pattern: str, n_qubits: int) -> str:
     if not isinstance(pattern, str) or not pattern:
         raise ValidationError(f"pattern must be a nonempty string, got {pattern!r}")
     bad = set(pattern) - set(GATES)
     if bad:
         raise ValidationError(f"pattern {pattern!r} uses gates outside {GATES}: {sorted(bad)}")
-    if n_qubits is not None and len(pattern) != n_qubits:
+    if len(pattern) != n_qubits:
         raise ValidationError(f"pattern {pattern!r} has length {len(pattern)}, expected {n_qubits}")
     return pattern
 
@@ -48,22 +48,17 @@ def validate_pattern(pattern: str, n_qubits: int | None = None) -> str:
 class SignMatrix:
     """Dense +/-1 matrix: rows are coupling keys, columns are gate patterns."""
 
-    rows: tuple[CouplingKey, ...]
-    patterns: tuple[str, ...]
     entries: np.ndarray  # shape (len(rows), len(patterns)), values in {+1, -1}
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.patterns))
 
 
 def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> SignMatrix:
     """Entry-complete sign matrix for the given patterns and coupling keys.
 
     A repeated pattern repeats its column (a schedule read from text may list
-    a block twice).  Each distinct pattern is validated once; the entries come
-    from one gather over the patterns' first ``n_min`` letters, where ``n_min``
-    is one past the highest qubit the rows touch.
+    a block twice).  The patterns are checked in one pass, every letter in
+    ``GATES`` and the shortest at least ``n_min`` long; the entries come from
+    one gather over their first ``n_min`` letters, where ``n_min`` is one past
+    the highest qubit the rows touch.
     """
     if not patterns:
         raise ValidationError("at least one pattern is required")
@@ -73,10 +68,12 @@ def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> S
     non_strings = [p for p in patterns if not isinstance(p, str)]
     if non_strings:
         raise ValidationError(f"pattern must be a nonempty string, got {non_strings[0]!r}")
-    for p in set(patterns):
-        validate_pattern(p)
-        if len(p) < n_min:
-            raise ValidationError(f"pattern {p!r} too short for rows up to qubit {n_min - 1}")
+    bad = set("".join(patterns)) - set(GATES)
+    if bad:
+        raise ValidationError(f"patterns use gates outside {GATES}: {sorted(bad)}")
+    shortest = min(patterns, key=len)
+    if len(shortest) < n_min:
+        raise ValidationError(f"pattern {shortest!r} too short for rows up to qubit {n_min - 1}")
     # gates[q, col]: gate index of qubit q in pattern col; one gather gives every entry
     letters = np.frombuffer("".join(p[:n_min] for p in patterns).encode("ascii"), dtype=np.uint8)
     gates = _GATE_INDEX[letters.reshape(len(patterns), n_min).T]
@@ -86,7 +83,7 @@ def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> S
     nu_idx = np.array([_AXIS_INDEX[k.nu] for k in rows], dtype=np.intp)[:, None]
     entries = _SIGN_TABLE[gates[i_idx], mu_idx] * _SIGN_TABLE[gates[j_idx], nu_idx]
     entries.setflags(write=False)
-    return SignMatrix(tuple(rows), tuple(patterns), entries)
+    return SignMatrix(entries)
 
 
 def sign_weights(

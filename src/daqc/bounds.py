@@ -9,7 +9,7 @@ is small enough.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class DefectSample:
 
     h_delta: CouplingVector
     delta: float
-    rng_seed: int
 
 
 def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> DefectSample:
@@ -48,7 +47,7 @@ def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> Def
     rng = np.random.default_rng(rng_seed)
     values = rng.uniform(-delta, delta, size=len(edges))
     h_delta = CouplingVector(support.n_qubits, dict(zip(edges, values)))
-    return DefectSample(h_delta, float(delta), rng_seed)
+    return DefectSample(h_delta, float(delta))
 
 
 def _edge_count_root(e_ds: int, p: float) -> float:
@@ -72,8 +71,6 @@ def p_norm_error_bound(
     delta * ||h_P/h_S||_p over the measured couplings, plus
     delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.
     """
-    if p == -math.inf:
-        raise ValidationError("the coupling error bound is stated for proper p-norms only")
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
     ratio_norm = vector_p_norm(ratios, p)
@@ -143,25 +140,6 @@ def mitigated_expectation_bound(
     )
 
 
-def max_allowed_delta(
-    delta_max_error: float,
-    supp_observable: int,
-    op_norm_observable: float,
-    deg_problem: int,
-    deg_defect_only: int,
-    h_ratio_inf: float,
-    target_time: float,
-    total_analog_time: float,
-) -> float:
-    """Largest calibration error compatible with a target expectation error."""
-    denom = 6.0 * supp_observable * op_norm_observable * (
-        target_time * deg_problem * h_ratio_inf + total_analog_time * deg_defect_only
-    )
-    if denom <= 0:
-        raise ValidationError("degenerate inputs: the expectation bound has no delta dependence")
-    return delta_max_error / denom
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated bounds next to exact dense values for one schedule + defect.
@@ -204,9 +182,6 @@ class BoundReport:
     small_defect: bool
     short_time: bool
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate_bounds(
     h_problem: CouplingVector,
@@ -216,7 +191,6 @@ def evaluate_bounds(
     defect: DefectSample,
     observable: dense.ObservableSpec | None = None,
     requested_p: float = 2.0,
-    rho0: np.ndarray | None = None,
     q: int = 1,
     qubit_cap: int = dense.DEFAULT_QUBIT_CAP,
 ) -> BoundReport:
@@ -224,8 +198,9 @@ def evaluate_bounds(
 
     Exact dense quantities (operator norm, Frobenius norm, observable
     deviation, commuting-case commutator bound) are computed only when the
-    system fits under ``qubit_cap``.  Without an observable the expectation
-    bounds are reported for a generic single-site, unit-norm observable.
+    system fits under ``qubit_cap``; the observable deviation starts from
+    |+>^N.  Without an observable the expectation bounds are reported for a
+    generic single-site, unit-norm observable.
     """
     n = h_problem.n_qubits
     if not set(defect.h_delta.keys()) <= defect_support.edges:
@@ -272,9 +247,9 @@ def evaluate_bounds(
         exact_op = dense.operator_norm(h_eps_dense)
         exact_frob = dense.frobenius_norm(h_eps_dense)
         if observable is not None:
-            state = dense.plus_state(n) if rho0 is None else rho0
             exact_delta_o = dense.expectation_deviation(
-                h_problem, schedule, h_source + defect.h_delta, state, observable, q=q, cap=qubit_cap
+                h_problem, schedule, h_source + defect.h_delta, dense.plus_state(n), observable,
+                q=q, cap=qubit_cap,
             )
             if all(is_zz_only(v.keys()) for v in (h_problem, h_source, defect.h_delta)):
                 commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)

@@ -5,6 +5,7 @@ schedule synthesis is infeasible, 4 when an internal cross-check fails.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,8 +16,9 @@ from .errors import (
     SynthesisInfeasibleError,
     ValidationError,
 )
-from .pauli import CouplingVector, InteractionGraph
-from .schedule import Schedule, SynthesisMode, effective_couplings, synthesize
+from .blocks import sign_weights
+from .pauli import CouplingVector, InteractionGraph, graph_difference
+from .schedule import REPLAY_TOL, Schedule, SynthesisMode, effective_couplings, synthesize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -24,14 +26,10 @@ EXIT_INFEASIBLE = 3
 EXIT_INCONSISTENT = 4
 
 
-def _load_vector(path: str) -> CouplingVector:
-    return CouplingVector.load(path)
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
-    h_problem = _load_vector(args.problem)
-    h_source = _load_vector(args.source)
-    defect_support = InteractionGraph.from_declared(_load_vector(args.defects))
+    h_problem = CouplingVector.load(args.problem)
+    h_source = CouplingVector.load(args.source)
+    defect_support = InteractionGraph.from_declared(CouplingVector.load(args.defects))
     mode = SynthesisMode.from_name(args.mode)
     sched = synthesize(h_problem, h_source, defect_support, args.time, mode, args.seed)
     sched.save(args.out)
@@ -54,16 +52,26 @@ def _default_defect_graph(h_source: CouplingVector) -> InteractionGraph:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     sched = Schedule.load(args.schedule)
-    h_source = _load_vector(args.source)
-    if args.problem:
-        h_problem = _load_vector(args.problem)
-    else:
-        # the schedule reproduces the problem couplings on the measured support
-        h_problem = effective_couplings(sched, h_source).restricted(h_source.support())
+    h_source = CouplingVector.load(args.source)
+    # files the schedule was not synthesized for are bad input, not a failed cross-check
+    realized = effective_couplings(sched, h_source).restricted(h_source.support())
+    h_problem = CouplingVector.load(args.problem) if args.problem else realized
+    for key in realized:
+        if abs(h_problem[key] - realized[key]) > REPLAY_TOL:
+            raise ValidationError(
+                f"schedule realizes {realized[key]:.17g} on coupling {key}, the problem asks {h_problem[key]:.17g}"
+            )
     if args.defects:
-        defect_support = InteractionGraph.from_declared(_load_vector(args.defects))
+        defect_support = InteractionGraph.from_declared(CouplingVector.load(args.defects))
     else:
         defect_support = _default_defect_graph(h_source)
+    if sched.mode is SynthesisMode.MITIGATE_ZEROS:
+        unmeasured = graph_difference(defect_support, h_source.support_graph()).sorted_edges()
+        for key, weight in zip(unmeasured, sign_weights(sched.patterns, sched.times, unmeasured)):
+            if abs(weight) > REPLAY_TOL:
+                raise ValidationError(
+                    f"mitigated schedule leaves sign weight {weight:.3e} on unmeasured edge {key}"
+                )
     defect = bounds.sample_defect(defect_support, args.delta, args.seed)
     observable = None
     if args.observable_x is not None:
@@ -72,7 +80,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         h_problem, h_source, defect_support, sched, defect,
         observable=observable, requested_p=args.p, q=args.q,
     )
-    payload = report.to_json_dict()
+    payload = dataclasses.asdict(report)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

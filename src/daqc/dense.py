@@ -231,25 +231,9 @@ def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableS
 # -- initial states ---------------------------------------------------------
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
 def plus_state(n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-
-
-def random_product_state(n_qubits: int, rng_seed: int) -> np.ndarray:
-    """Seeded Haar-random single-qubit states, tensored together."""
-    rng = np.random.default_rng(rng_seed)
-    factors = []
-    for _ in range(n_qubits):
-        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-        factors.append(amp / np.linalg.norm(amp))
-    return kron_chain(factors)
 
 
 def _validate_state(rho0: np.ndarray, dim: int) -> np.ndarray:

@@ -84,8 +84,8 @@ def _infeasible(n_cols: int) -> LpSolution:
 
 
 class _PivotBudget:
-    def __init__(self, limit: int = MAX_PIVOTS):
-        self.left = limit
+    def __init__(self):
+        self.left = MAX_PIVOTS
 
     def spend(self) -> None:
         self.left -= 1
@@ -162,15 +162,14 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
         bland = step <= PIVOT_TOL * max(1.0, tableau[:m, -1].max())
 
 
-def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex; optimal solutions are global LP minima.
 
     Returns status ``infeasible`` when the phase-one artificial objective
-    cannot be driven below ``tol``.  Raises on non-finite input (at program
-    construction) and when the pivot budget runs out.
+    cannot be driven below ``FEASIBILITY_TOL``.  Raises on non-finite input
+    (at program construction) and ``LpSolverStallError`` once ``MAX_PIVOTS``
+    pivots are spent.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
     matrix = lp.constraint_matrix
     rhs = lp.rhs
     m, n = matrix.shape
@@ -194,7 +193,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
 
     # ---- phase one: minimize the sum of the artificials ----
     _dantzig_iterate(tableau, basis, m + 1, budget, rebuild)
-    while -tableau[m + 1, -1] > tol:
+    while -tableau[m + 1, -1] > FEASIBILITY_TOL:
         rebuild()
         if not _dantzig_iterate(tableau, basis, m + 1, budget, rebuild):
             return _infeasible(n)
@@ -218,11 +217,11 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
     x[basis] = _basis_solve(system, basis, system[:, n])
     times = x[:n]
     residual = np.abs(matrix @ times - rhs).max()
-    if residual > tol:
+    if residual > FEASIBILITY_TOL:
         raise InternalConsistencyError(
-            f"optimal basis violates the constraints: residual {residual:.3e} > {tol:.1e}"
+            f"optimal basis violates the constraints: residual {residual:.3e} > {FEASIBILITY_TOL:.1e}"
         )
-    if times.min() < -tol:
+    if times.min() < -FEASIBILITY_TOL:
         raise InternalConsistencyError(
             f"optimal vertex has a negative time {times.min():.3e} beyond tolerance"
         )
@@ -234,7 +233,7 @@ BRUTE_FORCE_MAX_COLS = 12
 BRUTE_FORCE_MAX_ROWS = 6
 
 
-def brute_force_optimum(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSolution:
+def brute_force_optimum(lp: LinearProgram) -> LpSolution:
     """Enumerate every basic feasible solution; test oracle for tiny instances."""
     m, n = lp.constraint_matrix.shape
     if n > BRUTE_FORCE_MAX_COLS or m > BRUTE_FORCE_MAX_ROWS:
@@ -246,7 +245,7 @@ def brute_force_optimum(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSo
     rhs = lp.rhs
     rank = int(np.linalg.matrix_rank(matrix))
     if rank == 0:
-        if np.abs(rhs).max() <= tol:
+        if np.abs(rhs).max() <= FEASIBILITY_TOL:
             return LpSolution(np.zeros(n), 0.0, STATUS_OPTIMAL)
         return _infeasible(n)
     best_obj = math.inf
@@ -256,9 +255,9 @@ def brute_force_optimum(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpSo
         if np.linalg.matrix_rank(sub) < rank:
             continue
         x_sub = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-        if np.abs(sub @ x_sub - rhs).max() > tol:
+        if np.abs(sub @ x_sub - rhs).max() > FEASIBILITY_TOL:
             continue
-        if x_sub.min() < -tol:
+        if x_sub.min() < -FEASIBILITY_TOL:
             continue
         x = np.zeros(n)
         x[list(cols)] = np.clip(x_sub, 0.0, None)

@@ -119,9 +119,6 @@ class CouplingVector:
     def support_graph(self) -> "InteractionGraph":
         return InteractionGraph(self._n_qubits, self.support())
 
-    def get(self, key: CouplingKey, default: float = 0.0) -> float:
-        return self._entries.get(key, default)
-
     def restricted(self, keys: Iterable[CouplingKey]) -> "CouplingVector":
         """Sub-vector declaring exactly the given keys (absent ones become 0)."""
         return CouplingVector(self._n_qubits, {k: self[k] for k in keys})
@@ -265,20 +262,15 @@ def is_zz_only(keys: Iterable[CouplingKey]) -> bool:
 def vector_p_norm(vector: CouplingVector, p: float) -> float:
     """p-norm of the declared entries: (sum |v|^p)^(1/p).
 
-    ``p=inf`` gives the maximum absolute entry and ``p=-inf`` the minimum
-    absolute entry over the declared support (not a norm, but kept with the
-    usual sign convention).  Finite ``p`` must be positive.
+    ``p=inf`` gives the maximum absolute entry; any other ``p`` must be
+    finite and positive (0, nan and -inf are rejected).
     """
     values = np.abs(vector.values_array())
     if p == math.inf:
         return float(values.max()) if values.size else 0.0
-    if p == -math.inf:
-        if not values.size:
-            raise ValidationError("minus-infinity norm of an empty vector is undefined")
-        return float(values.min())
     p = float(p)
     if not math.isfinite(p) or p <= 0:
-        raise ValidationError(f"norm order must be positive or +/-inf, got {p!r}")
+        raise ValidationError(f"norm order must be positive or inf, got {p!r}")
     if not values.size:
         return 0.0
     if p == 1.0:

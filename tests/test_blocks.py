@@ -57,7 +57,7 @@ def test_block_sign_matches_oracle_on_all_gate_and_axis_pairs():
     patterns = [gi + gj for gi, gj in itertools.product(GATES, repeat=2)]
     rows = [CouplingKey(0, 1, mu, nu) for mu, nu in itertools.product(AXES, repeat=2)]
     sm = build_sign_matrix(patterns, rows)
-    assert sm.shape == (9, 16)
+    assert sm.entries.shape == (9, 16)
     for col, pattern in enumerate(patterns):
         for alpha, key in enumerate(rows):
             assert sm.entries[alpha, col] == oracle_sign(pattern, key)

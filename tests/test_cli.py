@@ -236,6 +236,38 @@ def test_analyze_rejects_non_finite_block_time(workspace, capsys, bad_time):
     assert f"block times must be finite and nonnegative, got {bad_time}" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_problem_the_schedule_does_not_realize(workspace, tmp_path, capsys):
+    _, paths = workspace
+    run_synth(paths, seed=7)
+    other = tmp_path / "other_problem.txt"
+    CouplingVector(3, {zz(0, 1): 30.0, zz(0, 2): -80.0}).save(other)
+    capsys.readouterr()
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--defects", str(paths["defects"]),
+        "--problem", str(other),
+        "--delta", "10", "--seed", "3",
+    ])
+    assert code == 2
+    assert "coupling (0,1,z,z), the problem asks 30" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_mitigated_schedule_that_leaves_an_edge(workspace, capsys):
+    _, paths = workspace
+    paths["schedule"].write_text("n_qubits=3\nT=1\nmode=mitigate\nIII 0.5\n")
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--defects", str(paths["defects"]),
+        "--delta", "10", "--seed", "3",
+    ])
+    assert code == 2
+    assert "sign weight 5.000e-01 on unmeasured edge (1,2,z,z)" in capsys.readouterr().err
+
+
 def test_infeasible_synthesis_exit_code(workspace, monkeypatch):
     _, paths = workspace
 
