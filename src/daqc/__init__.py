@@ -39,7 +39,6 @@ from .dense import (
     build_dense,
     expectation_deviation,
     frobenius_norm,
-    make_observable,
     operator_norm,
     plus_state,
     replay_unitary,
@@ -107,7 +106,6 @@ __all__ = [
     "generate_problem",
     "graph_difference",
     "hadamard_divide",
-    "make_observable",
     "mitigated_expectation_bound",
     "op_norm_error_bound",
     "operator_norm",

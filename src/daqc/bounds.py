@@ -192,16 +192,18 @@ def evaluate_bounds(
     observable: dense.ObservableSpec | None = None,
     requested_p: float = 2.0,
     q: int = 1,
-    qubit_cap: int = dense.DEFAULT_QUBIT_CAP,
 ) -> BoundReport:
     """Evaluate every bound for one (problem, source, schedule, defect) tuple.
 
-    Exact dense quantities (operator norm, Frobenius norm, observable
-    deviation, commuting-case commutator bound) are computed only when the
-    system fits under ``qubit_cap``; the observable deviation starts from
-    |+>^N.  Without an observable the expectation bounds are reported for a
-    generic single-site, unit-norm observable.
+    The observable is one Pauli string, so ||O|| = 1; without one the
+    expectation bounds are reported for a generic single-site string.  Exact
+    dense quantities (operator and Frobenius norm, the deviation of the
+    observable measured from |+>^N after ``q`` Trotter steps, and the
+    commutator bound on ZZ-only couplings) are computed only up to
+    ``dense.DEFAULT_QUBIT_CAP`` qubits, and so is the ``short_time`` flag,
+    which is False above it.
     """
+    dense.check_trotter_steps(q)
     n = h_problem.n_qubits
     if not set(defect.h_delta.keys()) <= defect_support.edges:
         raise ValidationError("defect sample declares couplings outside the defect support")
@@ -232,7 +234,7 @@ def evaluate_bounds(
     frob_bound = frob_factor * defect_frob
 
     supp_o = len(observable.support) if observable is not None else 1
-    norm_o = observable.op_norm if observable is not None else 1.0
+    norm_o = 1.0
     ratio_inf = vector_p_norm(ratios, math.inf)
     deg_p = h_problem.support_graph().degree()
     deg_ds = ds_graph.degree()
@@ -242,14 +244,13 @@ def evaluate_bounds(
     exp_bound_mit = mitigated_expectation_bound(supp_o, norm_o, deg_p, ratio_inf, delta, target_time)
 
     exact_op = exact_frob = exact_delta_o = commutator_bound = None
-    if n <= qubit_cap:
-        h_eps_dense = dense.build_dense(h_eps, cap=qubit_cap)
+    if n <= dense.DEFAULT_QUBIT_CAP:
+        h_eps_dense = dense.build_dense(h_eps)
         exact_op = dense.operator_norm(h_eps_dense)
         exact_frob = dense.frobenius_norm(h_eps_dense)
         if observable is not None:
             exact_delta_o = dense.expectation_deviation(
-                h_problem, schedule, h_source + defect.h_delta, dense.plus_state(n), observable,
-                q=q, cap=qubit_cap,
+                h_problem, schedule, h_source + defect.h_delta, observable, q=q
             )
             if all(is_zz_only(v.keys()) for v in (h_problem, h_source, defect.h_delta)):
                 commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)
@@ -259,8 +260,8 @@ def evaluate_bounds(
     source_values = [abs(h_source[k]) for k in h_source.support()]
     small_defect = bool(source_values) and delta < SMALL_DEFECT_FACTOR * min(source_values)
     short_time = False
-    if n <= qubit_cap:
-        h_s_norm = dense.operator_norm(dense.build_dense(h_source, cap=qubit_cap))
+    if n <= dense.DEFAULT_QUBIT_CAP:
+        h_s_norm = dense.operator_norm(dense.build_dense(h_source))
         short_time = target_time * h_s_norm < SHORT_TIME_LIMIT
 
     return BoundReport(

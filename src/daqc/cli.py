@@ -107,7 +107,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         observable_axis="x" if args.observable_x is not None else None,
         observable_qubit=args.observable_x or 0,
-        q=args.q,
     )
     records = harness.run_experiment(config)
     harness.save_records(records, args.out)
@@ -170,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--defect-kind", choices=list(harness.DEFECT_KINDS), default=None)
     p_sweep.add_argument("--observable-x", type=int, metavar="QUBIT", default=None,
                          help="track the exact sigma_x deviation on this qubit")
-    p_sweep.add_argument("--q", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="results CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

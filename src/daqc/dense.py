@@ -2,8 +2,10 @@
 
 Builds Hermitian operators from coupling vectors, evaluates the two matrix
 norms used by the stability analysis, replays schedules as products of block
-unitaries, and measures exact observable deviations between the ideal and the
-faulty evolution.  Qubit 0 is the leftmost Kronecker factor.
+unitaries, and measures the exact deviation of one observable between the
+ideal and the faulty evolution of |+>^N.  Qubit 0 is the leftmost Kronecker
+factor, and every dense path is held to ``DEFAULT_QUBIT_CAP`` qubits by
+``build_dense``, which each of them goes through.
 
 Everything here is a ground-truth provider: correctness over speed.  A ZZ-only
 Hamiltonian is diagonal, so it is kept as its real 2^N diagonal and its norms,
@@ -11,17 +13,14 @@ exponentials, block conjugations, evolution and replay unitaries are vectors
 of that length, multiplied elementwise.  The replay conjugates by the gate
 layers themselves, independently of the sign kernel in ``blocks``.
 
-An observable is kept as its weighted Pauli strings.  A string acts on a
-state vector by an index flip and a phase, so expectation values in a state
-vector, and the commutator of one string with a diagonal, need no matrix; the
-observable's matrix is built only for density matrices and for the commutator
-with a full matrix or of a sum of strings.  On ZZ couplings, a state vector
-and Pauli-string observables nothing here allocates a 2^N x 2^N array.
+The observable is one Pauli string of unit norm.  It acts on a state vector
+by an index flip and a phase, so its expectation value, and its commutator
+with a diagonal, need no matrix: on ZZ couplings nothing here allocates a
+2^N x 2^N array.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +40,9 @@ _SIGMA = {
 _AXIS_TO_GATE = {"x": "X", "y": "Y", "z": "Z"}
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
-        raise ValidationError(f"{n_qubits} qubits exceeds the dense backend cap of {cap}")
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise ValidationError(f"{n_qubits} qubits exceeds the dense backend cap of {DEFAULT_QUBIT_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +94,9 @@ def pauli_string_matrix(label: str) -> np.ndarray:
         raise ValidationError(f"pauli string {label!r} uses letters outside IXYZ") from exc
 
 
-def build_dense(h: CouplingVector, cap: int = DEFAULT_QUBIT_CAP) -> DenseHamiltonian:
+def build_dense(h: CouplingVector) -> DenseHamiltonian:
     """Sum of Kronecker-placed two-body terms; Hermitian by construction."""
-    _check_cap(h.n_qubits, cap)
+    _check_cap(h.n_qubits)
     n = h.n_qubits
     dim = 2**n
     if is_zz_only(h.keys()):
@@ -140,81 +139,34 @@ def frobenius_norm(h: DenseHamiltonian) -> float:
     return float(np.sqrt(np.sum(np.square(m.real)) + np.sum(np.square(m.imag))))
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of an arbitrary (not necessarily Hermitian) matrix.
-
-    A vector stands for the diagonal matrix it holds, as everywhere here.
-    """
-    if matrix.ndim == 1:
-        return float(np.abs(matrix).max(initial=0.0))
-    return float(np.linalg.norm(matrix, 2))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObservableSpec:
-    """Weighted sum of Pauli strings with its support and exact operator norm.
+    """One Pauli string of unit norm, such as ``IXI`` (qubit 0 leftmost)."""
 
-    ``op_norm`` and ``matrix`` are computed on first use and then kept; a
-    single string has eigenvalues +/-1, so its norm is |c| without a matrix.
-    Only building the matrix, which a sum of strings' norm reads, is held to
-    the dense cap.
-    """
+    label: str
 
-    n_qubits: int
-    terms: tuple[tuple[float, str], ...]
-    support: frozenset[int]
+    def __post_init__(self):
+        if not self.label or not set(self.label) <= set("IXYZ"):
+            raise ValidationError(f"pauli string {self.label!r} must be non-empty and use only IXYZ")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The full 2^N x 2^N matrix, read-only and checked to be Hermitian."""
-        _check_cap(self.n_qubits, DEFAULT_QUBIT_CAP)
-        matrix = np.zeros((2**self.n_qubits, 2**self.n_qubits), dtype=complex)
-        for coeff, label in self.terms:
-            matrix += coeff * pauli_string_matrix(label)
-        _require_hermitian(matrix)
-        matrix.setflags(write=False)
-        return matrix
+    @property
+    def n_qubits(self) -> int:
+        return len(self.label)
 
-    @cached_property
-    def op_norm(self) -> float:
-        if len(self.terms) == 1:
-            return abs(self.terms[0][0])
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
-
-
-def make_observable(terms: Sequence[tuple[float, str]]) -> ObservableSpec:
-    if not terms:
-        raise ValidationError("an observable needs at least one Pauli term")
-    n = len(terms[0][1])
-    support: set[int] = set()
-    frozen: list[tuple[float, str]] = []
-    for coeff, label in terms:
-        coeff = float(coeff)
-        if not math.isfinite(coeff):
-            raise ValidationError(f"Pauli term {label!r} has a non-finite coefficient {coeff!r}")
-        if len(label) != n:
-            raise ValidationError("all Pauli strings of an observable must share one length")
-        if not set(label) <= set("IXYZ"):
-            raise ValidationError(f"pauli string {label!r} uses letters outside IXYZ")
-        support |= {q for q, g in enumerate(label) if g != "I"}
-        frozen.append((coeff, label))
-    return ObservableSpec(n, tuple(frozen), frozenset(support))
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(q for q, gate in enumerate(self.label) if gate != "I")
 
 
 def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
-    """Spectral norm of [H, O]; ``h`` may be a diagonal given as a vector.
+    """Spectral norm of [D, P] for a ZZ-only Hamiltonian's diagonal ``h`` = D.
 
-    For a diagonal D and one string c P, [D, P] = (D - P D P^dag) P is a
-    diagonal times a phased permutation, so its norm is
-    |c| * max |d - d[idx ^ flips]| with ``flips`` the X and Y qubits of P.
+    [D, P] = (D - P D P) P is a diagonal times a phased permutation, so its
+    norm is max |d - d[idx ^ flips]| with ``flips`` the X and Y qubits of P.
     """
-    if h.ndim == 1 and len(observable.terms) == 1:
-        ((coeff, label),) = observable.terms
-        return abs(coeff) * float(np.abs(h - _conjugate(h, label)).max(initial=0.0))
-    o = observable.matrix
-    if h.ndim == 1:
-        return spectral_norm(h[:, None] * o - o * h)
-    return spectral_norm(h @ o - o @ h)
+    if h.ndim != 1:
+        raise ValidationError("the commutator norm takes a ZZ-only Hamiltonian's diagonal, not a full matrix")
+    return float(np.abs(h - _conjugate(h, observable.label)).max(initial=0.0))
 
 
 def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableSpec:
@@ -225,33 +177,15 @@ def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableS
     if not 0 <= qubit < n_qubits:
         raise ValidationError(f"qubit {qubit} out of range for {n_qubits} qubits")
     label = "".join(gate if q == qubit else "I" for q in range(n_qubits))
-    return make_observable([(1.0, label)])
+    return ObservableSpec(label)
 
 
-# -- initial states ---------------------------------------------------------
+# -- the initial state -------------------------------------------------------
 
 
 def plus_state(n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-
-
-def _validate_state(rho0: np.ndarray, dim: int) -> np.ndarray:
-    state = np.asarray(rho0, dtype=complex)
-    if state.ndim == 1:
-        if state.shape[0] != dim:
-            raise ValidationError(f"state vector has dimension {state.shape[0]}, expected {dim}")
-        if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-            raise ValidationError("state vector is not normalized")
-        return state
-    if state.shape != (dim, dim):
-        raise ValidationError(f"density matrix has shape {state.shape}, expected {(dim, dim)}")
-    _require_hermitian(state)
-    if abs(np.trace(state).real - 1.0) > 1e-10:
-        raise ValidationError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(state).min() < -1e-10:
-        raise ValidationError("density matrix has a negative eigenvalue")
-    return state
 
 
 def _expm_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
@@ -262,13 +196,13 @@ def _expm_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
     return (eigvecs * np.exp(-1j * scale * eigvals)) @ eigvecs.conj().T
 
 
-def evolution_unitary(h: CouplingVector, time: float, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def evolution_unitary(h: CouplingVector, time: float) -> np.ndarray:
     """exp(-i * time * H) for the Hamiltonian built from ``h``.
 
     Like ``DenseHamiltonian.matrix``: the diagonal, shape (2^N,), if ``h`` is
     ZZ-only, else the full matrix.
     """
-    return _expm_hermitian(build_dense(h, cap=cap).matrix, time)
+    return _expm_hermitian(build_dense(h).matrix, time)
 
 
 def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
@@ -279,7 +213,12 @@ def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
     return h[np.arange(h.size) ^ _mask(pattern, "XY")]
 
 
-def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def check_trotter_steps(q: int) -> None:
+    if q < 1 or int(q) != q:
+        raise ValidationError(f"trotter step count must be a positive integer, got {q!r}")
+
+
+def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     """Exact unitary of the block sequence run on the couplings ``h_real``.
 
     With ``q = 1`` this is the plain product of block unitaries, the first
@@ -289,13 +228,11 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
     G_k the gate layer of pattern k.  The result is a diagonal vector if
     ``h_real`` is ZZ-only, else a matrix, as in ``evolution_unitary``.
     """
-    if q < 1 or int(q) != q:
-        raise ValidationError(f"trotter step count must be a positive integer, got {q!r}")
+    check_trotter_steps(q)
     n = h_real.n_qubits
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
-    _check_cap(n, cap)
-    h = build_dense(h_real, cap=cap).matrix
+    h = build_dense(h_real).matrix
     cycle = np.ones(2**n, dtype=complex) if h.ndim == 1 else np.eye(2**n, dtype=complex)
     for pattern, time in zip(schedule.patterns, schedule.times):
         block = _expm_hermitian(_conjugate(h, pattern), time / q)
@@ -304,38 +241,23 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1, cap: int = DEFA
     return cycle ** int(q) if h.ndim == 1 else np.linalg.matrix_power(cycle, int(q))
 
 
-def _evolve(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """U psi or U rho U^dag; ``u`` may be a diagonal given as a vector."""
-    if u.ndim == 1:
-        return u * state if state.ndim == 1 else u[:, None] * state * u.conj()
-    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
-
-
-def _expectation(observable: ObservableSpec, state: np.ndarray) -> float:
-    """<O> in a state vector, string by string without a matrix, or in a density matrix."""
-    if state.ndim == 2:
-        return float(np.trace(observable.matrix @ state).real)
-    return sum(
-        coeff * np.vdot(state, apply_pauli_string(label, state)).real
-        for coeff, label in observable.terms
-    )
+def _expectation(observable: ObservableSpec, u: np.ndarray) -> float:
+    """<+|U^dag P U|+> for the string P; ``u`` may be a diagonal given as a vector."""
+    plus = plus_state(observable.n_qubits)
+    state = u * plus if u.ndim == 1 else u @ plus
+    return float(np.vdot(state, apply_pauli_string(observable.label, state)).real)
 
 
 def expectation_deviation(
     h_problem: CouplingVector,
     schedule,
     h_real: CouplingVector,
-    rho0: np.ndarray,
     observable: ObservableSpec,
     q: int = 1,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> float:
-    """|<O> under exp(-iT H_problem) - <O> under the replayed faulty schedule|."""
-    n = h_problem.n_qubits
-    _check_cap(n, cap)
-    if observable.n_qubits != n:
+    """|<O> after exp(-iT H_problem) - <O> after the replayed faulty schedule|, both from |+>^N."""
+    if observable.n_qubits != h_problem.n_qubits:
         raise ValidationError("observable and Hamiltonian disagree on the number of qubits")
-    state = _validate_state(rho0, 2**n)
-    ideal = _expectation(observable, _evolve(evolution_unitary(h_problem, schedule.target_time, cap=cap), state))
-    faulty = _expectation(observable, _evolve(replay_unitary(schedule, h_real, q=q, cap=cap), state))
+    ideal = _expectation(observable, evolution_unitary(h_problem, schedule.target_time))
+    faulty = _expectation(observable, replay_unitary(schedule, h_real, q=q))
     return float(abs(ideal - faulty))

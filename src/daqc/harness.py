@@ -131,14 +131,17 @@ class ExperimentConfig:
     master_seed: int = 0
     observable_axis: str | None = None
     observable_qubit: int = 0
-    q: int = 1
-    qubit_cap: int = dense.DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValidationError("trial count cannot be negative")
         if not self.n_range or any(n < 2 for n in self.n_range):
             raise ValidationError("n_range must list system sizes of at least 2 qubits")
+
+    @property
+    def qubit_cap(self) -> int:
+        """Largest N with exact columns: the dense backend's fixed cap."""
+        return dense.DEFAULT_QUBIT_CAP
 
 
 CSV_COLUMNS = (
@@ -240,8 +243,6 @@ def run_trial(config: ExperimentConfig, n_qubits: int, trial_index: int) -> Tria
             sched,
             defect,
             observable=observable,
-            q=config.q,
-            qubit_cap=config.qubit_cap,
         )
     except DaqcError as exc:
         raise type(exc)(

@@ -358,9 +358,10 @@ def test_c8_commuting_replay_exactness():
         seed = derive_seed("replay", trial)
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, 1.0, REMOVE, derive_seed(seed, "s"))
-        distance = dense.spectral_norm(
+        # both unitaries are diagonals: the spectral norm is the largest entry
+        distance = np.abs(
             dense.replay_unitary(sched, h_s, q=1) - dense.evolution_unitary(h_p, 1.0)
-        )
+        ).max()
         worst = max(worst, distance)
         assert distance <= 1e-10, f"trial {trial} N={n}: distance {distance:.3e}"
     _pass("C8", f"(100 instances to N=8, worst distance {worst:.2e})")

@@ -241,8 +241,8 @@ def test_report_flags_reflect_regime():
 
 
 def test_report_above_cap_marks_exact_op_absent():
-    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS, seed=4)
-    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, qubit_cap=3)
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS, seed=4, n=dense.DEFAULT_QUBIT_CAP + 1)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
     assert report.exact_op_norm is None
     assert report.exact_delta_o is None
     # closed-form Frobenius stays available and sound

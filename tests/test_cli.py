@@ -236,6 +236,25 @@ def test_analyze_rejects_non_finite_block_time(workspace, capsys, bad_time):
     assert f"block times must be finite and nonnegative, got {bad_time}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("observable", [[], ["--observable-x", "1"]], ids=["plain", "observable"])
+@pytest.mark.parametrize("q", ["0", "-2"])
+def test_analyze_rejects_a_nonpositive_trotter_count(workspace, capsys, q, observable):
+    # the step count is checked whether or not an exact replay uses it
+    _, paths = workspace
+    run_synth(paths)
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--delta", "10",
+        "--seed", "4",
+        "--q", q,
+        *observable,
+    ])
+    assert code == 2
+    assert f"trotter step count must be a positive integer, got {q}" in capsys.readouterr().err
+
+
 def test_analyze_rejects_a_problem_the_schedule_does_not_realize(workspace, tmp_path, capsys):
     _, paths = workspace
     run_synth(paths, seed=7)
