@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,14 +8,14 @@ import pytest
 from daqc import cli, lp
 from daqc.blocks import build_sign_matrix, generate_candidate_patterns
 from daqc.errors import OracleLimitError, ValidationError
-from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, run_trial
+from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, generate_problem, run_trial
 from daqc.lp import (
     FEASIBILITY_TOL,
     LinearProgram,
     brute_force_optimum,
     solve,
 )
-from daqc.pauli import InteractionGraph
+from daqc.pauli import InteractionGraph, hadamard_divide
 from daqc.schedule import SynthesisMode
 
 THREE_QUBIT_MATRIX = [
@@ -262,3 +264,53 @@ def test_sign_programs_above_the_oracle_limit_match_highs():
             rhs[rng.random(len(rows)) < 0.3] = 0.0
         statuses.add(_assert_agrees_with_highs(LinearProgram(matrix, rhs), optimize).status)
     assert statuses == {"optimal", "infeasible"}
+
+
+# ---- the simplex's arithmetic, pinned ---------------------------------------------
+
+
+def _pinned_sign_programs():
+    """Seeded +/-1 programs that no sampler order enters.
+
+    Fourteen sampled programs over 10-12 qubits, requests far below the whole
+    space, rows zeroed on odd seeds; then the program of every topology and
+    mode at N = 3..8, over all {I, X}^N patterns in ``itertools.product`` order.
+    """
+    for k in range(14):
+        rng = np.random.default_rng(2000 + k)
+        n_qubits = 10 + k % 3
+        graph = InteractionGraph(n_qubits, all_pair_edges(n_qubits))
+        rows = graph.sorted_edges()[: int(rng.integers(n_qubits, len(graph.edges) + 1))]
+        patterns = generate_candidate_patterns(graph, int(rng.integers(2, 5)) * len(rows), 40 + k)
+        matrix = build_sign_matrix(patterns, rows).entries.astype(float)
+        t0 = np.where(rng.random(len(patterns)) < 0.1, rng.uniform(0.0, 1.0, len(patterns)), 0.0)
+        rhs = matrix @ t0
+        if k % 2:
+            rhs[rng.random(len(rows)) < 0.3] = 0.0
+        yield LinearProgram(matrix, rhs)
+    for kind in ("nn", "random", "ata"):
+        for n in range(3, 9):
+            h_problem, h_source, defect = generate_problem(TopologySpec(kind, n), 100.0, 100 * n + 7)
+            ratios = hadamard_divide(h_problem, h_source)
+            patterns = ["".join(p) for p in itertools.product("IX", repeat=n)]
+            for rows in (h_source.support(), defect.sorted_edges()):
+                matrix = build_sign_matrix(patterns, rows).entries.astype(float)
+                yield LinearProgram(matrix, [ratios[key] for key in rows])
+
+
+def test_sign_program_solutions_are_pinned_bit_for_bit():
+    """SHA-256 of every status and ``times.tobytes()``, recorded before the pivot loop's rewrite.
+
+    A change that reorders the simplex's floating-point operations, or takes
+    another pivot, changes this digest; a change of pricing or tie rules must
+    re-record it and say why.
+    """
+    digest = hashlib.sha256()
+    statuses = set()
+    for program in _pinned_sign_programs():
+        solution = solve(program)
+        statuses.add(solution.status)
+        digest.update(solution.status.encode("ascii"))
+        digest.update(solution.times.tobytes())
+    assert statuses == {"optimal", "infeasible"}
+    assert digest.hexdigest() == "56a322f24e5e68a99710c58f8e4361d82e9b65ea6274118f8e7ef9a63cb446ea"
