@@ -114,10 +114,11 @@ def _tableau(system: np.ndarray, costs: np.ndarray, basis: list[int]) -> np.ndar
 
 def _pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int) -> None:
     """Gauss-Jordan step: column ``enter`` replaces the basic variable of row ``leave``."""
-    tableau[leave, :] /= tableau[leave, enter]
+    row = tableau[leave]
+    row /= row[enter]
     factors = tableau[:, enter].copy()
     factors[leave] = 0.0
-    tableau -= np.outer(factors, tableau[leave, :])
+    tableau -= factors[:, None] * row
     tableau[:, enter] = 0.0
     tableau[leave, enter] = 1.0
     basis[leave] = enter
@@ -133,17 +134,18 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
     ``rebuild`` makes from the original data before it is declared unbounded.
     """
     m = len(basis)
+    reduced = tableau[cost_row, :-1]  # views: pivots and rebuilds write into the tableau
+    values = tableau[:m, -1]
     pivots = 0
     fresh = False
     bland = False
     while True:
-        reduced = tableau[cost_row, :-1]
-        enter = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
+        enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
         if reduced[enter] >= -PIVOT_TOL:
             return pivots
         column = tableau[:m, enter]
         # entries tiny against their column are round-off; pivoting on them inflates the tableau
-        positive = np.nonzero(column > PIVOT_TOL * np.abs(column).max())[0]
+        positive = (column > PIVOT_TOL * max(column.max(), -column.min())).nonzero()[0]
         if positive.size == 0:
             if fresh:
                 # cannot happen for these programs (objective bounded below by 0)
@@ -151,15 +153,16 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
             rebuild()
             fresh = True
             continue
-        ratios = tableau[positive, -1] / column[positive]
+        ratios = values[positive] / column[positive]
         step = ratios.min()
         ties = positive[ratios == step]
-        leave = int(min(ties, key=lambda r: basis[r]))  # smallest basis var: Bland's leaving rule
+        # smallest basis var among the ties: Bland's leaving rule
+        leave = int(ties[0] if ties.size == 1 else min(ties, key=basis.__getitem__))
         budget.spend()
         _pivot(tableau, basis, leave, enter)
         pivots += 1
         fresh = False
-        bland = step <= PIVOT_TOL * max(1.0, tableau[:m, -1].max())
+        bland = step <= PIVOT_TOL * max(1.0, values.max())
 
 
 def solve(lp: LinearProgram) -> LpSolution:
