@@ -12,6 +12,7 @@ gather over a (qubit, pattern) array of gate indices; the dense replay
 conjugates by the gate matrices instead, independently of it.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,11 +129,15 @@ def generate_candidate_patterns(
 ) -> list[str]:
     """Deterministic, duplicate-free pattern list with the identity first.
 
-    The identity pattern is always element 0; the rest are sampled from the
+    The identity pattern is always element 0.  A request for the whole space
+    lists it: the rest of ``itertools.product(alphabet, repeat=n)`` follows in
+    the seed's permutation, so Dantzig's first-index ties fall differently
+    from seed to seed.  Below the whole space the rest are sampled from the
     seeded stream, so growing ``requested`` with the same seed extends the
-    previous list (prefix property).  Candidates stay fixed-width byte rows,
-    one letter per qubit, until the returned ones are decoded; they are never
-    packed into an integer, which would overflow at 4^32 patterns.
+    previous list (prefix property), up to but not including the whole space.
+    Sampled candidates stay fixed-width byte rows, one letter per qubit, until
+    the returned ones are decoded; they are never packed into an integer,
+    which would overflow at 4^32 patterns.
     """
     if requested < 1:
         raise ValidationError(f"requested must be >= 1, got {requested}")
@@ -141,6 +146,10 @@ def generate_candidate_patterns(
     total = len(alphabet) ** n
     if requested > total:
         raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}")
+    if requested == total:
+        space = ["".join(p) for p in itertools.product(alphabet, repeat=n)]
+        order = np.random.default_rng(rng_seed).permutation(total - 1) + 1
+        return [space[0]] + [space[k] for k in order]
     # each chunk's rows become fixed-width byte strings by one gather into the
     # alphabet's letters; a dict keeps them in first-occurrence order
     letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)

@@ -173,7 +173,7 @@ def test_sweep_csv_digest_is_pinned():
     rows = io.StringIO()
     harness.write_records(records, rows)
     digest = hashlib.sha256(rows.getvalue().encode("ascii")).hexdigest()
-    assert digest == "ace8ec0653d35a47b8e612f481fa971cd48710e7494c0aa9940600d3c849a522"
+    assert digest == "9eaa460716a358803a5e80895e48d6a7e3a7456a52832023f745331adfb6fb03"
 
 
 def test_trial_failure_names_the_seed(monkeypatch):
