@@ -200,8 +200,11 @@ def evaluate_bounds(
     dense quantities (operator and Frobenius norm, the deviation of the
     observable measured from |+>^N after ``q`` Trotter steps, and the
     commutator bound on ZZ-only couplings) are computed only up to
-    ``dense.DEFAULT_QUBIT_CAP`` qubits, and so is the ``short_time`` flag,
-    which is False above it.
+    ``dense.DEFAULT_QUBIT_CAP`` qubits.  The ``short_time`` flag,
+    ``T ||H_S||_op < SHORT_TIME_LIMIT``, is decided by the bounds
+    ``||h_S||_2 <= ||H_S||_op <= ||h_S||_1`` at any size, and by the dense
+    norm up to the cap where they straddle the limit; above the cap a
+    straddled flag is False.
     """
     dense.check_trotter_steps(q)
     n = h_problem.n_qubits
@@ -259,10 +262,12 @@ def evaluate_bounds(
 
     source_values = [abs(h_source[k]) for k in h_source.support()]
     small_defect = bool(source_values) and delta < SMALL_DEFECT_FACTOR * min(source_values)
-    short_time = False
-    if n <= dense.DEFAULT_QUBIT_CAP:
-        h_s_norm = dense.operator_norm(dense.build_dense(h_source))
-        short_time = target_time * h_s_norm < SHORT_TIME_LIMIT
+    # ||h_S||_2 <= ||H_S||_op <= ||h_S||_1 for a sum of distinct Pauli strings;
+    # the dense norm decides only where these two straddle the limit
+    short_time = target_time * vector_p_norm(h_source, 1.0) < SHORT_TIME_LIMIT
+    straddled = not short_time and target_time * vector_p_norm(h_source, 2.0) < SHORT_TIME_LIMIT
+    if straddled and n <= dense.DEFAULT_QUBIT_CAP:
+        short_time = target_time * dense.operator_norm(dense.build_dense(h_source)) < SHORT_TIME_LIMIT
 
     return BoundReport(
         n_qubits=n,

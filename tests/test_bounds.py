@@ -240,6 +240,56 @@ def test_report_flags_reflect_regime():
     assert quiet.short_time
 
 
+def _short_time_case(kind, n, target_time, seed=3):
+    h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, seed)
+    sched = synthesize(h_p, h_s, defect, target_time, SynthesisMode.REMOVE_ZEROS, seed + 1)
+    return h_s, bounds.evaluate_bounds(h_p, h_s, defect, sched, bounds.sample_defect(defect, 1.0, seed + 2))
+
+
+def _record_dense_builds(monkeypatch):
+    built = []
+    build_dense = dense.build_dense
+
+    def recording(h):
+        built.append(h)
+        return build_dense(h)
+
+    monkeypatch.setattr(dense, "build_dense", recording)
+    return built
+
+
+def test_short_time_decided_false_by_the_two_norm_builds_no_dense_source(monkeypatch):
+    built = _record_dense_builds(monkeypatch)
+    h_s, report = _short_time_case("ata", 4, 1.0)
+    assert 1.0 * vector_p_norm(h_s, 2.0) >= bounds.SHORT_TIME_LIMIT
+    assert not report.short_time
+    assert report.exact_op_norm is not None and h_s not in built
+
+
+def test_short_time_decided_true_by_the_one_norm_above_the_cap(monkeypatch):
+    n = dense.DEFAULT_QUBIT_CAP + 1
+    built = _record_dense_builds(monkeypatch)
+    h_s, _ = _short_time_case("random", n, 1.0)
+    target_time = 0.9 * bounds.SHORT_TIME_LIMIT / vector_p_norm(h_s, 1.0)
+    _, report = _short_time_case("random", n, target_time)
+    assert report.short_time
+    assert report.exact_op_norm is None and not built
+
+
+@pytest.mark.parametrize("factor, expected", [(0.99, True), (1.01, False)])
+def test_straddled_short_time_is_the_dense_answer(factor, expected, monkeypatch):
+    h_s, _ = _short_time_case("ata", 4, 1.0)
+    norm = dense.operator_norm(dense.build_dense(h_s))
+    target_time = factor * bounds.SHORT_TIME_LIMIT / norm
+    # on all-to-all couplings the triangles frustrate, so ||H_S||_op < ||h_S||_1
+    assert target_time * vector_p_norm(h_s, 2.0) < bounds.SHORT_TIME_LIMIT
+    assert target_time * vector_p_norm(h_s, 1.0) >= bounds.SHORT_TIME_LIMIT
+    built = _record_dense_builds(monkeypatch)
+    _, report = _short_time_case("ata", 4, target_time)
+    assert report.short_time == (target_time * norm < bounds.SHORT_TIME_LIMIT) == expected
+    assert h_s in built
+
+
 def test_report_above_cap_marks_exact_op_absent():
     h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS, seed=4, n=dense.DEFAULT_QUBIT_CAP + 1)
     report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
