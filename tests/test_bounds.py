@@ -269,7 +269,7 @@ def test_short_time_decided_false_by_the_two_norm_builds_no_dense_source(monkeyp
 def test_short_time_decided_true_by_the_one_norm_above_the_cap(monkeypatch):
     n = dense.DEFAULT_QUBIT_CAP + 1
     built = _record_dense_builds(monkeypatch)
-    h_s, _ = _short_time_case("random", n, 1.0)
+    h_s = generate_problem(TopologySpec("random", n), 100.0, 3)[1]
     target_time = 0.9 * bounds.SHORT_TIME_LIMIT / vector_p_norm(h_s, 1.0)
     _, report = _short_time_case("random", n, target_time)
     assert report.short_time
@@ -278,7 +278,7 @@ def test_short_time_decided_true_by_the_one_norm_above_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("factor, expected", [(0.99, True), (1.01, False)])
 def test_straddled_short_time_is_the_dense_answer(factor, expected, monkeypatch):
-    h_s, _ = _short_time_case("ata", 4, 1.0)
+    h_s = generate_problem(TopologySpec("ata", 4), 100.0, 3)[1]
     norm = dense.operator_norm(dense.build_dense(h_s))
     target_time = factor * bounds.SHORT_TIME_LIMIT / norm
     # on all-to-all couplings the triangles frustrate, so ||H_S||_op < ||h_S||_1

@@ -299,11 +299,11 @@ def _pinned_sign_programs():
 
 
 def test_sign_program_solutions_are_pinned_bit_for_bit():
-    """SHA-256 of every status and ``times.tobytes()``, recorded before the pivot loop's rewrite.
+    """SHA-256 of every status and ``times.tobytes()``.
 
     A change that reorders the simplex's floating-point operations, or takes
-    another pivot, changes this digest; a change of pricing or tie rules must
-    re-record it and say why.
+    another pivot, changes this digest; a change of pricing or tie rules
+    re-records it and says why.
     """
     digest = hashlib.sha256()
     statuses = set()
