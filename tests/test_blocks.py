@@ -225,17 +225,35 @@ def test_whole_space_request_is_a_seeded_permutation_of_the_space(graph):
     assert generate_candidate_patterns(graph, len(space), rng_seed=4) != pats
 
 
-# SHA-256 of ",".join(patterns).  The partial requests were recorded from the
-# sampler that built each candidate letter by letter, with the draws consumed
-# in the comments; the whole-space requests from the seeded permutation.
+def sampled_stream(graph, requested, seed):
+    """The first ``requested`` distinct patterns of the sampler's seeded stream.
+
+    A whole-space request is listed, not sampled, so its stream is the sampled
+    list one short of the whole space followed by the one pattern it lacks.
+    """
+    alphabet = pattern_alphabet(graph)
+    total = len(alphabet) ** graph.n_qubits
+    if requested < total:
+        return generate_candidate_patterns(graph, requested, rng_seed=seed)
+    patterns = generate_candidate_patterns(graph, total - 1, rng_seed=seed)
+    space = {"".join(p) for p in itertools.product(alphabet, repeat=graph.n_qubits)}
+    return patterns + sorted(space - set(patterns))
+
+
+def pattern_digest(patterns):
+    return hashlib.sha256(",".join(patterns).encode("ascii")).hexdigest()
+
+
+# SHA-256 of ",".join(patterns), recorded from the sampler that built each
+# candidate letter by letter; the draws consumed are in the comments
 @pytest.mark.parametrize("graph, requested, seed, digest", [
-    # IX, every pattern: the identity, then a permutation of the other 2^N - 1
-    (zz_graph(3, [(0, 1)]), 8, 2024, "51dfce3e80bbc1f633d05b5542f43455fb7194610239a9be773a9ce679bfa0e1"),
-    (zz_graph(4, [(0, 1)]), 16, 2024, "8760fe8f4a8ec5efdf236c444eabfd837e2341b22aaedb86cd6da198c0d56dfa"),
-    (zz_graph(5, [(0, 1)]), 32, 2024, "48a433881fd70ea0edd69b95b04ed65dc2466f954cccc5a02f04e5e00707ed55"),
-    (zz_graph(6, [(0, 1)]), 64, 2024, "1936b079dabbddc31651ac2f005968b043ef1a72682f252d37baf2c1c74c2345"),
-    (zz_graph(7, [(0, 1)]), 128, 2024, "686516565a783a55428864885dc8ee2f29c37176375d8ea20d38ab7c8aa52b0b"),
-    (zz_graph(8, [(0, 1)]), 256, 2024, "082e349cbbb27820e486acee7aca13f00565bf6b841d8ae68094a3efd0878e96"),
+    # IX, every pattern: 1, 2, 2, 3, 7 and 6 chunks of max(64, requested) rows
+    (zz_graph(3, [(0, 1)]), 8, 2024, "f1779596aa1c9a55ac7ee36684aee0d4893209c0ea48f66df3957c1398c4c35f"),
+    (zz_graph(4, [(0, 1)]), 16, 2024, "1f15191d941526038d4795ea663fbaf90fffdc1759a64b58afa429aff27d2850"),
+    (zz_graph(5, [(0, 1)]), 32, 2024, "dc6f46865f43dd9fc51f986d259e17b1ca90c049b8a9ddfffafa4640cb6d6935"),
+    (zz_graph(6, [(0, 1)]), 64, 2024, "62e7c0315245854824676c39190f1bb09f301481c41911a4891ed273bf393927"),
+    (zz_graph(7, [(0, 1)]), 128, 2024, "68f49754c66d57ee05109364809de122cf52677e5b67d84461035070d69c7f8a"),
+    (zz_graph(8, [(0, 1)]), 256, 2024, "1f9280e11a2e9df94ba76345a706b82f4397131bb37576b5674f9a95678ca522"),
     # stops at row 26 of the second chunk of 100
     (xz_graph(4), 100, 5, "ec3533d62cfd76d55b4223428006317e86098b8e3b53015985bba1b776cd9ec7"),
     # three chunks of 120, stopping at row 72 of the third
@@ -246,6 +264,22 @@ def test_whole_space_request_is_a_seeded_permutation_of_the_space(graph):
     (xz_graph(40), 70, 8, "2b2c64b025569dfa108808c6d55257227fa4f541d909c8195941ecb21cf7e733"),
 ])
 def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
-    patterns = generate_candidate_patterns(graph, requested, rng_seed=seed)
+    patterns = sampled_stream(graph, requested, seed)
     assert len(patterns) == requested
-    assert hashlib.sha256(",".join(patterns).encode("ascii")).hexdigest() == digest
+    assert pattern_digest(patterns) == digest
+
+
+# SHA-256 of ",".join(patterns): the identity, then the seed's permutation of
+# the other 2^N - 1 IX patterns
+@pytest.mark.parametrize("n, digest", [
+    (3, "51dfce3e80bbc1f633d05b5542f43455fb7194610239a9be773a9ce679bfa0e1"),
+    (4, "8760fe8f4a8ec5efdf236c444eabfd837e2341b22aaedb86cd6da198c0d56dfa"),
+    (5, "48a433881fd70ea0edd69b95b04ed65dc2466f954cccc5a02f04e5e00707ed55"),
+    (6, "1936b079dabbddc31651ac2f005968b043ef1a72682f252d37baf2c1c74c2345"),
+    (7, "686516565a783a55428864885dc8ee2f29c37176375d8ea20d38ab7c8aa52b0b"),
+    (8, "082e349cbbb27820e486acee7aca13f00565bf6b841d8ae68094a3efd0878e96"),
+])
+def test_whole_space_request_matches_the_recorded_permutation(n, digest):
+    patterns = generate_candidate_patterns(zz_graph(n, [(0, 1)]), 2**n, rng_seed=2024)
+    assert len(patterns) == 2**n
+    assert pattern_digest(patterns) == digest
