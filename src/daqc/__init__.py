@@ -12,7 +12,6 @@ from .errors import (
     LpSolverStallError,
     OracleLimitError,
     SimulabilityError,
-    SynthesisInfeasibleError,
     ValidationError,
 )
 from .pauli import (
@@ -87,7 +86,6 @@ __all__ = [
     "Schedule",
     "SignMatrix",
     "SimulabilityError",
-    "SynthesisInfeasibleError",
     "SynthesisMode",
     "TopologySpec",
     "TrialRecord",

@@ -9,7 +9,8 @@ time-weighted sign sum of a schedule, w_alpha = sum_k t_k s_alpha(P_k): the
 schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign weight
 in the package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``, one
 gather over a (qubit, pattern) array of gate indices; the dense replay
-conjugates by the gate matrices instead, independently of it.
+conjugates by each gate layer's index flip and phase instead, independently
+of it.
 """
 
 import itertools

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dense
 from .blocks import sign_weights
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 from .pauli import (
     CouplingVector,
     InteractionGraph,
@@ -204,15 +204,15 @@ def evaluate_bounds(
     ``T ||H_S||_op < SHORT_TIME_LIMIT``, is decided by the bounds
     ``||h_S||_2 <= ||H_S||_op <= ||h_S||_1`` at any size, and by the dense
     norm up to the cap where they straddle the limit; above the cap a
-    straddled flag is False.
+    straddled flag is False.  A mitigated schedule whose block signs do not
+    cancel on an unmeasured edge, to ``REPLAY_TOL`` per unit of T, is not
+    one synthesized for this support: that raises ``ValidationError``.
     """
     dense.check_trotter_steps(q)
     n = h_problem.n_qubits
     if not set(defect.h_delta.keys()) <= defect_support.edges:
         raise ValidationError("defect sample declares couplings outside the defect support")
 
-    h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
-    ratios = hadamard_divide(h_problem, h_source)
     source_graph = h_source.support_graph()
     ds_graph = graph_difference(defect_support, source_graph)
     e_ds = ds_graph.edge_count
@@ -221,14 +221,17 @@ def evaluate_bounds(
     delta = defect.delta
 
     mitigated = schedule.mode is SynthesisMode.MITIGATE_ZEROS
-    if mitigated and e_ds:
-        weights = sign_weights(schedule.patterns, schedule.times, ds_graph.sorted_edges())
-        worst = float(np.abs(weights).max())
-        if worst > REPLAY_TOL:
-            raise InternalConsistencyError(
-                f"mitigated schedule leaves sign weight {worst:.3e} on an unmeasured edge"
-            )
+    if mitigated:
+        unmeasured = ds_graph.sorted_edges()
+        for key, weight in zip(unmeasured, sign_weights(schedule.patterns, schedule.times, unmeasured)):
+            if abs(weight) / target_time > REPLAY_TOL:
+                raise ValidationError(
+                    f"mitigated schedule leaves sign weight {weight:.3e} on unmeasured edge {key}"
+                )
     effective_e_ds = 0 if mitigated else e_ds
+
+    h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
+    ratios = hadamard_divide(h_problem, h_source)
 
     p_bound = p_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds, requested_p)
     op_bound = op_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds)

@@ -1,7 +1,7 @@
 """Command-line surface: synth, analyze, sweep, summarize.
 
-Exit codes: 0 on success, 2 for validation or file-format problems, 3 when
-schedule synthesis is infeasible, 4 when an internal cross-check fails.
+Exit codes: 0 on success, 2 for validation or file-format problems, 4 when
+an internal cross-check or the LP solver fails.
 """
 
 import argparse
@@ -10,19 +10,12 @@ import json
 import sys
 
 from . import bounds, dense, harness
-from .errors import (
-    InternalConsistencyError,
-    LpSolverStallError,
-    SynthesisInfeasibleError,
-    ValidationError,
-)
-from .blocks import sign_weights
-from .pauli import CouplingVector, InteractionGraph, graph_difference
+from .errors import InternalConsistencyError, LpSolverStallError, ValidationError
+from .pauli import CouplingVector, InteractionGraph
 from .schedule import REPLAY_TOL, Schedule, SynthesisMode, effective_couplings, synthesize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_INFEASIBLE = 3
 EXIT_INCONSISTENT = 4
 
 
@@ -65,13 +58,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         defect_support = InteractionGraph.from_declared(CouplingVector.load(args.defects))
     else:
         defect_support = _default_defect_graph(h_source)
-    if sched.mode is SynthesisMode.MITIGATE_ZEROS:
-        unmeasured = graph_difference(defect_support, h_source.support_graph()).sorted_edges()
-        for key, weight in zip(unmeasured, sign_weights(sched.patterns, sched.times, unmeasured)):
-            if abs(weight) > REPLAY_TOL:
-                raise ValidationError(
-                    f"mitigated schedule leaves sign weight {weight:.3e} on unmeasured edge {key}"
-                )
     defect = bounds.sample_defect(defect_support, args.delta, args.seed)
     observable = None
     if args.observable_x is not None:
@@ -185,9 +171,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SynthesisInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (InternalConsistencyError, LpSolverStallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -3,25 +3,25 @@
 Builds Hermitian operators from coupling vectors, evaluates the two matrix
 norms used by the stability analysis, replays schedules as products of block
 unitaries, and measures the exact deviation of one observable between the
-ideal and the faulty evolution of |+>^N.  Qubit 0 is the leftmost Kronecker
-factor, and every dense path is held to ``DEFAULT_QUBIT_CAP`` qubits by
+ideal and the faulty evolution of |+>^N.  Qubit 0 is the top bit of a basis
+index, and every dense path is held to ``DEFAULT_QUBIT_CAP`` qubits by
 ``build_dense``, which each of them goes through.
 
-Everything here is a ground-truth provider: correctness over speed.  A ZZ-only
-Hamiltonian is diagonal, so it is kept as its real 2^N diagonal and its norms,
+Everything here is a ground-truth provider: correctness over speed.  A Pauli
+string, whether a two-body term, a gate layer or the observable, is never a
+matrix here: it acts by an index flip and a phase, (P v)[t] = phase[t] *
+v[source[t]], so nothing forms a Kronecker product.  A ZZ-only Hamiltonian is
+diagonal, so it is kept as its real 2^N diagonal and its norms,
 exponentials, block conjugations, evolution and replay unitaries are vectors
-of that length, multiplied elementwise.  The replay conjugates by the gate
+of that length, multiplied elementwise; on ZZ couplings nothing here
+allocates a 2^N x 2^N array.  Any other Hamiltonian is diagonalized once per
+replay, and each block's exponential is that of H conjugated by its gate
+layer G: exp(-it GHG) = G exp(-itH) G.  The replay conjugates by the gate
 layers themselves, independently of the sign kernel in ``blocks``.
-
-The observable is one Pauli string of unit norm.  It acts on a state vector
-by an index flip and a phase, so its expectation value, and its commutator
-with a diagonal, need no matrix: on ZZ couplings nothing here allocates a
-2^N x 2^N array.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +31,6 @@ from .pauli import CouplingVector, is_zz_only
 DEFAULT_QUBIT_CAP = 10
 HERMITICITY_TOL = 1e-12
 
-_SIGMA = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _AXIS_TO_GATE = {"x": "X", "y": "Y", "z": "Z"}
 
 
@@ -61,41 +55,32 @@ def _z_sign_columns(n_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def _mask(label: str, letters: str) -> int:
     """Bit mask of the qubits whose letter is in ``letters``; qubit 0 is the top bit."""
     n = len(label)
     return sum(1 << (n - 1 - q) for q, gate in enumerate(label) if gate in letters)
 
 
-def apply_pauli_string(label: str, state: np.ndarray) -> np.ndarray:
-    """P @ state for the Pauli string ``label``, by index flip and phase.
+def _flip_and_phase(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P v)[t] = phase[t] * v[source[t]] for the string P.
 
-    (P psi)[t] = phase(t ^ f) * psi[t ^ f], where ``f`` flips the X and Y
-    qubits and phase(s) = i^(#Y) * (-1)^(parity of s on the Z and Y qubits).
+    ``source`` flips the X and Y qubits; phase[t] = i^(#Y) * (-1)^(parity of
+    source[t] on the Y and Z qubits).
     """
-    source = np.arange(state.shape[0]) ^ _mask(label, "XY")
+    source = np.arange(2 ** len(label)) ^ _mask(label, "XY")
     signed = [q for q, gate in enumerate(label) if gate in "YZ"]
     signs = _z_sign_columns(len(label))[signed].prod(axis=0)[source]
-    return 1j ** (label.count("Y") % 4) * signs * state[source]
+    return source, 1j ** (label.count("Y") % 4) * signs
 
 
-def pauli_string_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as ``IXZ`` (qubit 0 leftmost)."""
-    try:
-        return kron_chain([_SIGMA[g] for g in label])
-    except KeyError as exc:
-        raise ValidationError(f"pauli string {label!r} uses letters outside IXYZ") from exc
+def apply_pauli_string(label: str, state: np.ndarray) -> np.ndarray:
+    """P @ state for the Pauli string ``label``, by index flip and phase."""
+    source, phase = _flip_and_phase(label)
+    return phase * state[source]
 
 
 def build_dense(h: CouplingVector) -> DenseHamiltonian:
-    """Sum of Kronecker-placed two-body terms; Hermitian by construction."""
+    """Sum of the two-body terms, each added at its flip and phase; Hermitian by construction."""
     _check_cap(h.n_qubits)
     n = h.n_qubits
     dim = 2**n
@@ -106,11 +91,12 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
             diag += value * z[key.i] * z[key.j]
         return DenseHamiltonian(n, diag)
     matrix = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
     for key, value in h.items():
-        factors = [_SIGMA["I"]] * n
-        factors[key.i] = _SIGMA[_AXIS_TO_GATE[key.mu]]
-        factors[key.j] = _SIGMA[_AXIS_TO_GATE[key.nu]]
-        matrix += value * kron_chain(factors)
+        label = ["I"] * n
+        label[key.i], label[key.j] = _AXIS_TO_GATE[key.mu], _AXIS_TO_GATE[key.nu]
+        source, phase = _flip_and_phase("".join(label))
+        matrix[rows, source] += value * phase
     return DenseHamiltonian(n, matrix)
 
 
@@ -188,12 +174,13 @@ def plus_state(n_qubits: int) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
 
 
-def _expm_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-1j * scale * H) for Hermitian H; elementwise on a diagonal vector."""
+def _propagator(matrix: np.ndarray):
+    """time -> exp(-1j * time * H) for Hermitian H, diagonalized once; elementwise on a diagonal."""
     if matrix.ndim == 1:
-        return np.exp(-1j * scale * matrix)
+        return lambda time: np.exp(-1j * time * matrix)
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    return (eigvecs * np.exp(-1j * scale * eigvals)) @ eigvecs.conj().T
+    inverse = eigvecs.conj().T
+    return lambda time: (eigvecs * np.exp(-1j * time * eigvals)) @ inverse
 
 
 def evolution_unitary(h: CouplingVector, time: float) -> np.ndarray:
@@ -202,15 +189,16 @@ def evolution_unitary(h: CouplingVector, time: float) -> np.ndarray:
     Like ``DenseHamiltonian.matrix``: the diagonal, shape (2^N,), if ``h`` is
     ZZ-only, else the full matrix.
     """
-    return _expm_hermitian(build_dense(h).matrix, time)
+    return _propagator(build_dense(h).matrix)(time)
 
 
 def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
     """G H G for the gate layer G of ``pattern``; on a diagonal, X and Y flip bits."""
-    if h.ndim == 2:
-        g = pauli_string_matrix(pattern)
-        return g @ h @ g
-    return h[np.arange(h.size) ^ _mask(pattern, "XY")]
+    if h.ndim == 1:
+        return h[np.arange(h.size) ^ _mask(pattern, "XY")]
+    # (G H G)[a, b] = phase[a] * H[source[a], source[b]] * conj(phase[b])
+    source, phase = _flip_and_phase(pattern)
+    return phase[:, None] * h[np.ix_(source, source)] * phase.conj()
 
 
 def check_trotter_steps(q: int) -> None:
@@ -224,18 +212,20 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     With ``q = 1`` this is the plain product of block unitaries, the first
     block acting first.  With ``q > 1`` every block time is divided by ``q``
     and the whole sequence is repeated ``q`` times (first-order interleaving).
-    Block k evolves under G_k H G_k, with H built once from ``h_real`` and
-    G_k the gate layer of pattern k.  The result is a diagonal vector if
-    ``h_real`` is ZZ-only, else a matrix, as in ``evolution_unitary``.
+    Block k evolves under G_k H G_k, with H built and diagonalized once from
+    ``h_real`` and G_k the gate layer of pattern k, so the block unitary is
+    G_k exp(-i t_k H) G_k.  The result is a diagonal vector if ``h_real`` is
+    ZZ-only, else a matrix, as in ``evolution_unitary``.
     """
     check_trotter_steps(q)
     n = h_real.n_qubits
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     h = build_dense(h_real).matrix
+    evolve = _propagator(h)
     cycle = np.ones(2**n, dtype=complex) if h.ndim == 1 else np.eye(2**n, dtype=complex)
     for pattern, time in zip(schedule.patterns, schedule.times):
-        block = _expm_hermitian(_conjugate(h, pattern), time / q)
+        block = _conjugate(evolve(time / q), pattern)
         # earlier blocks act first
         cycle = block * cycle if h.ndim == 1 else block @ cycle
     return cycle ** int(q) if h.ndim == 1 else np.linalg.matrix_power(cycle, int(q))

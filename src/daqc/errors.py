@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 2,
-infeasible synthesis exits 3, internal cross-check failures exit 4.
+The CLI maps these onto exit codes: validation problems exit 2, internal
+cross-check and solver failures exit 4.  Synthesis has no infeasible
+outcome: the program over every pattern always has a solution, so an LP that
+finds none is an internal failure.
 """
 
 
@@ -15,10 +17,6 @@ class ValidationError(DaqcError, ValueError):
 
 class SimulabilityError(ValidationError):
     """A nonzero target coupling has no nonzero source coupling behind it."""
-
-
-class SynthesisInfeasibleError(DaqcError):
-    """No nonnegative block-time assignment exists, even with every pattern."""
 
 
 class LpSolverStallError(DaqcError):

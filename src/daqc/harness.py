@@ -10,6 +10,7 @@ come from SHA-256, so any row can be replayed in isolation on any platform.
 import csv
 import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
@@ -96,8 +97,8 @@ def generate_problem(
     drawn independently for the problem and the source.  The defect support
     adds second-neighbour or all remaining pairs on top of the shared support.
     """
-    if not coupling_scale > 0:
-        raise ValidationError(f"coupling scale must be positive, got {coupling_scale}")
+    if not (coupling_scale > 0 and math.isfinite(3.0 * coupling_scale / 2.0)):
+        raise ValidationError(f"coupling scale must be positive, and finite at 3/2 of it, got {coupling_scale}")
     n = spec.n_qubits
     rng = np.random.default_rng(rng_seed)
     support = chain_edges(n)

@@ -1,10 +1,12 @@
 """Schedule synthesis: from target and source couplings to timed gate blocks.
 
 The block times solve  M t = T * (h_P / h_S)  elementwise over a chosen row
-set, minimizing the total analog time with t >= 0.  The ratio is divided
-once, by ``pauli.hadamard_divide``, which leaves the 0/0 indeterminate forms
-out, so a row whose source entry is zero has a zero right-hand side.  Two
-row policies exist for those couplings:
+set, minimizing the total analog time with t >= 0.  The LP solves for t / T
+against the ratio h_P / h_S alone, so its absolute tolerances hold at every
+T, and the kept times are then multiplied by T.  The ratio is divided once,
+by ``pauli.hadamard_divide``, which leaves the 0/0 indeterminate forms out,
+so a row whose source entry is zero has a zero right-hand side.  Two row
+policies exist for those couplings:
 
 * ``RemoveZeros`` drops those rows, which minimizes the total time;
 * ``MitigateZeros`` keeps every edge of the declared defect support with a
@@ -25,6 +27,11 @@ Bland's rule on degenerate runs enters it first; the drive-out's ``argmax``
 takes the first of equal entries; and dropping columns keeps the order of
 the rest.  The exhaustive ZZ program at N qubits thus has 2^(N-1) columns,
 not 2^N, when its rows connect all N.
+
+The program over the whole pattern space is always feasible: its rows are
+distinct Walsh characters of the pattern group, so it has full row rank, and
+its columns sum to zero, so any solution shifts to a nonnegative one.  An LP
+verdict other than optimal there is a solver fault, not an infeasible target.
 """
 
 import enum
@@ -41,11 +48,7 @@ from .blocks import (
     sign_weights,
     validate_pattern,
 )
-from .errors import (
-    InternalConsistencyError,
-    SynthesisInfeasibleError,
-    ValidationError,
-)
+from .errors import InternalConsistencyError, ValidationError
 from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 
 #: schedules must reproduce their targets to this absolute tolerance
@@ -72,8 +75,8 @@ class SynthesisMode(enum.Enum):
 class Schedule:
     """Timed sequence of gate patterns targeting ``h_P`` for time ``target_time``.
 
-    ``rows`` records which couplings were constrained at synthesis time; it is
-    ``None`` for schedules read back from text, where only the blocks survive.
+    The blocks are all it holds, so a schedule read back from its text equals
+    the one written.
     """
 
     n_qubits: int
@@ -81,7 +84,6 @@ class Schedule:
     times: tuple[float, ...]
     target_time: float
     mode: SynthesisMode
-    rows: tuple[CouplingKey, ...] | None = None
 
     def __post_init__(self):
         if len(self.patterns) != len(self.times):
@@ -147,7 +149,6 @@ class Schedule:
             times=tuple(t for _, t in blocks),
             target_time=target_time,
             mode=SynthesisMode.from_name(header["mode"]),
-            rows=None,
         )
 
     def save(self, path) -> None:
@@ -184,8 +185,8 @@ def synthesize(
 
     Requires the nonzero problem couplings to sit inside the nonzero source
     couplings, and those inside the declared defect support.  Raises
-    ``SynthesisInfeasibleError`` once every available pattern has been offered
-    to the LP without finding a nonnegative solution.
+    ``InternalConsistencyError`` if the LP finds no nonnegative solution even
+    over every pattern, which the module docstring shows cannot happen.
     """
     if not (target_time > 0 and math.isfinite(target_time)):
         raise ValidationError(f"target time must be positive and finite, got {target_time}")
@@ -205,10 +206,10 @@ def synthesize(
     # raises SimulabilityError for a problem coupling outside the source support;
     # a row without a source coupling is a 0/0 ratio, absent, so its rhs is 0
     ratios = hadamard_divide(h_problem, h_source)
-    rhs = target_time * np.array([ratios[k] for k in rows])
+    rhs = np.array([ratios[k] for k in rows])
 
     if not rows:
-        return Schedule(h_problem.n_qubits, (), (), float(target_time), mode, rows)
+        return Schedule(h_problem.n_qubits, (), (), float(target_time), mode)
 
     total = pattern_space_size(defect_support)
     solution = None
@@ -230,34 +231,37 @@ def synthesize(
             solution = candidate
             break
     if solution is None:
-        raise SynthesisInfeasibleError(
-            f"no nonnegative block times reproduce the target even with all {total} patterns"
+        raise InternalConsistencyError(
+            f"the LP found no nonnegative block times over all {total} patterns, which always admit them"
         )
 
-    kept = [(p, float(t)) for p, t in zip(patterns, solution.times) if t > 0.0]
+    kept = [(p, float(t) * target_time) for p, t in zip(patterns, solution.times) if t > 0.0]
     schedule = Schedule(
         n_qubits=h_problem.n_qubits,
         patterns=tuple(p for p, _ in kept),
         times=tuple(t for _, t in kept),
         target_time=float(target_time),
         mode=mode,
-        rows=rows,
     )
-    _verify_schedule(schedule, sign_entries[:, solution.times > 0.0], h_source, rhs)
+    _verify_schedule(schedule, rows, sign_entries[:, solution.times > 0.0], h_source, rhs)
     return schedule
 
 
-def _verify_schedule(schedule: Schedule, entries: np.ndarray, h_source, rhs: np.ndarray) -> None:
-    """Replay and cancellation invariants, from the kept blocks' sign columns ``entries``."""
-    residual = entries @ np.array(schedule.times) - rhs
-    T = schedule.target_time
-    for alpha, key in enumerate(schedule.rows):
+def _verify_schedule(
+    schedule: Schedule, rows: tuple[CouplingKey, ...], entries: np.ndarray, h_source, rhs: np.ndarray
+) -> None:
+    """Replay and cancellation invariants on ``rows``, from the kept blocks' sign columns ``entries``.
+
+    ``rhs`` is the ratio h_P / h_S on the rows, so each sign weight is divided by T.
+    """
+    residual = entries @ np.array(schedule.times) / schedule.target_time - rhs
+    for alpha, key in enumerate(rows):
         if h_source[key] != 0.0:
-            err = abs(residual[alpha] * h_source[key] / T)
+            err = abs(residual[alpha] * h_source[key])
             what = f"replayed coupling {key} misses its target by {err:.3e}"
         else:
             err = abs(residual[alpha])
-            what = f"mitigated row {key} has uncancelled sign weight {err:.3e}"
+            what = f"mitigated row {key} has uncancelled sign weight/T {err:.3e}"
         if err > REPLAY_TOL:
             raise InternalConsistencyError(what)
 
@@ -266,11 +270,11 @@ def effective_couplings(schedule: Schedule, h_real: CouplingVector) -> CouplingV
     """First-order couplings the schedule realizes when run on ``h_real``.
 
     Entry alpha is (1/T) * sum_k t_k * sign(pattern_k, alpha) * h_real[alpha],
-    evaluated over the union of the real support and the constrained rows.
+    evaluated over the keys ``h_real`` declares.
     """
     if h_real.n_qubits != schedule.n_qubits:
         raise ValidationError("couplings and schedule disagree on system size")
-    keys = sorted(set(h_real.keys()) | set(schedule.rows or ()))
+    keys = sorted(h_real.keys())
     T = schedule.target_time
     weights = sign_weights(schedule.patterns, schedule.times, keys)
     return CouplingVector(

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from daqc import cli, harness
-from daqc.errors import InternalConsistencyError, SynthesisInfeasibleError
+from daqc import cli, harness, lp
+from daqc.errors import InternalConsistencyError
 from daqc.pauli import CouplingKey, CouplingVector
 from daqc.schedule import Schedule
 
@@ -287,14 +289,39 @@ def test_analyze_rejects_a_mitigated_schedule_that_leaves_an_edge(workspace, cap
     assert "sign weight 5.000e-01 on unmeasured edge (1,2,z,z)" in capsys.readouterr().err
 
 
-def test_infeasible_synthesis_exit_code(workspace, monkeypatch):
+def test_infeasible_synthesis_exit_code(workspace, monkeypatch, capsys):
+    # every pattern always admits block times, so an "infeasible" LP verdict
+    # over the whole space is a solver fault
     _, paths = workspace
 
-    def refuse(*args, **kwargs):
-        raise SynthesisInfeasibleError("injected")
+    def refuse(program):
+        return lp.LpSolution(np.zeros(program.n_cols), math.inf, lp.STATUS_INFEASIBLE)
 
-    monkeypatch.setattr(cli, "synthesize", refuse)
-    assert run_synth(paths) == 3
+    monkeypatch.setattr(lp, "solve", refuse)
+    assert run_synth(paths) == 4
+    assert "over all 8 patterns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "1.2e+308"])
+def test_sweep_rejects_a_coupling_scale_that_overflows(tmp_path, capsys, scale):
+    # magnitudes are drawn up to 3/2 of the scale, which must stay finite
+    code = cli.main([
+        "sweep", "--topology", "nn", "--n-min", "3", "--n-max", "3", "--trials", "1",
+        "--g", scale, "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    assert f"finite at 3/2 of it, got {scale}" in capsys.readouterr().err
+
+
+def test_sweep_at_a_long_target_time_exits_zero(tmp_path):
+    # the LP solves for t/T, so its absolute tolerances do not scale with T
+    out = tmp_path / "r.csv"
+    assert cli.main([
+        "sweep", "--topology", "nn", "--n-min", "3", "--n-max", "3", "--trials", "1",
+        "--seed", "11", "--time", "1e7", "--out", str(out),
+    ]) == 0
+    (record,) = harness.load_records(out)
+    assert record.t_a > 1e7
 
 
 def test_internal_consistency_exit_code(workspace, monkeypatch):

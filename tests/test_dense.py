@@ -17,6 +17,30 @@ def zz(i, j):
     return CouplingKey(i, j, "z", "z")
 
 
+_SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def kron_string(letters):
+    """Independent oracle: the Pauli string's matrix as a Kronecker product, qubit 0 leftmost."""
+    return functools.reduce(np.kron, [_SIGMA[g] for g in letters])
+
+
+def kron_hamiltonian(h):
+    """Sum of the Kronecker-built two-body terms of ``h``, in key order."""
+    n = h.n_qubits
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for key, value in h.items():
+        letters = ["I"] * n
+        letters[key.i], letters[key.j] = key.mu.upper(), key.nu.upper()
+        total += value * kron_string(letters)
+    return total
+
+
 def random_two_body(n, rng, mixed=True):
     axes = ("x", "y", "z") if mixed else ("z",)
     entries = {}
@@ -59,6 +83,17 @@ def test_mixed_axis_build_matches_kron_oracle():
     z = np.diag([1.0, -1.0]).astype(complex)
     expected = 0.5 * np.kron(x, y) + 2.0 * np.kron(z, z)
     assert np.allclose(dense.build_dense(h).matrix, expected)
+
+
+def test_non_zz_build_equals_the_kron_sum():
+    # each term lands on the entries of its flip and phase, with the values of its Kronecker product
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        for _ in range(5):
+            h = random_two_body(n, rng, mixed=True)
+            built = dense.build_dense(h).matrix
+            assert built.ndim == 2
+            assert np.array_equal(built, kron_hamiltonian(h)), h
 
 
 def test_qubit_cap_enforced():
@@ -171,7 +206,7 @@ def test_flip_and_phase_matches_the_string_matrix():
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     for letters in itertools.product("IXYZ", repeat=3):
         label = "".join(letters)
-        expected = dense.pauli_string_matrix(label) @ psi
+        expected = kron_string(label) @ psi
         assert np.array_equal(dense.apply_pauli_string(label, psi), expected), label
 
 
@@ -181,7 +216,7 @@ def test_closed_form_commutator_matches_svd():
         n = 1 + trial % 4
         d = rng.normal(size=2**n)
         label = "".join(rng.choice(list("IXYZ"), size=n))
-        p = dense.pauli_string_matrix(label)
+        p = kron_string(label)
         oracle = np.linalg.norm(np.diag(d) @ p - p @ np.diag(d), 2)
         closed = dense.commutator_norm(d, dense.ObservableSpec(label))
         assert closed == pytest.approx(oracle, abs=1e-12), label
@@ -197,7 +232,7 @@ def test_two_term_observable_matches_its_matrix(chain_problem):
     h_problem, h_source, sched = chain_problem
     h_real = h_source + CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2})
     obs = dense.ObservableSpec("YYI")
-    o = dense.pauli_string_matrix("YYI")
+    o = kron_string("YYI")
     d = dense.build_dense(effective_couplings(sched, h_real) - h_problem).matrix
     assert dense.commutator_norm(d, obs) == pytest.approx(
         np.linalg.norm(np.diag(d) @ o - o @ np.diag(d), 2), abs=1e-12
@@ -359,49 +394,62 @@ def test_observable_of_the_wrong_size_rejected(chain_problem):
         dense.expectation_deviation(h_problem, sched, h_source, dense.single_qubit_observable("x", 0, 4))
 
 
-def _kron_oracle_deviation(h_problem, sched, h_real, label, q):
-    """<P> from |+> after exp(-iT H_problem) and after the Trotterized replay, by np.kron and expm."""
-    sigma = {
-        "I": np.eye(2),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.diag([1.0, -1.0]).astype(complex),
-    }
-
-    def kron(letters):
-        return functools.reduce(np.kron, [sigma[g] for g in letters])
-
-    def hamiltonian(h):
-        n = h.n_qubits
-        total = np.zeros((2**n, 2**n), dtype=complex)
-        for key, value in h.items():
-            letters = ["I"] * n
-            letters[key.i], letters[key.j] = key.mu.upper(), key.nu.upper()
-            total += value * kron(letters)
-        return total
-
-    h = hamiltonian(h_real)
+def _kron_oracle_replay(sched, h_real, q):
+    """The Trotterized block product by np.kron and expm, the first block acting first."""
+    h = kron_hamiltonian(h_real)
     cycle = np.eye(h.shape[0], dtype=complex)
     for pattern, time in zip(sched.patterns, sched.times):
-        g = kron(pattern)
+        g = kron_string(pattern)
         cycle = g @ scipy.linalg.expm(-1j * time / q * h) @ g @ cycle
-    plus = np.full(h.shape[0], 1 / np.sqrt(h.shape[0]))
-    ideal = scipy.linalg.expm(-1j * sched.target_time * hamiltonian(h_problem)) @ plus
-    faulty = np.linalg.matrix_power(cycle, q) @ plus
-    o = kron(label)
+    return np.linalg.matrix_power(cycle, q)
+
+
+def _kron_oracle_deviation(h_problem, sched, h_real, label, q):
+    """<P> from |+> after exp(-iT H_problem) and after the Trotterized replay, by np.kron and expm."""
+    faulty = _kron_oracle_replay(sched, h_real, q)
+    plus = np.full(faulty.shape[0], 1 / np.sqrt(faulty.shape[0]))
+    ideal = scipy.linalg.expm(-1j * sched.target_time * kron_hamiltonian(h_problem)) @ plus
+    faulty = faulty @ plus
+    o = kron_string(label)
     return abs(np.vdot(ideal, o @ ideal).real - np.vdot(faulty, o @ faulty).real)
+
+
+def _non_zz_couplings(entries):
+    return CouplingVector(3, {CouplingKey(i, j, *axes): value for (i, j, axes), value in entries.items()})
+
+
+# XX, YY and XZ couplings take the full-matrix evolution
+_NON_ZZ_REAL = _non_zz_couplings(
+    {(0, 1, "xx"): 0.9, (0, 1, "yy"): -0.6, (1, 2, "xz"): 1.2, (1, 2, "yy"): 0.4, (0, 2, "xx"): -0.3}
+)
+_NON_ZZ_SCHEDULE = Schedule(3, ("III", "ZIY", "XZI", "IYX"), (0.3, 0.25, 0.2, 0.25), 1.0, SynthesisMode.REMOVE_ZEROS)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_non_zz_replay_matches_the_kron_expm_block_product(q):
+    oracle = _kron_oracle_replay(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q)
+    assert np.abs(dense.replay_unitary(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q=q) - oracle).max() <= 1e-12
+
+
+def test_non_zz_replay_diagonalizes_h_once(monkeypatch):
+    # every block is exp(-itH) conjugated by its gate layer, from one eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    dense.replay_unitary(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL)
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_non_zz_deviation_matches_kron_oracle(q):
-    # XX, YY and XZ couplings take the full-matrix evolution of the state
-    def couplings(entries):
-        return CouplingVector(3, {CouplingKey(i, j, *axes): value for (i, j, axes), value in entries.items()})
-
-    h_real = couplings({(0, 1, "xx"): 0.9, (0, 1, "yy"): -0.6, (1, 2, "xz"): 1.2, (1, 2, "yy"): 0.4, (0, 2, "xx"): -0.3})
-    h_problem = couplings({(0, 1, "xx"): 0.5, (1, 2, "yy"): -0.8, (1, 2, "xz"): 0.7})
-    sched = Schedule(3, ("III", "ZIY", "XZI", "IYX"), (0.3, 0.25, 0.2, 0.25), 1.0, SynthesisMode.REMOVE_ZEROS)
+    h_problem = _non_zz_couplings({(0, 1, "xx"): 0.5, (1, 2, "yy"): -0.8, (1, 2, "xz"): 0.7})
     obs = dense.single_qubit_observable("x", 1, 3)
-    oracle = _kron_oracle_deviation(h_problem, sched, h_real, "IXI", q)
+    oracle = _kron_oracle_deviation(h_problem, _NON_ZZ_SCHEDULE, _NON_ZZ_REAL, "IXI", q)
     assert oracle > 1e-3
-    assert dense.expectation_deviation(h_problem, sched, h_real, obs, q=q) == pytest.approx(oracle, abs=1e-12)
+    deviation = dense.expectation_deviation(h_problem, _NON_ZZ_SCHEDULE, _NON_ZZ_REAL, obs, q=q)
+    assert deviation == pytest.approx(oracle, abs=1e-12)
