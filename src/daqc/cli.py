@@ -50,7 +50,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     realized = effective_couplings(sched, h_source).restricted(h_source.support())
     h_problem = CouplingVector.load(args.problem) if args.problem else realized
     for key in realized:
-        if abs(h_problem[key] - realized[key]) > REPLAY_TOL:
+        if abs(h_problem[key] - realized[key]) > REPLAY_TOL * max(abs(h_problem[key]), abs(realized[key])):
             raise ValidationError(
                 f"schedule realizes {realized[key]:.17g} on coupling {key}, the problem asks {h_problem[key]:.17g}"
             )

@@ -10,14 +10,15 @@ index, and every dense path is held to ``DEFAULT_QUBIT_CAP`` qubits by
 Everything here is a ground-truth provider: correctness over speed.  A Pauli
 string, whether a two-body term, a gate layer or the observable, is never a
 matrix here: it acts by an index flip and a phase, (P v)[t] = phase[t] *
-v[source[t]], so nothing forms a Kronecker product.  A ZZ-only Hamiltonian is
-diagonal, so it is kept as its real 2^N diagonal and its norms,
-exponentials, block conjugations, evolution and replay unitaries are vectors
-of that length, multiplied elementwise; on ZZ couplings nothing here
-allocates a 2^N x 2^N array.  Any other Hamiltonian is diagonalized once per
-replay, and each block's exponential is that of H conjugated by its gate
-layer G: exp(-it GHG) = G exp(-itH) G.  The replay conjugates by the gate
-layers themselves, independently of the sign kernel in ``blocks``.
+v[source[t]], and its Z signs are bit parities of the index.  A ZZ-only
+Hamiltonian is diagonal, so it is kept as its real 2^N diagonal; its norms
+and evolution are vectors of that length, and its replay adds up one real
+phase, sum_k t_k G_k d G_k, and takes one exponential, since diagonal blocks
+commute.  On ZZ couplings nothing here allocates a 2^N x 2^N array.  Any
+other Hamiltonian is diagonalized once per replay, and each block's
+exponential is that of H conjugated by its gate layer G: exp(-it GHG) =
+G exp(-itH) G.  The replay conjugates by the gate layers themselves,
+independently of the sign kernel in ``blocks``.
 """
 
 import math
@@ -47,12 +48,9 @@ class DenseHamiltonian:
     matrix: np.ndarray
 
 
-def _z_sign_columns(n_qubits: int) -> np.ndarray:
-    """signs[i, s] = +/-1 value of Z on qubit i in computational basis state s."""
-    states = np.arange(2**n_qubits)
-    shifts = n_qubits - 1 - np.arange(n_qubits)
-    bits = (states[None, :] >> shifts[:, None]) & 1
-    return 1.0 - 2.0 * bits
+def _parity_sign(bits: np.ndarray) -> np.ndarray:
+    """(-1)^(number of set bits), as floats: the product of Z on the qubits of ``bits``."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
 def _mask(label: str, letters: str) -> int:
@@ -68,9 +66,7 @@ def _flip_and_phase(label: str) -> tuple[np.ndarray, np.ndarray]:
     source[t] on the Y and Z qubits).
     """
     source = np.arange(2 ** len(label)) ^ _mask(label, "XY")
-    signed = [q for q, gate in enumerate(label) if gate in "YZ"]
-    signs = _z_sign_columns(len(label))[signed].prod(axis=0)[source]
-    return source, 1j ** (label.count("Y") % 4) * signs
+    return source, 1j ** (label.count("Y") % 4) * _parity_sign(source & _mask(label, "YZ"))
 
 
 def apply_pauli_string(label: str, state: np.ndarray) -> np.ndarray:
@@ -85,11 +81,10 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
     n = h.n_qubits
     dim = 2**n
     if is_zz_only(h.keys()):
-        z = _z_sign_columns(n)
-        diag = np.zeros(dim)
-        for key, value in h.items():
-            diag += value * z[key.i] * z[key.j]
-        return DenseHamiltonian(n, diag)
+        pairs = np.array([(1 << (n - 1 - key.i)) | (1 << (n - 1 - key.j)) for key in h.keys()], dtype=np.int64)
+        # one row per term; the sum down axis 0 adds the rows in key order
+        terms = h.values_array()[:, None] * _parity_sign(np.arange(dim) & pairs[:, None])
+        return DenseHamiltonian(n, terms.sum(axis=0))
     matrix = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
     for key, value in h.items():
@@ -214,21 +209,25 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     and the whole sequence is repeated ``q`` times (first-order interleaving).
     Block k evolves under G_k H G_k, with H built and diagonalized once from
     ``h_real`` and G_k the gate layer of pattern k, so the block unitary is
-    G_k exp(-i t_k H) G_k.  The result is a diagonal vector if ``h_real`` is
-    ZZ-only, else a matrix, as in ``evolution_unitary``.
+    G_k exp(-i t_k H) G_k.  On ZZ couplings the blocks commute, so for every
+    ``q`` the result is exp(-i sum_k t_k G_k d G_k), the diagonal as a vector;
+    else a matrix, as in ``evolution_unitary``.
     """
     check_trotter_steps(q)
     n = h_real.n_qubits
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     h = build_dense(h_real).matrix
+    if h.ndim == 1:
+        flips = np.array([_mask(pattern, "XY") for pattern in schedule.patterns], dtype=np.int64)
+        phase = (np.array(schedule.times)[:, None] * h[np.arange(h.size) ^ flips[:, None]]).sum(axis=0)
+        return np.exp(-1j * phase)
     evolve = _propagator(h)
-    cycle = np.ones(2**n, dtype=complex) if h.ndim == 1 else np.eye(2**n, dtype=complex)
+    cycle = np.eye(2**n, dtype=complex)
     for pattern, time in zip(schedule.patterns, schedule.times):
-        block = _conjugate(evolve(time / q), pattern)
         # earlier blocks act first
-        cycle = block * cycle if h.ndim == 1 else block @ cycle
-    return cycle ** int(q) if h.ndim == 1 else np.linalg.matrix_power(cycle, int(q))
+        cycle = _conjugate(evolve(time / q), pattern) @ cycle
+    return np.linalg.matrix_power(cycle, int(q))
 
 
 def _expectation(observable: ObservableSpec, u: np.ndarray) -> float:

@@ -96,6 +96,25 @@ def test_non_zz_build_equals_the_kron_sum():
             assert np.array_equal(built, kron_hamiltonian(h)), h
 
 
+def per_key_zz_diagonal(h):
+    """Reference: the ZZ diagonal as a table of Z signs, one term added at a time in key order."""
+    n = h.n_qubits
+    z = 1.0 - 2.0 * ((np.arange(2**n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
+    diag = np.zeros(2**n)
+    for key, value in h.items():
+        diag += value * z[key.i] * z[key.j]
+    return diag
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_zz_build_equals_the_per_key_sum(n):
+    # the rows of the sign array are added in key order, so the arithmetic is the loop's
+    rng = np.random.default_rng(100 + n)
+    vectors = [CouplingVector(n)] + [random_two_body(n, rng, mixed=False) for _ in range(5)]
+    for h in vectors:
+        assert np.array_equal(dense.build_dense(h).matrix, per_key_zz_diagonal(h)), h
+
+
 def test_qubit_cap_enforced():
     with pytest.raises(ValidationError):
         dense.build_dense(CouplingVector(dense.DEFAULT_QUBIT_CAP + 1, {zz(0, 1): 1.0}))
@@ -325,6 +344,32 @@ def test_diagonal_and_full_replay_agree(q):
     assert u_diagonal.shape == (8,) and u_full.shape == (8, 8)
     assert np.abs(u_diagonal - np.diag(u_full)).max() <= 1e-12
     assert np.abs(u_full - np.diag(np.diag(u_full))).max() <= 1e-12
+
+
+def block_product_replay(sched, h_real, q):
+    """Reference: the ZZ replay as a product of one exponential per block, raised to the power q."""
+    d = per_key_zz_diagonal(h_real)
+    n, idx = h_real.n_qubits, np.arange(d.size)
+    cycle = np.ones(d.size, dtype=complex)
+    for pattern, time in zip(sched.patterns, sched.times):
+        flips = sum(1 << (n - 1 - k) for k, gate in enumerate(pattern) if gate in "XY")
+        cycle = np.exp(-1j * time / q * d[idx ^ flips]) * cycle
+    return cycle**q
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_zz_replay_is_one_phase_for_every_q(kind, mode):
+    # diagonal blocks commute: the summed phase is the block product at every q, and one diagonal
+    n = 7
+    seed = derive_seed("one-phase", kind, mode.value)
+    h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
+    sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
+    h_real = h_s + bounds.sample_defect(defect, 10.0, derive_seed(seed, "d")).h_delta
+    replayed = {q: dense.replay_unitary(sched, h_real, q=q) for q in (1, 3)}
+    assert np.array_equal(replayed[1], replayed[3])
+    for q, u in replayed.items():
+        assert np.abs(u - block_product_replay(sched, h_real, q)).max() <= 1e-12, q
 
 
 def test_replay_is_unitary(chain_problem):

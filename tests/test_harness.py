@@ -173,7 +173,7 @@ def test_sweep_csv_digest_is_pinned():
     rows = io.StringIO()
     harness.write_records(records, rows)
     digest = hashlib.sha256(rows.getvalue().encode("ascii")).hexdigest()
-    assert digest == "9eaa460716a358803a5e80895e48d6a7e3a7456a52832023f745331adfb6fb03"
+    assert digest == "14f6efcf1e03f1325f07baab323a19854b71b52b1b3bfe40d27893bc0e39d0c9"
 
 
 def test_trial_failure_names_the_seed(monkeypatch):

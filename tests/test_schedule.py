@@ -6,11 +6,13 @@ import pytest
 
 from daqc import lp
 from daqc.blocks import build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
-from daqc.errors import SimulabilityError, ValidationError
+from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import AXES, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 from daqc.schedule import (
+    REPLAY_TOL,
     Schedule,
+    _verify_schedule,
     SynthesisMode,
     effective_couplings,
     error_vector,
@@ -89,6 +91,21 @@ def test_replay_identity_on_source(three_qubit_setup):
         replay = effective_couplings(sched, h_source)
         for key in h_source.support():
             assert replay[key] == pytest.approx(h_problem[key], abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0, 2e7, 1e200])
+def test_verify_schedule_measures_each_row_against_its_couplings(scale):
+    # row (0,1) is measured and realizes ratio 1; row (1,2) is mitigated and cancels
+    rows = (zz(0, 1), zz(1, 2))
+    entries = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h_source = CouplingVector(3, {zz(0, 1): scale})
+    sched = Schedule(3, ("III", "IXI"), (0.5, 0.5), 1.0, REMOVE)
+    _verify_schedule(sched, rows, entries, h_source, np.array([1.0 + 0.5 * REPLAY_TOL, 0.0]))
+    with pytest.raises(InternalConsistencyError, match="replayed coupling \\(0,1,z,z\\) misses its target"):
+        _verify_schedule(sched, rows, entries, h_source, np.array([1.0 + 2 * REPLAY_TOL, 0.0]))
+    uneven = Schedule(3, ("III", "IXI"), (0.5, 0.5 + 2 * REPLAY_TOL), 1.0, REMOVE)
+    with pytest.raises(InternalConsistencyError, match="mitigated row \\(1,2,z,z\\) has uncancelled"):
+        _verify_schedule(uneven, rows, entries, h_source, np.array([1.0 + 2 * REPLAY_TOL, 0.0]))
 
 
 def test_effective_couplings_vanish_on_mitigated_rows(three_qubit_setup):
