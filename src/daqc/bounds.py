@@ -24,7 +24,7 @@ from .pauli import (
     is_zz_only,
     vector_p_norm,
 )
-from .schedule import REPLAY_TOL, Schedule, SynthesisMode, error_vector
+from .schedule import Schedule, SynthesisMode, error_vector, within_replay_tol
 
 #: "much smaller than" thresholds used for the validity-regime flags
 SMALL_DEFECT_FACTOR = 1e-2
@@ -205,7 +205,7 @@ def evaluate_bounds(
     ``||h_S||_2 <= ||H_S||_op <= ||h_S||_1`` at any size, and by the dense
     norm up to the cap where they straddle the limit; above the cap a
     straddled flag is False.  A mitigated schedule whose block signs do not
-    cancel on an unmeasured edge, to ``REPLAY_TOL`` per unit of T, is not
+    cancel on an unmeasured edge, to ``schedule.within_replay_tol``, is not
     one synthesized for this support: that raises ``ValidationError``.
     """
     dense.check_trotter_steps(q)
@@ -224,7 +224,7 @@ def evaluate_bounds(
     if mitigated:
         unmeasured = ds_graph.sorted_edges()
         for key, weight in zip(unmeasured, sign_weights(schedule.patterns, schedule.times, unmeasured)):
-            if abs(weight) / target_time > REPLAY_TOL:
+            if not within_replay_tol(weight / target_time, schedule, 1.0):
                 raise ValidationError(
                     f"mitigated schedule leaves sign weight {weight:.3e} on unmeasured edge {key}"
                 )

@@ -12,7 +12,7 @@ import sys
 from . import bounds, dense, harness
 from .errors import InternalConsistencyError, LpSolverStallError, ValidationError
 from .pauli import CouplingVector, InteractionGraph
-from .schedule import REPLAY_TOL, Schedule, SynthesisMode, effective_couplings, synthesize
+from .schedule import Schedule, SynthesisMode, effective_couplings, synthesize, within_replay_tol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,7 +50,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     realized = effective_couplings(sched, h_source).restricted(h_source.support())
     h_problem = CouplingVector.load(args.problem) if args.problem else realized
     for key in realized:
-        if abs(h_problem[key] - realized[key]) > REPLAY_TOL * max(abs(h_problem[key]), abs(realized[key])):
+        if not within_replay_tol(h_problem[key] - realized[key], sched, h_source[key]):
             raise ValidationError(
                 f"schedule realizes {realized[key]:.17g} on coupling {key}, the problem asks {h_problem[key]:.17g}"
             )

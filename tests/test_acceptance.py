@@ -30,8 +30,8 @@ KINDS = ("nn", "random", "ata")
 REMOVE = SynthesisMode.REMOVE_ZEROS
 MITIGATE = SynthesisMode.MITIGATE_ZEROS
 #: absolute tolerance of the paired comparisons, above what synthesis guarantees
-#: on these sweeps: ``schedule.REPLAY_TOL`` relative to couplings of at most
-#: 160, so 8e-10, for replayed couplings and per unit of T for sign weights
+#: on these sweeps: ``schedule.within_replay_tol`` scales ``schedule.REPLAY_TOL``
+#: by a coupling times t_A / T, at most 1243 here, so 6.2e-10
 REPLAY_TOL = 1e-9
 
 

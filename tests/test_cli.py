@@ -347,6 +347,21 @@ def test_synth_and_analyze_a_problem_at_a_large_coupling_scale(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("zero", [{zz(0, 2): 0.0}, {}], ids=["zero", "absent"])
+def test_analyze_a_problem_that_asks_zero_on_a_source_coupling(tmp_path, zero):
+    # the schedule cancels (0,2) to round-off (2.8e-15), which is measured
+    # against the source coupling it multiplies, not against the target 0
+    paths = {name: tmp_path / f"{name}.txt" for name in ("problem", "source", "defects", "schedule")}
+    CouplingVector(3, {zz(0, 1): 135.7, zz(1, 2): -123.0, **zero}).save(paths["problem"])
+    CouplingVector(3, {zz(0, 1): 104.4, zz(0, 2): 50.3, zz(1, 2): -143.5}).save(paths["source"])
+    CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}).save(paths["defects"])
+    assert run_synth(paths) == 0
+    assert cli.main([
+        "analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
+        "--defects", str(paths["defects"]), "--problem", str(paths["problem"]), "--delta", "1.0", "--seed", "3",
+    ]) == 0
+
+
 def extreme_scale_record(tmp_path):
     out = tmp_path / "r.csv"
     assert cli.main([

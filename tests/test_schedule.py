@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from daqc import lp
+from daqc import bounds, lp
 from daqc.blocks import build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
 from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
@@ -13,6 +13,7 @@ from daqc.schedule import (
     REPLAY_TOL,
     Schedule,
     _verify_schedule,
+    within_replay_tol,
     SynthesisMode,
     effective_couplings,
     error_vector,
@@ -106,6 +107,32 @@ def test_verify_schedule_measures_each_row_against_its_couplings(scale):
     uneven = Schedule(3, ("III", "IXI"), (0.5, 0.5 + 2 * REPLAY_TOL), 1.0, REMOVE)
     with pytest.raises(InternalConsistencyError, match="mitigated row \\(1,2,z,z\\) has uncancelled"):
         _verify_schedule(uneven, rows, entries, h_source, np.array([1.0 + 2 * REPLAY_TOL, 0.0]))
+
+
+def test_replay_tolerance_grows_with_the_analog_time():
+    # the terms of a sign weight w / T add up to t_A / T, here 1e4
+    sched = Schedule(3, ("III", "IXI"), (5e3, 5e3), 1.0, MITIGATE)
+    assert within_replay_tol(0.9e4 * REPLAY_TOL, sched, 1.0)
+    assert not within_replay_tol(1.1e4 * REPLAY_TOL, sched, 1.0)
+    assert within_replay_tol(0.9e4 * REPLAY_TOL * 50.0, sched, -50.0)
+    assert not within_replay_tol(1.1e4 * REPLAY_TOL * 50.0, sched, -50.0)
+    short = Schedule(3, ("III",), (0.25,), 1.0, REMOVE)
+    assert not within_replay_tol(1.1 * REPLAY_TOL, short, 1.0)
+
+
+def test_mitigated_schedule_for_a_source_far_weaker_than_the_problem():
+    # ratios h_P / h_S near 1e4 make t_A / T near 1e4, and the cancelled sign
+    # weights carry round-off in proportion (6.4e-12 per unit of T here)
+    trial_seed = derive_seed(5, "nn", 7, 24)
+    h_problem, h_source, defect_support = generate_problem(
+        TopologySpec("nn", 7), 100.0, derive_seed(trial_seed, "problem")
+    )
+    h_source = CouplingVector(7, {key: 1e-4 * h_source[key] for key in h_source.keys()})
+    sched = synthesize(h_problem, h_source, defect_support, 1.0, MITIGATE, derive_seed(trial_seed, "patterns"))
+    assert sched.total_analog_time > 1e4
+    defect = bounds.sample_defect(defect_support, 1e-6, derive_seed(trial_seed, "defect"))
+    report = bounds.evaluate_bounds(h_problem, h_source, defect_support, sched, defect)
+    assert report.exact_op_norm <= report.op_norm_bound
 
 
 def test_effective_couplings_vanish_on_mitigated_rows(three_qubit_setup):
