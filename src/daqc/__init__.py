@@ -10,7 +10,6 @@ from .errors import (
     DaqcError,
     InternalConsistencyError,
     LpSolverStallError,
-    OracleLimitError,
     SimulabilityError,
     ValidationError,
 )
@@ -24,12 +23,13 @@ from .pauli import (
     vector_p_norm,
 )
 from .blocks import (
+    PauliMasks,
     SignMatrix,
     build_sign_matrix,
     generate_candidate_patterns,
     sign_weights,
 )
-from .lp import LinearProgram, LpSolution, brute_force_optimum, solve
+from .lp import LinearProgram, LpSolution, solve
 from .schedule import Schedule, SynthesisMode, effective_couplings, error_vector, synthesize
 from .dense import (
     DEFAULT_QUBIT_CAP,
@@ -82,7 +82,7 @@ __all__ = [
     "LpSolution",
     "LpSolverStallError",
     "ObservableSpec",
-    "OracleLimitError",
+    "PauliMasks",
     "Schedule",
     "SignMatrix",
     "SimulabilityError",
@@ -90,7 +90,6 @@ __all__ = [
     "TopologySpec",
     "TrialRecord",
     "ValidationError",
-    "brute_force_optimum",
     "build_dense",
     "build_sign_matrix",
     "effective_couplings",

@@ -1,19 +1,19 @@
 """Single-qubit-gate block patterns and the resulting coupling sign matrix.
 
 Sandwiching an analog evolution between layers of Pauli gates conjugates the
-interaction Hamiltonian, which can only flip the sign of each two-body term:
-g s^a g' = +/- s^a for g a Pauli or the identity.  A pattern is a string over
-``IXYZ`` with one gate per qubit; the sign matrix collects the sign picked up
-by every coupling under every pattern.  ``sign_weights`` turns it into the
-time-weighted sign sum of a schedule, w_alpha = sum_k t_k s_alpha(P_k): the
-schedule implements w_alpha h_alpha / T on coupling alpha.  Every sign weight
-in the package comes from ``_SIGN_TABLE`` through ``build_sign_matrix``, one
-gather over a (qubit, pattern) array of gate indices; the dense replay
-conjugates by each gate layer's index flip and phase instead, independently
-of it.
+interaction Hamiltonian, which can only flip the sign of each two-body term.
+Every Pauli string, be it a gate layer (pattern), a two-body term or an
+observable, is a pair of bit masks (x, z), packed by ``PauliMasks`` in one
+layout for every size; letters exist only in text, read by ``from_text``
+and written by ``to_text``.  A term (tx, tz) under a layer (x, z) picks up
+the sign (-1)^popcount((x & tz) ^ (z & tx)) (Dehaene & De Moor 2003;
+Aaronson & Gottesman 2004).  ``sign_weights`` sums those signs over a
+schedule, w_alpha = sum_k t_k s_alpha(P_k): the schedule implements
+w_alpha h_alpha / T on coupling alpha.  Every sign in the package comes from
+that parity, ``_symplectic_signs``; the dense replay conjugates by each gate
+layer's index flip and phase instead, independently of it.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,26 +24,71 @@ from .pauli import AXES, CouplingKey, InteractionGraph, is_zz_only
 
 GATES = "IXYZ"
 
-#: sign of g s^a g' for gate g (rows, order IXYZ) and axis a (cols, order xyz)
-_SIGN_TABLE = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
-    dtype=np.int8,
-)
-#: gate index of each ASCII letter in GATES, read by the letter's byte value
-_GATE_INDEX = np.zeros(128, dtype=np.intp)
-_GATE_INDEX[list(GATES.encode())] = range(len(GATES))
-_AXIS_INDEX = {a: k for k, a in enumerate(AXES)}
+
+@dataclass(frozen=True, eq=False)
+class PauliMasks:
+    """Pauli strings as rows of packed uint8 bit masks ``x`` and ``z``, shape (count, ceil(n_qubits / 8)).
+
+    Qubit 0 is the top bit of the first byte (``np.packbits``), the order in which ``dense`` indexes basis states."""
+
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def _from_gates(cls, gates: np.ndarray) -> "PauliMasks":
+        """Rows of indices into ``GATES``; the table holds the x bit (top row) and the z bit of I, X, Y, Z."""
+        x, z = np.packbits(np.take(np.array([[0, 1, 1, 0], [0, 0, 1, 1]], dtype=bool), gates, axis=1), axis=-1)
+        return cls(gates.shape[1], x, z)
+
+    @classmethod
+    def from_text(cls, labels: Sequence[str], n_qubits: int | None = None) -> "PauliMasks":
+        """Strings over ``GATES``, qubit 0 leftmost, each ``n_qubits`` long (default: the first's length)."""
+        for label in labels:
+            if not (isinstance(label, str) and label and set(label) <= set(GATES)):
+                raise ValidationError(f"pattern must be a nonempty string over {GATES}, got {label!r}")
+        n = len(labels[0]) if n_qubits is None else n_qubits
+        for label in labels:
+            if len(label) != n:
+                raise ValidationError(f"pattern {label!r} has length {len(label)}, expected {n}")
+        gates = np.array([[GATES.index(gate) for gate in label] for label in labels], dtype=np.uint8)
+        return cls._from_gates(gates.reshape(len(labels), n))
+
+    @classmethod
+    def from_axes(cls, shape: tuple[int, int], rows, qubits, axes: Sequence[str]) -> "PauliMasks":
+        """(count, n_qubits) strings, axis ``axes[k]`` on qubit ``qubits[k]`` of row ``rows[k]``, else I."""
+        gates = np.zeros(shape, dtype=np.uint8)
+        gates[rows, np.asarray(qubits, dtype=np.intp)] = [1 + AXES.index(a) for a in axes]  # X, Y, Z follow I
+        return cls._from_gates(gates)
+
+    def to_text(self) -> list[str]:
+        x = np.unpackbits(self.x, axis=-1, count=self.n_qubits)
+        z = np.unpackbits(self.z, axis=-1, count=self.n_qubits)
+        letters = np.array(list(GATES))[np.where(z, 3 - x, x)]  # the inverse of _from_gates
+        return ["".join(row) for row in letters]
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows) -> "PauliMasks":
+        width = self.x.shape[1]
+        return PauliMasks(self.n_qubits, self.x[rows].reshape(-1, width), self.z[rows].reshape(-1, width))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, PauliMasks) and self.n_qubits == other.n_qubits
+        return same and np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z)
 
 
-def validate_pattern(pattern: str, n_qubits: int) -> str:
-    if not isinstance(pattern, str) or not pattern:
-        raise ValidationError(f"pattern must be a nonempty string, got {pattern!r}")
-    bad = set(pattern) - set(GATES)
-    if bad:
-        raise ValidationError(f"pattern {pattern!r} uses gates outside {GATES}: {sorted(bad)}")
-    if len(pattern) != n_qubits:
-        raise ValidationError(f"pattern {pattern!r} has length {len(pattern)}, expected {n_qubits}")
-    return pattern
+def term_masks(keys: Sequence[CouplingKey], n_qubits: int) -> PauliMasks:
+    """The two-body Pauli string of each coupling key."""
+    i, j, mu, nu = zip(*keys) if keys else ((), (), (), ())
+    return PauliMasks.from_axes((len(keys), n_qubits), [*range(len(keys))] * 2, i + j, mu + nu)
+
+
+def _symplectic_signs(terms: PauliMasks, layers: PauliMasks) -> np.ndarray:
+    """int8 (-1)^popcount((x & tz) ^ (z & tx)), one row per term and one column per layer."""
+    odd = np.bitwise_count((terms.x[:, None] & layers.z) ^ (terms.z[:, None] & layers.x)).sum(axis=-1) & 1
+    return np.array([1, -1], dtype=np.int8)[odd]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,44 +98,19 @@ class SignMatrix:
     entries: np.ndarray  # shape (len(rows), len(patterns)), values in {+1, -1}
 
 
-def build_sign_matrix(patterns: Sequence[str], rows: Sequence[CouplingKey]) -> SignMatrix:
-    """Entry-complete sign matrix for the given patterns and coupling keys.
-
-    A repeated pattern repeats its column (a schedule read from text may list
-    a block twice).  The patterns are checked in one pass, every letter in
-    ``GATES`` and the shortest at least ``n_min`` long; the entries come from
-    one gather over their first ``n_min`` letters, where ``n_min`` is one past
-    the highest qubit the rows touch.
-    """
-    if not patterns:
-        raise ValidationError("at least one pattern is required")
+def build_sign_matrix(patterns: PauliMasks, rows: Sequence[CouplingKey]) -> SignMatrix:
+    """Entry-complete sign matrix; a repeated pattern (a schedule's text may list one twice) repeats its column."""
     if not rows:
         raise ValidationError("at least one coupling row is required")
-    n_min = max(k.j for k in rows) + 1
-    non_strings = [p for p in patterns if not isinstance(p, str)]
-    if non_strings:
-        raise ValidationError(f"pattern must be a nonempty string, got {non_strings[0]!r}")
-    bad = set("".join(patterns)) - set(GATES)
-    if bad:
-        raise ValidationError(f"patterns use gates outside {GATES}: {sorted(bad)}")
-    shortest = min(patterns, key=len)
-    if len(shortest) < n_min:
-        raise ValidationError(f"pattern {shortest!r} too short for rows up to qubit {n_min - 1}")
-    # gates[q, col]: gate index of qubit q in pattern col; one gather gives every entry
-    letters = np.frombuffer("".join(p[:n_min] for p in patterns).encode("ascii"), dtype=np.uint8)
-    gates = _GATE_INDEX[letters.reshape(len(patterns), n_min).T]
-    i_idx = np.array([k.i for k in rows], dtype=np.intp)
-    j_idx = np.array([k.j for k in rows], dtype=np.intp)
-    mu_idx = np.array([_AXIS_INDEX[k.mu] for k in rows], dtype=np.intp)[:, None]
-    nu_idx = np.array([_AXIS_INDEX[k.nu] for k in rows], dtype=np.intp)[:, None]
-    entries = _SIGN_TABLE[gates[i_idx], mu_idx] * _SIGN_TABLE[gates[j_idx], nu_idx]
+    top = max(k.j for k in rows)
+    if top >= patterns.n_qubits:
+        raise ValidationError(f"rows up to qubit {top} exceed the {patterns.n_qubits}-qubit patterns")
+    entries = _symplectic_signs(term_masks(rows, patterns.n_qubits), patterns)
     entries.setflags(write=False)
     return SignMatrix(entries)
 
 
-def sign_weights(
-    patterns: Sequence[str], times: Sequence[float], keys: Sequence[CouplingKey]
-) -> np.ndarray:
+def sign_weights(patterns: PauliMasks, times: Sequence[float], keys: Sequence[CouplingKey]) -> np.ndarray:
     """Time-weighted sign sums w_alpha = sum_k t_k * s_alpha(P_k), one per key.
 
     The blocks are added left to right, in schedule order, so every weight is
@@ -100,7 +120,7 @@ def sign_weights(
     if len(times) != len(patterns):
         raise ValidationError("patterns and times must have equal length")
     weights = np.zeros(len(keys))
-    if not patterns or not keys:
+    if not len(patterns) or not keys:
         return weights
     columns = build_sign_matrix(patterns, keys).entries
     for k, time in enumerate(times):
@@ -127,37 +147,32 @@ def generate_candidate_patterns(
     source_support: InteractionGraph,
     requested: int,
     rng_seed: int,
-) -> list[str]:
-    """Deterministic, duplicate-free pattern list with the identity first.
+) -> PauliMasks:
+    """Deterministic, duplicate-free patterns with the identity first.
 
-    The identity pattern is always element 0.  A request for the whole space
-    lists it: the rest of ``itertools.product(alphabet, repeat=n)`` follows in
-    the seed's permutation, so Dantzig's first-index ties fall differently
-    from seed to seed.  Below the whole space the rest are sampled from the
-    seeded stream, so growing ``requested`` with the same seed extends the
-    previous list (prefix property), up to but not including the whole space.
-    Sampled candidates stay fixed-width byte rows, one letter per qubit, until
-    the returned ones are decoded; they are never packed into an integer,
-    which would overflow at 4^32 patterns.
+    A whole-space request lists ``itertools.product(alphabet, repeat=n)``,
+    pattern k the digits of k, in the seed's permutation, so Dantzig's
+    first-index ties fall differently from seed to seed.  Below it, the
+    seeded ``rng.integers`` rows follow, deduplicated in first-occurrence
+    order, so a larger request extends a smaller one (prefix property).  No
+    row is ever one integer, which would overflow at 4^32 patterns.
     """
     if requested < 1:
         raise ValidationError(f"requested must be >= 1, got {requested}")
     n = source_support.n_qubits
     alphabet = pattern_alphabet(source_support)
-    total = len(alphabet) ** n
+    base = len(alphabet)
+    total = base**n
     if requested > total:
         raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}")
-    if requested == total:
-        space = ["".join(p) for p in itertools.product(alphabet, repeat=n)]
-        order = np.random.default_rng(rng_seed).permutation(total - 1) + 1
-        return [space[0]] + [space[k] for k in order]
-    # each chunk's rows become fixed-width byte strings by one gather into the
-    # alphabet's letters; a dict keeps them in first-occurrence order
-    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
-    seen = dict.fromkeys([b"I" * n])
     rng = np.random.default_rng(rng_seed)
-    chunk = max(64, requested)
-    while len(seen) < requested:
-        draws = rng.integers(0, len(alphabet), size=(chunk, n))
-        seen.update(dict.fromkeys(letters[draws].view(f"S{n}").ravel().tolist()))
-    return [row.decode("ascii") for row in list(seen)[:requested]]
+    if requested == total:
+        order = np.arange(total)
+        rng.shuffle(order[1:])  # the identity stays first
+        gates = order[:, None] // base ** np.arange(n - 1, -1, -1) % base
+    else:
+        gates = np.zeros((1, n), dtype=np.int64)  # the identity
+        while len(first := np.unique(gates, axis=0, return_index=True)[1]) < requested:
+            gates = np.concatenate([gates, rng.integers(0, base, size=(max(64, requested), n))])
+        gates = gates[np.sort(first)[:requested]]
+    return PauliMasks._from_gates(gates)  # both alphabets begin GATES, so a digit is a gate index

@@ -1,38 +1,34 @@
 """Exact dense ground truth for small systems.
 
 Builds Hermitian operators from coupling vectors, evaluates the two matrix
-norms used by the stability analysis, replays schedules as products of block
-unitaries, and measures the exact deviation of one observable between the
-ideal and the faulty evolution of |+>^N.  Qubit 0 is the top bit of a basis
-index, and every dense path is held to ``DEFAULT_QUBIT_CAP`` qubits by
-``build_dense``, which each of them goes through.
+norms used by the stability analysis, replays schedules, and measures the
+exact deviation of one observable between the ideal and the faulty
+evolution of |+>^N.  Every dense path goes through ``build_dense``, which
+holds it to ``DEFAULT_QUBIT_CAP`` qubits; correctness over speed.
 
-Everything here is a ground-truth provider: correctness over speed.  A Pauli
-string, whether a two-body term, a gate layer or the observable, is never a
-matrix here: it acts by an index flip and a phase, (P v)[t] = phase[t] *
-v[source[t]], and its Z signs are bit parities of the index.  A ZZ-only
-Hamiltonian is diagonal, so it is kept as its real 2^N diagonal; its norms
-and evolution are vectors of that length, and its replay adds up one real
-phase, sum_k t_k G_k d G_k, and takes one exponential, since diagonal blocks
-commute.  On ZZ couplings nothing here allocates a 2^N x 2^N array.  Any
-other Hamiltonian is diagonalized once per replay, and each block's
-exponential is that of H conjugated by its gate layer G: exp(-it GHG) =
-G exp(-itH) G.  The replay conjugates by the gate layers themselves,
-independently of the sign kernel in ``blocks``.
+A Pauli string, be it a two-body term, a gate layer or the observable, is
+never a matrix here.  Its ``PauliMasks`` become basis-index masks, qubit 0
+the top bit, and it acts by an index flip and a phase, (P v)[t] = phase[t] *
+v[source[t]].  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, and
+its replay adds up one real phase, sum_k t_k G_k d G_k, since diagonal
+blocks commute; on ZZ couplings nothing here allocates a 2^N x 2^N array.
+Any other Hamiltonian is diagonalized once per replay, each block being
+exp(-it GHG) = G exp(-itH) G for its gate layer G.  The replay conjugates by
+the gate layers themselves, independently of the sign kernel in ``blocks``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import PauliMasks, term_masks
 from .errors import ValidationError
-from .pauli import CouplingVector, is_zz_only
+from .pauli import AXES, CouplingVector, is_zz_only
 
 DEFAULT_QUBIT_CAP = 10
 HERMITICITY_TOL = 1e-12
-
-_AXIS_TO_GATE = {"x": "X", "y": "Y", "z": "Z"}
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -53,26 +49,18 @@ def _parity_sign(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
-def _mask(label: str, letters: str) -> int:
-    """Bit mask of the qubits whose letter is in ``letters``; qubit 0 is the top bit."""
-    n = len(label)
-    return sum(1 << (n - 1 - q) for q, gate in enumerate(label) if gate in letters)
+def _index_masks(bits: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Packed ``PauliMasks`` rows as basis-index masks: qubit q is bit N - 1 - q."""
+    return np.unpackbits(bits, axis=-1, count=n_qubits) @ (1 << np.arange(n_qubits - 1, -1, -1))
 
 
-def _flip_and_phase(label: str) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with (P v)[t] = phase[t] * v[source[t]] for the string P.
+def _flip_and_phase(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P v)[t] = phase[t] * v[source[t]] for the string of index masks x, z.
 
-    ``source`` flips the X and Y qubits; phase[t] = i^(#Y) * (-1)^(parity of
-    source[t] on the Y and Z qubits).
+    ``source`` flips the qubits of x; phase[t] = i^(#Y) * (-1)^(parity of source[t] & z), Y = x & z.
     """
-    source = np.arange(2 ** len(label)) ^ _mask(label, "XY")
-    return source, 1j ** (label.count("Y") % 4) * _parity_sign(source & _mask(label, "YZ"))
-
-
-def apply_pauli_string(label: str, state: np.ndarray) -> np.ndarray:
-    """P @ state for the Pauli string ``label``, by index flip and phase."""
-    source, phase = _flip_and_phase(label)
-    return phase * state[source]
+    source = np.arange(dim) ^ x
+    return source, 1j ** (int(x & z).bit_count() % 4) * _parity_sign(source & z)
 
 
 def build_dense(h: CouplingVector) -> DenseHamiltonian:
@@ -80,17 +68,16 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
     _check_cap(h.n_qubits)
     n = h.n_qubits
     dim = 2**n
+    terms = term_masks(h.keys(), n)
+    phases = _index_masks(terms.z, n)
     if is_zz_only(h.keys()):
-        pairs = np.array([(1 << (n - 1 - key.i)) | (1 << (n - 1 - key.j)) for key in h.keys()], dtype=np.int64)
         # one row per term; the sum down axis 0 adds the rows in key order
-        terms = h.values_array()[:, None] * _parity_sign(np.arange(dim) & pairs[:, None])
-        return DenseHamiltonian(n, terms.sum(axis=0))
+        signed = h.values_array()[:, None] * _parity_sign(np.arange(dim) & phases[:, None])
+        return DenseHamiltonian(n, signed.sum(axis=0))
     matrix = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
-    for key, value in h.items():
-        label = ["I"] * n
-        label[key.i], label[key.j] = _AXIS_TO_GATE[key.mu], _AXIS_TO_GATE[key.nu]
-        source, phase = _flip_and_phase("".join(label))
+    for value, x, z in zip(h.values_array(), _index_masks(terms.x, n), phases):
+        source, phase = _flip_and_phase(x, z, dim)
         matrix[rows, source] += value * phase
     return DenseHamiltonian(n, matrix)
 
@@ -111,32 +98,35 @@ def operator_norm(h: DenseHamiltonian) -> float:
 
 
 def frobenius_norm(h: DenseHamiltonian) -> float:
-    """sqrt(Tr(H^dag H)).
+    """sqrt(Tr(H^dag H)), of the entries scaled by 2^-e, e the exponent of the largest.
 
-    Summed with numpy's pairwise reduction rather than ``np.linalg.norm``,
-    whose BLAS dot product rounds differently with the BLAS thread count.
+    A power of two scales exactly, and the squares cannot overflow.  Summed
+    with numpy's pairwise reduction rather than ``np.linalg.norm``, whose BLAS
+    dot product rounds differently with the BLAS thread count.
     """
     m = h.matrix
-    return float(np.sqrt(np.sum(np.square(m.real)) + np.sum(np.square(m.imag))))
+    e = math.frexp(np.abs(m).max(initial=0.0))[1]
+    squares = np.sum(np.square(np.ldexp(m.real, -e))) + np.sum(np.square(np.ldexp(m.imag, -e)))
+    return math.ldexp(math.sqrt(squares), e)
 
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """One Pauli string of unit norm, such as ``IXI`` (qubit 0 leftmost)."""
+    """One Pauli string of unit norm, one row of ``PauliMasks`` (``PauliMasks.from_text(["IXI"])``)."""
 
-    label: str
-
-    def __post_init__(self):
-        if not self.label or not set(self.label) <= set("IXYZ"):
-            raise ValidationError(f"pauli string {self.label!r} must be non-empty and use only IXYZ")
+    string: PauliMasks
 
     @property
     def n_qubits(self) -> int:
-        return len(self.label)
+        return self.string.n_qubits
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(q for q, gate in enumerate(self.label) if gate != "I")
+        return frozenset(np.flatnonzero(np.unpackbits(self.string.x | self.string.z, count=self.n_qubits)).tolist())
+
+    @functools.cached_property
+    def index_masks(self) -> tuple[int, int]:
+        return int(_index_masks(self.string.x, self.n_qubits)[0]), int(_index_masks(self.string.z, self.n_qubits)[0])
 
 
 def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
@@ -147,18 +137,16 @@ def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
     """
     if h.ndim != 1:
         raise ValidationError("the commutator norm takes a ZZ-only Hamiltonian's diagonal, not a full matrix")
-    return float(np.abs(h - _conjugate(h, observable.label)).max(initial=0.0))
+    return float(np.abs(h - _conjugate(h, *observable.index_masks)).max(initial=0.0))
 
 
 def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableSpec:
     """sigma^axis acting on one qubit, identity elsewhere."""
-    gate = _AXIS_TO_GATE.get(axis)
-    if gate is None:
+    if axis not in AXES:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
     if not 0 <= qubit < n_qubits:
         raise ValidationError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    label = "".join(gate if q == qubit else "I" for q in range(n_qubits))
-    return ObservableSpec(label)
+    return ObservableSpec(PauliMasks.from_axes((1, n_qubits), [0], [qubit], [axis]))
 
 
 # -- the initial state -------------------------------------------------------
@@ -187,12 +175,12 @@ def evolution_unitary(h: CouplingVector, time: float) -> np.ndarray:
     return _propagator(build_dense(h).matrix)(time)
 
 
-def _conjugate(h: np.ndarray, pattern: str) -> np.ndarray:
-    """G H G for the gate layer G of ``pattern``; on a diagonal, X and Y flip bits."""
+def _conjugate(h: np.ndarray, x: int, z: int) -> np.ndarray:
+    """G H G for the gate layer G of index masks x, z; on a diagonal, x flips bits."""
     if h.ndim == 1:
-        return h[np.arange(h.size) ^ _mask(pattern, "XY")]
+        return h[np.arange(h.size) ^ x]
     # (G H G)[a, b] = phase[a] * H[source[a], source[b]] * conj(phase[b])
-    source, phase = _flip_and_phase(pattern)
+    source, phase = _flip_and_phase(x, z, h.shape[0])
     return phase[:, None] * h[np.ix_(source, source)] * phase.conj()
 
 
@@ -218,15 +206,15 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     h = build_dense(h_real).matrix
+    flips = _index_masks(schedule.patterns.x, n)
     if h.ndim == 1:
-        flips = np.array([_mask(pattern, "XY") for pattern in schedule.patterns], dtype=np.int64)
         phase = (np.array(schedule.times)[:, None] * h[np.arange(h.size) ^ flips[:, None]]).sum(axis=0)
         return np.exp(-1j * phase)
     evolve = _propagator(h)
     cycle = np.eye(2**n, dtype=complex)
-    for pattern, time in zip(schedule.patterns, schedule.times):
+    for x, z, time in zip(flips, _index_masks(schedule.patterns.z, n), schedule.times):
         # earlier blocks act first
-        cycle = _conjugate(evolve(time / q), pattern) @ cycle
+        cycle = _conjugate(evolve(time / q), x, z) @ cycle
     return np.linalg.matrix_power(cycle, int(q))
 
 
@@ -234,7 +222,8 @@ def _expectation(observable: ObservableSpec, u: np.ndarray) -> float:
     """<+|U^dag P U|+> for the string P; ``u`` may be a diagonal given as a vector."""
     plus = plus_state(observable.n_qubits)
     state = u * plus if u.ndim == 1 else u @ plus
-    return float(np.vdot(state, apply_pauli_string(observable.label, state)).real)
+    source, phase = _flip_and_phase(*observable.index_masks, state.size)
+    return float(np.vdot(state, phase * state[source]).real)
 
 
 def expectation_deviation(

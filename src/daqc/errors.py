@@ -23,9 +23,5 @@ class LpSolverStallError(DaqcError):
     """Simplex exceeded its pivot budget without reaching a verdict."""
 
 
-class OracleLimitError(ValidationError):
-    """Brute-force oracle refused an instance above its size limits."""
-
-
 class InternalConsistencyError(DaqcError):
     """Two independent computations of the same quantity disagree."""

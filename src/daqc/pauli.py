@@ -276,7 +276,10 @@ def vector_p_norm(vector: CouplingVector, p: float) -> float:
     if p == 1.0:
         return float(values.sum())
     if p == 2.0:
-        return float(np.linalg.norm(values))
+        # np.linalg.norm's sqrt(x . x) of x scaled by 2^-e, e the largest's exponent: exact, and no overflow
+        e = math.frexp(values.max())[1]
+        scaled = np.ldexp(values, -e)
+        return math.ldexp(math.sqrt(scaled.dot(scaled)), e)
     # rescale for overflow safety on large p
     top = values.max()
     if top == 0.0:

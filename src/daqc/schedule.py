@@ -13,20 +13,20 @@ policies exist for those couplings:
   zero right-hand side, forcing the block signs to cancel there so unmeasured
   couplings average away during the run.
 
-Both modes draw their candidate patterns from the same seeded stream over
-the defect support, so paired syntheses of one problem differ only in their
-row sets.  That makes the removed-rows optimum provably no longer than the
+Both modes draw their candidate patterns, bit masks, from one seeded stream
+over the defect support, so paired syntheses of one problem differ only in
+their row sets.  That makes the removed-rows optimum provably no longer than the
 mitigated one whenever both solve over the same candidate set.
 
 Patterns with equal sign columns on the LP's rows are one variable to the LP;
-on ZZ rows a pattern and its global X flip always are.  Only the first such
-pattern in candidate order reaches ``lp.solve``, which leaves its pivots and
-vertex as they were with every copy present: a later copy has the same
-reduced cost as its first, so neither Dantzig pricing (first minimum) nor
-Bland's rule on degenerate runs enters it first; the drive-out's ``argmax``
-takes the first of equal entries; and dropping columns keeps the order of
-the rest.  The exhaustive ZZ program at N qubits thus has 2^(N-1) columns,
-not 2^N, when its rows connect all N.
+on ZZ rows a pattern and its global X flip always are.  Only the first in
+candidate order (``np.unique`` on the columns' bytes) reaches ``lp.solve``,
+so its pivots and vertex stay as with every copy present: a later copy has
+the same reduced cost as its first, so neither Dantzig pricing (first
+minimum) nor Bland's rule on degenerate runs enters it first; the
+drive-out's ``argmax`` takes the first of equal entries; and dropping
+columns keeps the order of the rest.  The exhaustive ZZ program at N qubits
+thus has 2^(N-1) columns, not 2^N, when its rows connect all N.
 
 The program over the whole pattern space is always feasible: its rows are
 distinct Walsh characters of the pattern group, so it has full row rank, and
@@ -42,13 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .blocks import (
-    build_sign_matrix,
-    generate_candidate_patterns,
-    pattern_space_size,
-    sign_weights,
-    validate_pattern,
-)
+from .blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 
@@ -79,20 +73,19 @@ class Schedule:
     """Timed sequence of gate patterns targeting ``h_P`` for time ``target_time``.
 
     The blocks are all it holds, so a schedule read back from its text equals
-    the one written.
+    the one written; the text is the only place its patterns are letters.
     """
 
     n_qubits: int
-    patterns: tuple[str, ...]
+    patterns: PauliMasks
     times: tuple[float, ...]
     target_time: float
     mode: SynthesisMode
 
     def __post_init__(self):
-        if len(self.patterns) != len(self.times):
-            raise ValidationError("patterns and times must have equal length")
-        for p in self.patterns:
-            validate_pattern(p, self.n_qubits)
+        if (self.patterns.n_qubits, len(self.patterns)) != (self.n_qubits, len(self.times)):
+            raise ValidationError(f"{len(self.patterns)} patterns on {self.patterns.n_qubits} qubits, expected "
+                                  f"one per time ({len(self.times)}) on {self.n_qubits}")
         bad = [t for t in self.times if not (t >= 0 and math.isfinite(t))]
         if bad:
             raise ValidationError(f"block times must be finite and nonnegative, got {bad[0]}")
@@ -113,7 +106,7 @@ class Schedule:
             f"T={self.target_time:.{FLOAT_DIGITS}g}",
             f"mode={self.mode.value}",
         ]
-        for pattern, time in zip(self.patterns, self.times):
+        for pattern, time in zip(self.patterns.to_text(), self.times):
             lines.append(f"{pattern} {time:.{FLOAT_DIGITS}g}")
         return "\n".join(lines) + "\n"
 
@@ -148,7 +141,7 @@ class Schedule:
             raise ValidationError("bad n_qubits or T header") from exc
         return cls(
             n_qubits=n_qubits,
-            patterns=tuple(p for p, _ in blocks),
+            patterns=PauliMasks.from_text([p for p, _ in blocks], n_qubits),
             times=tuple(t for _, t in blocks),
             target_time=target_time,
             mode=SynthesisMode.from_name(header["mode"]),
@@ -212,22 +205,17 @@ def synthesize(
     rhs = np.array([ratios[k] for k in rows])
 
     if not rows:
-        return Schedule(h_problem.n_qubits, (), (), float(target_time), mode)
+        return Schedule(h_problem.n_qubits, PauliMasks.from_text([], h_problem.n_qubits), (), float(target_time), mode)
 
     total = pattern_space_size(defect_support)
     solution = None
-    patterns: list[str] = []
     for requested in _candidate_counts(total, defect_support.edge_count):
         patterns = generate_candidate_patterns(defect_support, requested, rng_seed)
         entries = build_sign_matrix(patterns, rows).entries
-        # the LP gets each distinct column once, at its first pattern (module
-        # docstring); +/-1 bytes hold no NUL for the bytes view to strip
-        columns = np.ascontiguousarray(entries.T).view(f"S{len(rows)}").ravel().tolist()
-        first: dict[bytes, int] = {}
-        for k, column in enumerate(columns):
-            first.setdefault(column, k)
-        keep = list(first.values())
-        patterns = [patterns[k] for k in keep]
+        # the LP gets each distinct column once, at its first pattern (module docstring)
+        columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
+        keep = np.sort(np.unique(columns, return_index=True)[1])
+        patterns = patterns[keep]
         sign_entries = entries[:, keep].astype(float)
         candidate = lp.solve(lp.LinearProgram(sign_entries, rhs))
         if candidate.is_optimal:
@@ -238,15 +226,15 @@ def synthesize(
             f"the LP found no nonnegative block times over all {total} patterns, which always admit them"
         )
 
-    kept = [(p, float(t) * target_time) for p, t in zip(patterns, solution.times) if t > 0.0]
+    kept = solution.times > 0.0
     schedule = Schedule(
         n_qubits=h_problem.n_qubits,
-        patterns=tuple(p for p, _ in kept),
-        times=tuple(t for _, t in kept),
+        patterns=patterns[kept],
+        times=tuple(float(t) * target_time for t in solution.times[kept]),
         target_time=float(target_time),
         mode=mode,
     )
-    _verify_schedule(schedule, rows, sign_entries[:, solution.times > 0.0], h_source, rhs)
+    _verify_schedule(schedule, rows, sign_entries[:, kept], h_source, rhs)
     return schedule
 
 

@@ -22,6 +22,7 @@ from daqc.harness import (
 )
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 from daqc.schedule import SynthesisMode, error_vector, synthesize
+from lp_oracle import brute_force_optimum
 
 MASTER_SEED = 11
 SIZES = (3, 4, 5, 6, 7)
@@ -58,7 +59,7 @@ def _oracle_weight(sched, key) -> float:
     """Sequential time-weighted sign sum of ``key`` over the schedule's blocks."""
     return sum(
         t * _CONJUGATION_SIGN[p[key.i], key.mu] * _CONJUGATION_SIGN[p[key.j], key.nu]
-        for p, t in zip(sched.patterns, sched.times)
+        for p, t in zip(sched.patterns.to_text(), sched.times)
     )
 
 
@@ -345,7 +346,7 @@ def test_c7_lp_against_brute_force():
         rhs = rng.uniform(-2.0, 2.0, size=m)
         program = lp.LinearProgram(matrix, rhs)
         fast = lp.solve(program)
-        slow = lp.brute_force_optimum(program)
+        slow = brute_force_optimum(program)
         assert fast.status == slow.status
         if fast.is_optimal:
             assert abs(fast.objective_value - slow.objective_value) <= 1e-9

@@ -6,6 +6,7 @@ import pytest
 
 from daqc.blocks import (
     GATES,
+    PauliMasks,
     build_sign_matrix,
     generate_candidate_patterns,
     pattern_alphabet,
@@ -47,16 +48,52 @@ def test_conjugation_sign_matches_matrix_oracle():
     # with the identity on qubit 1, the block sign is qubit 0's conjugation sign
     patterns = [gate + "I" for gate in GATES]
     rows = [CouplingKey(0, 1, axis, "z") for axis in AXES]
-    sm = build_sign_matrix(patterns, rows)
+    sm = build_sign_matrix(PauliMasks.from_text(patterns), rows)
     for col, gate in enumerate(GATES):
         for alpha, axis in enumerate(AXES):
             assert sm.entries[alpha, col] == conjugation_sign_oracle(gate, axis)
 
 
+#: the gather table the parity kernel replaced: sign of g s^a g' for gate g
+#: (rows, order IXYZ) and axis a (columns, order xyz)
+_SIGN_TABLE = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.int8)
+
+
+def test_parity_kernel_matches_the_gate_table_on_every_three_qubit_pattern():
+    # all 27 two-body axis rows on three qubits, under all 64 IXYZ^3 patterns
+    rows = [CouplingKey(i, j, mu, nu) for i, j in itertools.combinations(range(3), 2) for mu in AXES for nu in AXES]
+    patterns = ["".join(p) for p in itertools.product(GATES, repeat=3)]
+    sm = build_sign_matrix(PauliMasks.from_text(patterns), rows)
+    assert sm.entries.shape == (27, 64) and sm.entries.dtype == np.int8
+    for col, pattern in enumerate(patterns):
+        for alpha, key in enumerate(rows):
+            gate_i, gate_j = GATES.index(pattern[key.i]), GATES.index(pattern[key.j])
+            expected = _SIGN_TABLE[gate_i, AXES.index(key.mu)] * _SIGN_TABLE[gate_j, AXES.index(key.nu)]
+            assert sm.entries[alpha, col] == expected, (pattern, key)
+
+
+def test_text_round_trips_through_the_masks_above_64_qubits():
+    rng = np.random.default_rng(3)
+    labels = ["".join(rng.choice(list(GATES), size=70)) for _ in range(5)]
+    masks = PauliMasks.from_text(labels)
+    assert masks.x.shape == (5, 9) and masks.to_text() == labels
+    assert masks[[4, 0]].to_text() == [labels[4], labels[0]]
+    # qubit 69 is the sixth bit of the last byte; a term on it flips under X there
+    far = PauliMasks.from_text(["I" * 69 + "X", "I" * 70])
+    assert build_sign_matrix(far, [zz(0, 69)]).entries.tolist() == [[-1, 1]]
+
+
+def test_parser_rejects_patterns_of_unequal_lengths():
+    with pytest.raises(ValidationError, match="expected 2"):
+        PauliMasks.from_text(["XI", "XII"])
+    with pytest.raises(ValidationError, match="expected 3"):
+        PauliMasks.from_text(["XI"], 3)
+
+
 def test_block_sign_matches_oracle_on_all_gate_and_axis_pairs():
     patterns = [gi + gj for gi, gj in itertools.product(GATES, repeat=2)]
     rows = [CouplingKey(0, 1, mu, nu) for mu, nu in itertools.product(AXES, repeat=2)]
-    sm = build_sign_matrix(patterns, rows)
+    sm = build_sign_matrix(PauliMasks.from_text(patterns), rows)
     assert sm.entries.shape == (9, 16)
     for col, pattern in enumerate(patterns):
         for alpha, key in enumerate(rows):
@@ -64,16 +101,16 @@ def test_block_sign_matches_oracle_on_all_gate_and_axis_pairs():
 
 
 def test_block_sign_identity_pattern():
-    assert build_sign_matrix(["III"], [zz(0, 2)]).entries[0, 0] == 1
+    assert build_sign_matrix(PauliMasks.from_text(["III"]), [zz(0, 2)]).entries[0, 0] == 1
 
 
 def test_block_sign_single_and_double_flip():
-    assert build_sign_matrix(["XI", "XX"], [zz(0, 1)]).entries.tolist() == [[-1, 1]]
+    assert build_sign_matrix(PauliMasks.from_text(["XI", "XX"]), [zz(0, 1)]).entries.tolist() == [[-1, 1]]
 
 
 def test_block_sign_pattern_too_short():
     with pytest.raises(ValidationError):
-        build_sign_matrix(["XI"], [zz(0, 2)])
+        build_sign_matrix(PauliMasks.from_text(["XI"]), [zz(0, 2)])
 
 
 @pytest.mark.parametrize("patterns", [
@@ -81,44 +118,46 @@ def test_block_sign_pattern_too_short():
 ], ids=["list", "bytes", "none", "empty", "lowercase", "unknown", "non-ascii", "too-short",
         "bad-letter-beyond-rows", "one-non-string"])
 def test_malformed_patterns_rejected(patterns):
+    # the parser rejects what is not a string over IXYZ; the sign matrix, rows beyond the patterns
     with pytest.raises(ValidationError):
-        build_sign_matrix(patterns, [zz(0, 2)])
+        build_sign_matrix(PauliMasks.from_text(patterns), [zz(0, 2)])
 
 
 def test_patterns_of_unequal_lengths_match_oracle():
+    # every width packs qubits 0 and 1 into the same two bits
     patterns = ["XY", "ZIX", "IYZI", "YX"]
     rows = [CouplingKey(0, 1, mu, nu) for mu, nu in itertools.product(AXES, repeat=2)]
-    sm = build_sign_matrix(patterns, rows)
-    for col, pattern in enumerate(patterns):
+    for pattern in patterns:
+        sm = build_sign_matrix(PauliMasks.from_text([pattern]), rows)
         for alpha, key in enumerate(rows):
-            assert sm.entries[alpha, col] == oracle_sign(pattern, key)
+            assert sm.entries[alpha, 0] == oracle_sign(pattern, key)
 
 
 def test_three_qubit_sign_matrix_worked_example():
     rows = [zz(0, 1), zz(0, 2), zz(1, 2)]
     patterns = ["III", "IXX", "IXI", "IIX"]
-    sm = build_sign_matrix(patterns, rows)
+    sm = build_sign_matrix(PauliMasks.from_text(patterns), rows)
     expected = np.array([[1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1]])
     assert np.array_equal(sm.entries, expected)
 
 
 def test_single_identity_pattern_gives_all_plus_column():
     rows = [zz(0, 1), zz(1, 2), CouplingKey(0, 2, "x", "y")]
-    sm = build_sign_matrix(["III"], rows)
+    sm = build_sign_matrix(PauliMasks.from_text(["III"]), rows)
     assert np.array_equal(sm.entries, np.ones((3, 1), dtype=int))
 
 
 def test_mixed_axis_entry():
-    sm = build_sign_matrix(["ZZ"], [CouplingKey(0, 1, "z", "x")])
+    sm = build_sign_matrix(PauliMasks.from_text(["ZZ"]), [CouplingKey(0, 1, "z", "x")])
     assert sm.entries[0, 0] == -1
 
 
 def test_repeated_pattern_repeats_its_column():
     # a schedule read from text may list a block twice
     rows = [zz(0, 1), CouplingKey(0, 1, "x", "z")]
-    sm = build_sign_matrix(["XI", "II", "XI"], rows)
+    sm = build_sign_matrix(PauliMasks.from_text(["XI", "II", "XI"]), rows)
     assert np.array_equal(sm.entries[:, 0], sm.entries[:, 2])
-    assert np.array_equal(sm.entries[:, :2], build_sign_matrix(["XI", "II"], rows).entries)
+    assert np.array_equal(sm.entries[:, :2], build_sign_matrix(PauliMasks.from_text(["XI", "II"]), rows).entries)
 
 
 def test_ix_columns_equal_cut_signs():
@@ -126,7 +165,7 @@ def test_ix_columns_equal_cut_signs():
     for n in (2, 3, 4):
         rows = [zz(i, j) for i in range(n) for j in range(i + 1, n)]
         patterns = ["".join(p) for p in itertools.product("IX", repeat=n)]
-        sm = build_sign_matrix(patterns, rows)
+        sm = build_sign_matrix(PauliMasks.from_text(patterns), rows)
         for col, pattern in enumerate(patterns):
             x = np.array([-1 if g == "X" else 1 for g in pattern])
             expected = [x[k.i] * x[k.j] for k in rows]
@@ -135,7 +174,7 @@ def test_ix_columns_equal_cut_signs():
 
 def test_sign_matrix_determinism():
     rows = [zz(0, 1), zz(1, 2)]
-    patterns = ["III", "XIX"]
+    patterns = PauliMasks.from_text(["III", "XIX"])
     a = build_sign_matrix(patterns, rows)
     b = build_sign_matrix(patterns, rows)
     assert a.entries.tobytes() == b.entries.tobytes()
@@ -143,8 +182,8 @@ def test_sign_matrix_determinism():
 
 def test_sign_weights_of_empty_schedule_are_zero():
     keys = [zz(0, 1), zz(1, 2)]
-    assert sign_weights([], [], keys).tolist() == [0.0, 0.0]
-    assert sign_weights(["XIX"], [0.5], []).shape == (0,)
+    assert sign_weights(PauliMasks.from_text([], 3), [], keys).tolist() == [0.0, 0.0]
+    assert sign_weights(PauliMasks.from_text(["XIX"]), [0.5], []).shape == (0,)
 
 
 def test_sign_weights_match_sequential_oracle_bit_for_bit():
@@ -156,7 +195,7 @@ def test_sign_weights_match_sequential_oracle_bit_for_bit():
         patterns = ["".join(rng.choice(list(GATES), size=n)) for _ in range(rng.integers(1, 12))]
         patterns.append(patterns[0])  # a schedule read from text may repeat a block
         times = rng.uniform(0.0, 3.0, size=len(patterns)).tolist()
-        weights = sign_weights(patterns, times, keys)
+        weights = sign_weights(PauliMasks.from_text(patterns), times, keys)
         for alpha, key in enumerate(keys):
             expected = sum(t * oracle_sign(p, key) for p, t in zip(patterns, times))
             assert weights[alpha] == expected
@@ -177,7 +216,7 @@ def test_alphabet_restriction():
 
 def test_candidates_start_with_identity_and_are_unique():
     g = zz_graph(3, [(0, 1), (0, 2), (1, 2)])
-    pats = generate_candidate_patterns(g, 4, rng_seed=9)
+    pats = generate_candidate_patterns(g, 4, rng_seed=9).to_text()
     assert pats[0] == "III"
     assert len(set(pats)) == 4
     assert all(set(p) <= {"I", "X"} for p in pats)
@@ -185,12 +224,12 @@ def test_candidates_start_with_identity_and_are_unique():
 
 def test_single_candidate_is_identity():
     g = zz_graph(2, [(0, 1)])
-    assert generate_candidate_patterns(g, 1, rng_seed=0) == ["II"]
+    assert generate_candidate_patterns(g, 1, rng_seed=0).to_text() == ["II"]
 
 
 def test_exhaustive_request_covers_whole_alphabet():
     g = zz_graph(3, [(0, 1), (1, 2)])
-    pats = generate_candidate_patterns(g, 8, rng_seed=123)
+    pats = generate_candidate_patterns(g, 8, rng_seed=123).to_text()
     assert pats[0] == "III"
     assert sorted(pats) == sorted("".join(p) for p in itertools.product("IX", repeat=3))
 
@@ -203,9 +242,9 @@ def test_request_beyond_alphabet_exhausts():
 
 def test_candidates_deterministic_and_prefix_stable():
     g = zz_graph(4, [(0, 1), (1, 2), (2, 3)])
-    small = generate_candidate_patterns(g, 5, rng_seed=77)
-    again = generate_candidate_patterns(g, 5, rng_seed=77)
-    grown = generate_candidate_patterns(g, 11, rng_seed=77)
+    small = generate_candidate_patterns(g, 5, rng_seed=77).to_text()
+    again = generate_candidate_patterns(g, 5, rng_seed=77).to_text()
+    grown = generate_candidate_patterns(g, 11, rng_seed=77).to_text()
     assert small == again
     assert grown[:5] == small
 
@@ -218,11 +257,11 @@ def xz_graph(n):
 def test_whole_space_request_is_a_seeded_permutation_of_the_space(graph):
     alphabet = pattern_alphabet(graph)
     space = ["".join(p) for p in itertools.product(alphabet, repeat=graph.n_qubits)]
-    pats = generate_candidate_patterns(graph, len(space), rng_seed=3)
+    pats = generate_candidate_patterns(graph, len(space), rng_seed=3).to_text()
     assert pats[0] == "I" * graph.n_qubits
     assert sorted(pats) == sorted(space) and len(set(pats)) == len(space)
-    assert generate_candidate_patterns(graph, len(space), rng_seed=3) == pats
-    assert generate_candidate_patterns(graph, len(space), rng_seed=4) != pats
+    assert generate_candidate_patterns(graph, len(space), rng_seed=3).to_text() == pats
+    assert generate_candidate_patterns(graph, len(space), rng_seed=4).to_text() != pats
 
 
 def sampled_stream(graph, requested, seed):
@@ -234,8 +273,8 @@ def sampled_stream(graph, requested, seed):
     alphabet = pattern_alphabet(graph)
     total = len(alphabet) ** graph.n_qubits
     if requested < total:
-        return generate_candidate_patterns(graph, requested, rng_seed=seed)
-    patterns = generate_candidate_patterns(graph, total - 1, rng_seed=seed)
+        return generate_candidate_patterns(graph, requested, rng_seed=seed).to_text()
+    patterns = generate_candidate_patterns(graph, total - 1, rng_seed=seed).to_text()
     space = {"".join(p) for p in itertools.product(alphabet, repeat=graph.n_qubits)}
     return patterns + sorted(space - set(patterns))
 
@@ -280,6 +319,6 @@ def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
     (8, "082e349cbbb27820e486acee7aca13f00565bf6b841d8ae68094a3efd0878e96"),
 ])
 def test_whole_space_request_matches_the_recorded_permutation(n, digest):
-    patterns = generate_candidate_patterns(zz_graph(n, [(0, 1)]), 2**n, rng_seed=2024)
+    patterns = generate_candidate_patterns(zz_graph(n, [(0, 1)]), 2**n, rng_seed=2024).to_text()
     assert len(patterns) == 2**n
     assert pattern_digest(patterns) == digest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -372,11 +373,21 @@ def extreme_scale_record(tmp_path):
     return record
 
 
+def test_chain_sweep_above_64_qubits_is_pinned(tmp_path):
+    """SHA-256 of a 70-qubit chain sweep's CSV, where a pattern fits no 64-bit integer."""
+    out = tmp_path / "n70.csv"
+    assert cli.main([
+        "sweep", "--topology", "nn", "--n-min", "70", "--n-max", "70", "--trials", "2",
+        "--seed", "11", "--out", str(out),
+    ]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "4c24c2ad5cdf3f1e6d1eb20fedde7df5b079e9189eaca74197e154b414226003"
+
+
 def test_sweep_at_an_extreme_coupling_scale_exits_zero(tmp_path):
     assert extreme_scale_record(tmp_path).t_a > 0
 
 
-@pytest.mark.xfail(strict=True, reason="known fault: squares of couplings near 1e184 overflow the Frobenius norm")
 def test_extreme_scale_frobenius_norm_is_finite(tmp_path):
     assert math.isfinite(extreme_scale_record(tmp_path).exact_frob)
 

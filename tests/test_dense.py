@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from daqc import blocks, bounds, dense
+from daqc.blocks import PauliMasks
 from daqc.errors import ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph
@@ -202,7 +203,7 @@ def test_operator_norm_below_coupling_one_norm():
 def test_single_qubit_observable_support_and_norm():
     # a single Pauli string has eigenvalues +/-1: its norm is 1, not stored
     obs = dense.single_qubit_observable("x", 1, 3)
-    assert obs == dense.ObservableSpec("IXI")
+    assert obs == dense.ObservableSpec(PauliMasks.from_text(["IXI"]))
     assert obs.support == {1}
     assert obs.n_qubits == 3
 
@@ -210,14 +211,14 @@ def test_single_qubit_observable_support_and_norm():
 @pytest.mark.parametrize("label", ["XQ", ""], ids=["bad-letter", "empty-label"])
 def test_malformed_observable_rejected(label):
     with pytest.raises(ValidationError):
-        dense.ObservableSpec(label)
+        dense.ObservableSpec(PauliMasks.from_text([label]))
 
 
 def test_observable_above_the_cap_builds_no_matrix():
     # the dense cap holds the evolution, not the spec
     n = dense.DEFAULT_QUBIT_CAP + 1
     assert dense.single_qubit_observable("x", 0, n).n_qubits == n
-    assert dense.ObservableSpec("X" * n).support == frozenset(range(n))
+    assert dense.ObservableSpec(PauliMasks.from_text(["X" * n])).support == frozenset(range(n))
 
 
 def test_flip_and_phase_matches_the_string_matrix():
@@ -226,7 +227,9 @@ def test_flip_and_phase_matches_the_string_matrix():
     for letters in itertools.product("IXYZ", repeat=3):
         label = "".join(letters)
         expected = kron_string(label) @ psi
-        assert np.array_equal(dense.apply_pauli_string(label, psi), expected), label
+        observable = dense.ObservableSpec(PauliMasks.from_text([label]))
+        source, phase = dense._flip_and_phase(*observable.index_masks, psi.size)
+        assert np.array_equal(phase * psi[source], expected), label
 
 
 def test_closed_form_commutator_matches_svd():
@@ -237,20 +240,20 @@ def test_closed_form_commutator_matches_svd():
         label = "".join(rng.choice(list("IXYZ"), size=n))
         p = kron_string(label)
         oracle = np.linalg.norm(np.diag(d) @ p - p @ np.diag(d), 2)
-        closed = dense.commutator_norm(d, dense.ObservableSpec(label))
+        closed = dense.commutator_norm(d, dense.ObservableSpec(PauliMasks.from_text([label])))
         assert closed == pytest.approx(oracle, abs=1e-12), label
 
 
 def test_commutator_norm_rejects_a_full_matrix():
     with pytest.raises(ValidationError):
-        dense.commutator_norm(np.eye(4), dense.ObservableSpec("XI"))
+        dense.commutator_norm(np.eye(4), dense.ObservableSpec(PauliMasks.from_text(["XI"])))
 
 
 def test_two_term_observable_matches_its_matrix(chain_problem):
     # a two-qubit string measured from |+>, against its Kronecker matrix
     h_problem, h_source, sched = chain_problem
     h_real = h_source + CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2})
-    obs = dense.ObservableSpec("YYI")
+    obs = dense.ObservableSpec(PauliMasks.from_text(["YYI"]))
     o = kron_string("YYI")
     d = dense.build_dense(effective_couplings(sched, h_real) - h_problem).matrix
     assert dense.commutator_norm(d, obs) == pytest.approx(
@@ -304,7 +307,7 @@ def chain_problem():
 
 
 def test_zero_time_schedule_replays_to_identity():
-    sched = Schedule(2, (), (), 1.0, SynthesisMode.REMOVE_ZEROS)
+    sched = Schedule(2, PauliMasks.from_text([], 2), (), 1.0, SynthesisMode.REMOVE_ZEROS)
     h = CouplingVector(2, {zz(0, 1): 5.0})
     # ZZ couplings replay to the diagonal of the unitary
     assert np.array_equal(dense.replay_unitary(sched, h), np.ones(4, dtype=complex))
@@ -313,8 +316,8 @@ def test_zero_time_schedule_replays_to_identity():
 def test_repeated_block_replays_like_one_longer_block():
     # schedules read from text may list a pattern twice
     h = CouplingVector(2, {zz(0, 1): 1.0, CouplingKey(0, 1, "x", "z"): 0.7})
-    repeated = Schedule(2, ("XI", "XI", "II"), (0.3, 0.2, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
-    merged = Schedule(2, ("XI", "II"), (0.5, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
+    repeated = Schedule(2, PauliMasks.from_text(["XI", "XI", "II"]), (0.3, 0.2, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
+    merged = Schedule(2, PauliMasks.from_text(["XI", "II"]), (0.5, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
     u = dense.replay_unitary(repeated, h)
     assert np.abs(u - dense.replay_unitary(merged, h)).max() <= 1e-12
     assert effective_couplings(repeated, h) == effective_couplings(merged, h)
@@ -322,9 +325,11 @@ def test_repeated_block_replays_like_one_longer_block():
 
 def test_replay_does_not_read_the_sign_kernel(chain_problem, monkeypatch):
     # the replay is the independent check of the block signs: with every sign
-    # of the kernel forced to +1 it must still reproduce the target evolution
+    # of the parity kernel forced to +1 it must still reproduce the target evolution
     h_problem, h_source, sched = chain_problem
-    monkeypatch.setattr(blocks, "_SIGN_TABLE", np.ones_like(blocks._SIGN_TABLE))
+    monkeypatch.setattr(blocks, "_symplectic_signs", lambda terms, layers: np.ones((len(terms), len(layers)), np.int8))
+    poisoned = blocks.sign_weights(sched.patterns, sched.times, [zz(0, 1)])[0]
+    assert poisoned == pytest.approx(sched.total_analog_time)
     u = dense.replay_unitary(sched, h_source)
     assert np.abs(u - dense.evolution_unitary(h_problem, 1.0)).max() <= 1e-10
 
@@ -338,7 +343,7 @@ def test_diagonal_and_full_replay_agree(q):
     assert dense.build_dense(diagonal).matrix.ndim == 1
     assert dense.build_dense(full).matrix.ndim == 2
     patterns = ("XYZ", "IXI", "XYZ", "YIZ")  # one block repeated
-    sched = Schedule(3, patterns, (0.2, 0.3, 0.1, 0.4), 1.0, SynthesisMode.REMOVE_ZEROS)
+    sched = Schedule(3, PauliMasks.from_text(patterns), (0.2, 0.3, 0.1, 0.4), 1.0, SynthesisMode.REMOVE_ZEROS)
     u_diagonal = dense.replay_unitary(sched, diagonal, q=q)
     u_full = dense.replay_unitary(sched, full, q=q)
     assert u_diagonal.shape == (8,) and u_full.shape == (8, 8)
@@ -351,7 +356,7 @@ def block_product_replay(sched, h_real, q):
     d = per_key_zz_diagonal(h_real)
     n, idx = h_real.n_qubits, np.arange(d.size)
     cycle = np.ones(d.size, dtype=complex)
-    for pattern, time in zip(sched.patterns, sched.times):
+    for pattern, time in zip(sched.patterns.to_text(), sched.times):
         flips = sum(1 << (n - 1 - k) for k, gate in enumerate(pattern) if gate in "XY")
         cycle = np.exp(-1j * time / q * d[idx ^ flips]) * cycle
     return cycle**q
@@ -388,7 +393,7 @@ def test_commuting_replay_matches_exact_evolution(chain_problem):
 
 def test_trotter_error_shrinks_with_q():
     h_real = CouplingVector(2, {zz(0, 1): 1.0, CouplingKey(0, 1, "x", "z"): 0.7})
-    sched = Schedule(2, ("II", "XI"), (0.4, 0.6), 1.0, SynthesisMode.REMOVE_ZEROS)
+    sched = Schedule(2, PauliMasks.from_text(["II", "XI"]), (0.4, 0.6), 1.0, SynthesisMode.REMOVE_ZEROS)
     target = dense.evolution_unitary(effective_couplings(sched, h_real), 1.0)
     distances = [
         np.linalg.norm(dense.replay_unitary(sched, h_real, q=q) - target, 2)
@@ -443,7 +448,7 @@ def _kron_oracle_replay(sched, h_real, q):
     """The Trotterized block product by np.kron and expm, the first block acting first."""
     h = kron_hamiltonian(h_real)
     cycle = np.eye(h.shape[0], dtype=complex)
-    for pattern, time in zip(sched.patterns, sched.times):
+    for pattern, time in zip(sched.patterns.to_text(), sched.times):
         g = kron_string(pattern)
         cycle = g @ scipy.linalg.expm(-1j * time / q * h) @ g @ cycle
     return np.linalg.matrix_power(cycle, q)
@@ -467,7 +472,9 @@ def _non_zz_couplings(entries):
 _NON_ZZ_REAL = _non_zz_couplings(
     {(0, 1, "xx"): 0.9, (0, 1, "yy"): -0.6, (1, 2, "xz"): 1.2, (1, 2, "yy"): 0.4, (0, 2, "xx"): -0.3}
 )
-_NON_ZZ_SCHEDULE = Schedule(3, ("III", "ZIY", "XZI", "IYX"), (0.3, 0.25, 0.2, 0.25), 1.0, SynthesisMode.REMOVE_ZEROS)
+_NON_ZZ_SCHEDULE = Schedule(
+    3, PauliMasks.from_text(["III", "ZIY", "XZI", "IYX"]), (0.3, 0.25, 0.2, 0.25), 1.0, SynthesisMode.REMOVE_ZEROS
+)
 
 
 @pytest.mark.parametrize("q", [1, 3])

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from daqc import cli, lp
-from daqc.blocks import build_sign_matrix, generate_candidate_patterns
-from daqc.errors import OracleLimitError, ValidationError
+from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns
+from daqc.errors import ValidationError
 from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, generate_problem, run_trial
 from daqc.lp import (
     FEASIBILITY_TOL,
     LinearProgram,
-    brute_force_optimum,
     solve,
 )
 from daqc.pauli import InteractionGraph, hadamard_divide
 from daqc.schedule import SynthesisMode
+from lp_oracle import OracleLimitError, brute_force_optimum
 
 THREE_QUBIT_MATRIX = [
     [1, -1, -1, 1],
@@ -292,7 +292,7 @@ def _pinned_sign_programs():
         for n in range(3, 9):
             h_problem, h_source, defect = generate_problem(TopologySpec(kind, n), 100.0, 100 * n + 7)
             ratios = hadamard_divide(h_problem, h_source)
-            patterns = ["".join(p) for p in itertools.product("IX", repeat=n)]
+            patterns = PauliMasks.from_text(["".join(p) for p in itertools.product("IX", repeat=n)])
             for rows in (h_source.support(), defect.sorted_edges()):
                 matrix = build_sign_matrix(patterns, rows).entries.astype(float)
                 yield LinearProgram(matrix, [ratios[key] for key in rows])

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import daqc
 
-#: exported for the tests alone: the LP's independent brute-force oracle
-TEST_ONLY_EXPORTS = {"brute_force_optimum"}
+#: exported for the tests alone; none since the LP's brute-force oracle moved into tests/lp_oracle.py
+TEST_ONLY_EXPORTS: set[str] = set()
 
 
 def test_every_exported_name_exists():

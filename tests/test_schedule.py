@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from daqc import bounds, lp
-from daqc.blocks import build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
+from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
 from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import AXES, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
@@ -100,23 +100,23 @@ def test_verify_schedule_measures_each_row_against_its_couplings(scale):
     rows = (zz(0, 1), zz(1, 2))
     entries = np.array([[1.0, 1.0], [1.0, -1.0]])
     h_source = CouplingVector(3, {zz(0, 1): scale})
-    sched = Schedule(3, ("III", "IXI"), (0.5, 0.5), 1.0, REMOVE)
+    sched = Schedule(3, PauliMasks.from_text(["III", "IXI"]), (0.5, 0.5), 1.0, REMOVE)
     _verify_schedule(sched, rows, entries, h_source, np.array([1.0 + 0.5 * REPLAY_TOL, 0.0]))
     with pytest.raises(InternalConsistencyError, match="replayed coupling \\(0,1,z,z\\) misses its target"):
         _verify_schedule(sched, rows, entries, h_source, np.array([1.0 + 2 * REPLAY_TOL, 0.0]))
-    uneven = Schedule(3, ("III", "IXI"), (0.5, 0.5 + 2 * REPLAY_TOL), 1.0, REMOVE)
+    uneven = Schedule(3, PauliMasks.from_text(["III", "IXI"]), (0.5, 0.5 + 2 * REPLAY_TOL), 1.0, REMOVE)
     with pytest.raises(InternalConsistencyError, match="mitigated row \\(1,2,z,z\\) has uncancelled"):
         _verify_schedule(uneven, rows, entries, h_source, np.array([1.0 + 2 * REPLAY_TOL, 0.0]))
 
 
 def test_replay_tolerance_grows_with_the_analog_time():
     # the terms of a sign weight w / T add up to t_A / T, here 1e4
-    sched = Schedule(3, ("III", "IXI"), (5e3, 5e3), 1.0, MITIGATE)
+    sched = Schedule(3, PauliMasks.from_text(["III", "IXI"]), (5e3, 5e3), 1.0, MITIGATE)
     assert within_replay_tol(0.9e4 * REPLAY_TOL, sched, 1.0)
     assert not within_replay_tol(1.1e4 * REPLAY_TOL, sched, 1.0)
     assert within_replay_tol(0.9e4 * REPLAY_TOL * 50.0, sched, -50.0)
     assert not within_replay_tol(1.1e4 * REPLAY_TOL * 50.0, sched, -50.0)
-    short = Schedule(3, ("III",), (0.25,), 1.0, REMOVE)
+    short = Schedule(3, PauliMasks.from_text(["III"]), (0.25,), 1.0, REMOVE)
     assert not within_replay_tol(1.1 * REPLAY_TOL, short, 1.0)
 
 
@@ -233,14 +233,14 @@ def test_schedule_text_validation():
 
 def test_schedule_invariant_checks():
     with pytest.raises(ValidationError):
-        Schedule(2, ("II",), (-0.5,), 1.0, REMOVE)
+        Schedule(2, PauliMasks.from_text(["II"]), (-0.5,), 1.0, REMOVE)
     with pytest.raises(ValidationError):
-        Schedule(2, ("II", "IX"), (0.5,), 1.0, REMOVE)
+        Schedule(2, PauliMasks.from_text(["II", "IX"]), (0.5,), 1.0, REMOVE)
     with pytest.raises(ValidationError):
-        Schedule(2, ("II",), (0.5,), math.inf, REMOVE)
+        Schedule(2, PauliMasks.from_text(["II"]), (0.5,), math.inf, REMOVE)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="block times must be finite and nonnegative"):
-            Schedule(2, ("II", "IX"), (0.5, bad), 1.0, REMOVE)
+            Schedule(2, PauliMasks.from_text(["II", "IX"]), (0.5, bad), 1.0, REMOVE)
 
 
 def test_synthesis_determinism(three_qubit_setup):
@@ -291,8 +291,8 @@ def test_dropping_duplicate_columns_keeps_the_lp_answer(monkeypatch, kind, mode)
             patterns, full = _full_sign_program(h_p, h_s, defect, mode, pattern_seed)
             assert full.n_cols == 2 ** n
             reference = solve(full)
-            kept = [(p, t) for p, t in zip(patterns, reference.times) if t > 0.0]
-            assert sched.patterns == tuple(p for p, _ in kept)
+            kept = [(p, t) for p, t in zip(patterns.to_text(), reference.times) if t > 0.0]
+            assert sched.patterns.to_text() == [p for p, _ in kept]
             assert sched.times == tuple(t for _, t in kept)
             # the objective sums times vectors of different lengths, which numpy's
             # pairwise summation may group differently, so only it may move in the last place
@@ -322,7 +322,7 @@ def test_whole_space_programs_always_solve_optimal():
         axes = ("z",) if zz_only else AXES
         keys = [CouplingKey(i, j, mu, nu) for i, j in itertools.combinations(range(n), 2) for mu in axes for nu in axes]
         rows = [key for key in keys if rng.random() < 0.5] or keys[:1]
-        patterns = ["".join(p) for p in itertools.product("IX" if zz_only else "IXYZ", repeat=n)]
+        patterns = PauliMasks.from_text(["".join(p) for p in itertools.product("IX" if zz_only else "IXYZ", repeat=n)])
         rhs = rng.normal(size=len(rows))
         rhs[rng.random(len(rows)) < 0.3] = 0.0
         program = lp.LinearProgram(build_sign_matrix(patterns, rows).entries, rhs)
