@@ -80,9 +80,16 @@ class PauliMasks:
 
 
 def term_masks(keys: Sequence[CouplingKey], n_qubits: int) -> PauliMasks:
-    """The two-body Pauli string of each coupling key."""
-    i, j, mu, nu = zip(*keys) if keys else ((), (), (), ())
-    return PauliMasks.from_axes((len(keys), n_qubits), [*range(len(keys))] * 2, i + j, mu + nu)
+    """The two-body Pauli string of each coupling key, read off its bits: x unless the axis is z, z unless it is x.
+
+    Qubit q is bit ``8 * width - 1 - q`` of a big-endian row of ``width`` bytes, the ``np.packbits`` layout."""
+    width = -(-n_qubits // 8)
+    top = 8 * width - 1
+    x, z = bytearray(), bytearray()
+    for i, j, mu, nu in keys:
+        x += ((mu != "z") << top - i | (nu != "z") << top - j).to_bytes(width, "big")
+        z += ((mu != "x") << top - i | (nu != "x") << top - j).to_bytes(width, "big")
+    return PauliMasks(n_qubits, *(np.frombuffer(bits, np.uint8).reshape(-1, width) for bits in (x, z)))
 
 
 def _symplectic_signs(terms: PauliMasks, layers: PauliMasks) -> np.ndarray:

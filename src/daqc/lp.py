@@ -3,7 +3,9 @@
 Since every variable carries unit cost, the objective is the total analog
 time of the schedule.  The solver is a dense two-phase primal simplex, Dantzig
 pricing with Bland's rule on degenerate runs, pivoting one tableau B^-1 [A | b]
-over two reduced-cost rows (unit time, then the sum of the artificials).  Every
+over two reduced-cost rows (unit time, then the sum of the artificials).  Per
+pivot, numpy prices, copies the entering column and makes the rank-1 update;
+the O(m) ratio test runs on Python floats, with the same IEEE arithmetic.  Every
 "unbounded" or "infeasible" verdict is re-checked on that tableau rebuilt from
 the original data, so round-off carried through many pivots cannot end a
 feasible program, and the reported times are the final basis re-solved against
@@ -108,11 +110,10 @@ def _tableau(system: np.ndarray, costs: np.ndarray, basis: list[int]) -> np.ndar
     return np.vstack([body, costs - costs[:, basis] @ body])
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int) -> None:
-    """Gauss-Jordan step: column ``enter`` replaces the basic variable of row ``leave``."""
+def _pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int, factors: np.ndarray) -> None:
+    """Gauss-Jordan step: column ``enter``, copied into ``factors``, replaces the basic variable of row ``leave``."""
     row = tableau[leave]
     row /= row[enter]
-    factors = tableau[:, enter].copy()
     factors[leave] = 0.0
     tableau -= factors[:, None] * row
     tableau[:, enter] = 0.0
@@ -128,10 +129,14 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
     round-off-level step the smallest negative index (Bland) until a step moves
     the objective.  A column with no usable pivot is re-checked on a tableau
     ``rebuild`` makes from the original data before it is declared unbounded.
+    Numpy prices, copies the entering column and makes the rank-1 update; the
+    round-off floor, the ratio test, its ties and the Bland switch run on
+    Python floats, whose IEEE division and comparisons are numpy's, so the
+    pivot rule and every bit of the tableau are as they were in numpy.
     """
     m = len(basis)
-    reduced = tableau[cost_row, :-1]  # views: pivots and rebuilds write into the tableau
-    values = tableau[:m, -1]
+    reduced = tableau[cost_row, :-1]  # a view: pivots and rebuilds write into the tableau
+    values = tableau[:m, -1].tolist()
     pivots = 0
     fresh = False
     bland = False
@@ -139,26 +144,31 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
         enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
         if reduced[enter] >= -PIVOT_TOL:
             return pivots
-        column = tableau[:m, enter]
+        factors = tableau[:, enter].copy()
+        column = factors[:m].tolist()
         # entries tiny against their column are round-off; pivoting on them inflates the tableau
-        positive = (column > PIVOT_TOL * max(column.max(), -column.min())).nonzero()[0]
-        if positive.size == 0:
+        floor = PIVOT_TOL * max(max(column), -min(column))
+        step, leave = math.inf, -1
+        for r, entry in enumerate(column):
+            if entry > floor:
+                ratio = values[r] / entry
+                # smallest basis var among equal ratios: Bland's leaving rule
+                if ratio < step or ratio == step and basis[r] < basis[leave]:
+                    step, leave = ratio, r
+        if leave < 0:
             if fresh:
                 # cannot happen for these programs (objective bounded below by 0)
                 raise InternalConsistencyError("simplex detected an unbounded direction")
             rebuild()
+            values = tableau[:m, -1].tolist()
             fresh = True
             continue
-        ratios = values[positive] / column[positive]
-        step = ratios.min()
-        ties = positive[ratios == step]
-        # smallest basis var among the ties: Bland's leaving rule
-        leave = int(ties[0] if ties.size == 1 else min(ties, key=basis.__getitem__))
         budget.spend()
-        _pivot(tableau, basis, leave, enter)
+        _pivot(tableau, basis, leave, enter, factors)
+        values = tableau[:m, -1].tolist()
         pivots += 1
         fresh = False
-        bland = step <= PIVOT_TOL * max(1.0, values.max())
+        bland = step <= PIVOT_TOL * max(1.0, max(values))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -207,7 +217,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         enter = int(np.argmax(np.abs(row)))
         if abs(row[enter]) > PIVOT_TOL:
             budget.spend()
-            _pivot(tableau, basis, r, enter)
+            _pivot(tableau, basis, r, enter, tableau[:, enter].copy())
 
     # ---- phase two: unit cost on every structural variable ----
     _dantzig_iterate(tableau, basis, m, budget, rebuild)

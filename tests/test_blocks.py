@@ -11,6 +11,7 @@ from daqc.blocks import (
     generate_candidate_patterns,
     pattern_alphabet,
     sign_weights,
+    term_masks,
 )
 from daqc.errors import ValidationError
 from daqc.pauli import AXES, CouplingKey, InteractionGraph
@@ -81,6 +82,18 @@ def test_text_round_trips_through_the_masks_above_64_qubits():
     # qubit 69 is the sixth bit of the last byte; a term on it flips under X there
     far = PauliMasks.from_text(["I" * 69 + "X", "I" * 70])
     assert build_sign_matrix(far, [zz(0, 69)]).entries.tolist() == [[-1, 1]]
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 16, 17, 70])
+def test_term_masks_match_the_gate_table_across_byte_boundaries(n):
+    pairs = {(0, 1), (0, n - 1), (n - 2, n - 1), (min(7, n - 2), min(8, n - 1)), (min(7, n - 2), n - 1)}
+    keys = [CouplingKey(i, j, mu, nu) for i, j in sorted(pairs) for mu in AXES for nu in AXES]
+    rows = [*range(len(keys))] * 2
+    expected = PauliMasks.from_axes((len(keys), n), rows, [k.i for k in keys] + [k.j for k in keys],
+                                    [k.mu for k in keys] + [k.nu for k in keys])
+    assert term_masks(keys, n) == expected
+    assert term_masks([], n) == PauliMasks.from_axes((0, n), [], [], [])
+    assert term_masks([], n).x.shape == (0, -(-n // 8))
 
 
 def test_parser_rejects_patterns_of_unequal_lengths():

@@ -8,15 +8,22 @@ import pytest
 from daqc import cli, lp
 from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns
 from daqc.errors import ValidationError
-from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, generate_problem, run_trial
+from daqc.harness import (
+    ExperimentConfig,
+    TopologySpec,
+    all_pair_edges,
+    derive_seed,
+    generate_problem,
+    run_trial,
+)
 from daqc.lp import (
     FEASIBILITY_TOL,
     LinearProgram,
     solve,
 )
 from daqc.pauli import InteractionGraph, hadamard_divide
-from daqc.schedule import SynthesisMode
-from lp_oracle import OracleLimitError, brute_force_optimum
+from daqc.schedule import SynthesisMode, synthesize
+from lp_oracle import OracleLimitError, brute_force_optimum, numpy_dantzig_iterate
 
 THREE_QUBIT_MATRIX = [
     [1, -1, -1, 1],
@@ -314,3 +321,72 @@ def test_sign_program_solutions_are_pinned_bit_for_bit():
         digest.update(solution.times.tobytes())
     assert statuses == {"optimal", "infeasible"}
     assert digest.hexdigest() == "56a322f24e5e68a99710c58f8e4361d82e9b65ea6274118f8e7ef9a63cb446ea"
+
+
+# ---- the ratio test on Python floats, against the numpy reference -----------------
+
+#: (topology, mode, N, trial) at master seed 11, in the shapes of the four
+#: benchmark workloads: N = 3..7, 8, 10 and 11..13.  At N >= 11, random/mitigate
+#: makes most of its pivots on Bland's rule.
+TWIN_TRIALS = [
+    *[(kind, mode, n, 0) for kind in ("nn", "random", "ata") for mode in ("remove", "mitigate") for n in (3, 5, 7, 8)],
+    ("nn", "remove", 10, 1), ("random", "mitigate", 10, 0), ("ata", "mitigate", 10, 1),
+    ("random", "remove", 12, 0), ("ata", "mitigate", 11, 0), ("random", "mitigate", 11, 0),
+    ("random", "mitigate", 12, 0),
+]
+#: its second program (78 x 308) finds no pivot in an entering column once, from
+#: round-off, so ``_dantzig_iterate`` rebuilds its tableau and goes on
+REBUILD_TRIAL = ("random", "mitigate", 13, 0)
+
+
+def test_python_float_ratio_test_makes_the_numpy_pivots(monkeypatch):
+    """Every program of the trials, solved as it is and with the numpy loop of ``lp_oracle``.
+
+    Same status, bitwise-equal times and the same number of pivots.
+    """
+    spent = [0]
+    rebuilds = [0]
+    spend = lp._PivotBudget.spend
+    iterate = lp._dantzig_iterate
+
+    def counting_spend(budget):
+        spent[0] += 1
+        spend(budget)
+
+    def counting_rebuilds(tableau, basis, cost_row, budget, rebuild):
+        def counted():
+            rebuilds[0] += 1
+            rebuild()
+        return iterate(tableau, basis, cost_row, budget, counted)
+
+    def solve_with(loop, program):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_dantzig_iterate", loop)
+            before = spent[0]
+            solution = solve(program)
+        return solution, spent[0] - before
+
+    def twin(program):
+        ours, pivots = solve_with(counting_rebuilds, program)
+        reference, reference_pivots = solve_with(numpy_dantzig_iterate, program)
+        assert (ours.status, pivots) == (reference.status, reference_pivots)
+        assert ours.times.tobytes() == reference.times.tobytes()
+        return ours
+
+    monkeypatch.setattr(lp._PivotBudget, "spend", counting_spend)
+    monkeypatch.setattr(lp, "solve", twin)
+    for kind, mode, n, index in TWIN_TRIALS:
+        _synthesize_trial(kind, mode, n, index)
+    assert rebuilds[0] == 0
+    _synthesize_trial(*REBUILD_TRIAL)
+    assert rebuilds[0] == 1
+
+
+def _synthesize_trial(kind, mode, n, index):
+    """The schedule synthesis of ``run_trial`` at master seed 11, without the grading."""
+    config = ExperimentConfig(topology=TopologySpec(kind, n), n_range=(n,), trials=index + 1,
+                              mode=SynthesisMode.from_name(mode), master_seed=11)
+    trial_seed = derive_seed(config.master_seed, n, index)
+    h_problem, h_source, defect = generate_problem(config.topology, config.coupling_scale,
+                                                   derive_seed(trial_seed, "problem"))
+    synthesize(h_problem, h_source, defect, config.target_time, config.mode, derive_seed(trial_seed, "patterns"))
