@@ -8,21 +8,14 @@ import pytest
 from daqc import cli, lp
 from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns
 from daqc.errors import ValidationError
-from daqc.harness import (
-    ExperimentConfig,
-    TopologySpec,
-    all_pair_edges,
-    derive_seed,
-    generate_problem,
-    run_trial,
-)
+from daqc.harness import ExperimentConfig, TopologySpec, all_pair_edges, generate_problem, run_trial
 from daqc.lp import (
     FEASIBILITY_TOL,
     LinearProgram,
     solve,
 )
 from daqc.pauli import InteractionGraph, hadamard_divide
-from daqc.schedule import SynthesisMode, synthesize
+from daqc.schedule import SynthesisMode
 from lp_oracle import OracleLimitError, brute_force_optimum, numpy_dantzig_iterate
 
 THREE_QUBIT_MATRIX = [
@@ -326,8 +319,8 @@ def test_sign_program_solutions_are_pinned_bit_for_bit():
 # ---- the ratio test on Python floats, against the numpy reference -----------------
 
 #: (topology, mode, N, trial) at master seed 11, in the shapes of the four
-#: benchmark workloads: N = 3..7, 8, 10 and 11..13.  At N >= 11, random/mitigate
-#: makes most of its pivots on Bland's rule.
+#: benchmark workloads: N = 3..7 (sweep_small), 8 (replay_obs), 10 (exact_n10)
+#: and 11..13 (ladder_large), where random/mitigate pivots mostly on Bland's rule.
 TWIN_TRIALS = [
     *[(kind, mode, n, 0) for kind in ("nn", "random", "ata") for mode in ("remove", "mitigate") for n in (3, 5, 7, 8)],
     ("nn", "remove", 10, 1), ("random", "mitigate", 10, 0), ("ata", "mitigate", 10, 1),
@@ -375,18 +368,9 @@ def test_python_float_ratio_test_makes_the_numpy_pivots(monkeypatch):
 
     monkeypatch.setattr(lp._PivotBudget, "spend", counting_spend)
     monkeypatch.setattr(lp, "solve", twin)
-    for kind, mode, n, index in TWIN_TRIALS:
-        _synthesize_trial(kind, mode, n, index)
+    for trial in TWIN_TRIALS:
+        _run_pinned(11, *trial)
     assert rebuilds[0] == 0
-    _synthesize_trial(*REBUILD_TRIAL)
+    _run_pinned(11, *REBUILD_TRIAL)
     assert rebuilds[0] == 1
 
-
-def _synthesize_trial(kind, mode, n, index):
-    """The schedule synthesis of ``run_trial`` at master seed 11, without the grading."""
-    config = ExperimentConfig(topology=TopologySpec(kind, n), n_range=(n,), trials=index + 1,
-                              mode=SynthesisMode.from_name(mode), master_seed=11)
-    trial_seed = derive_seed(config.master_seed, n, index)
-    h_problem, h_source, defect = generate_problem(config.topology, config.coupling_scale,
-                                                   derive_seed(trial_seed, "problem"))
-    synthesize(h_problem, h_source, defect, config.target_time, config.mode, derive_seed(trial_seed, "patterns"))
