@@ -51,10 +51,9 @@ def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> Def
 
 
 def _edge_count_root(e_ds: int, p: float) -> float:
+    # |E|^(1/p), so 1 at p = inf for any |E| > 0; 0^0 would be 1
     if e_ds == 0:
         return 0.0
-    if p == math.inf:
-        return 1.0
     return float(e_ds) ** (1.0 / p)
 
 

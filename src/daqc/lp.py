@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, LpSolverStallError, ValidationError
 
-FEASIBILITY_TOL = 1e-9
+#: relative to max(1, ||b||_inf): at most 9e-10 absolute wherever ||b||_inf <= 3
+FEASIBILITY_TOL = 3e-10
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 10**6
 
@@ -175,7 +176,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex; optimal solutions are global LP minima.
 
     Returns status ``infeasible`` when the phase-one artificial objective
-    cannot be driven below ``FEASIBILITY_TOL``.  Raises on non-finite input
+    cannot be driven below ``FEASIBILITY_TOL * max(1, ||b||_inf)``, the tolerance
+    the final residual and times are held to as well, so every check is in
+    the units of the right-hand side.  Raises on non-finite input
     (at program construction) and ``LpSolverStallError`` once ``MAX_PIVOTS``
     pivots are spent.
     """
@@ -183,6 +186,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     rhs = lp.rhs
     m, n = matrix.shape
     budget = _PivotBudget()
+    tol = FEASIBILITY_TOL * max(1.0, float(np.abs(rhs).max()))
 
     # [A | b | I] with rows flipped so b >= 0; column n + 1 + r is row r's artificial
     flip = np.where(rhs < 0, -1.0, 1.0)
@@ -202,7 +206,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # ---- phase one: minimize the sum of the artificials ----
     _dantzig_iterate(tableau, basis, m + 1, budget, rebuild)
-    while -tableau[m + 1, -1] > FEASIBILITY_TOL:
+    while -tableau[m + 1, -1] > tol:
         rebuild()
         if not _dantzig_iterate(tableau, basis, m + 1, budget, rebuild):
             return _infeasible(n)
@@ -226,11 +230,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     x[basis] = _basis_solve(system, basis, system[:, n])
     times = x[:n]
     residual = np.abs(matrix @ times - rhs).max()
-    if residual > FEASIBILITY_TOL:
+    if residual > tol:
         raise InternalConsistencyError(
-            f"optimal basis violates the constraints: residual {residual:.3e} > {FEASIBILITY_TOL:.1e}"
+            f"optimal basis violates the constraints: residual {residual:.3e} > {tol:.1e}"
         )
-    if times.min() < -FEASIBILITY_TOL:
+    if times.min() < -tol:
         raise InternalConsistencyError(
             f"optimal vertex has a negative time {times.min():.3e} beyond tolerance"
         )

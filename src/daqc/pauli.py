@@ -126,9 +126,6 @@ class CouplingVector:
     def __getitem__(self, key: CouplingKey) -> float:
         return self._entries.get(key, 0.0)
 
-    def __contains__(self, key: CouplingKey) -> bool:
-        return key in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -139,9 +136,6 @@ class CouplingVector:
         if not isinstance(other, CouplingVector):
             return NotImplemented
         return self._n_qubits == other._n_qubits and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash((self._n_qubits, tuple(self._entries.items())))
 
     def __repr__(self) -> str:
         return f"CouplingVector(n_qubits={self._n_qubits}, entries={self._entries!r})"

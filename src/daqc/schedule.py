@@ -2,7 +2,7 @@
 
 The block times solve  M t = T * (h_P / h_S)  elementwise over a chosen row
 set, minimizing the total analog time with t >= 0.  The LP solves for t / T
-against the ratio h_P / h_S alone, so its absolute tolerances hold at every
+against the ratio h_P / h_S alone, so its tolerances hold at every
 T, and the kept times are then multiplied by T.  The ratio is divided once,
 by ``pauli.hadamard_divide``, which leaves the 0/0 indeterminate forms out,
 so a row whose source entry is zero has a zero right-hand side.  Two row
@@ -112,7 +112,7 @@ class Schedule:
 
     @classmethod
     def from_text(cls, text: str) -> "Schedule":
-        header: dict[str, str] = {}
+        header: dict[str, int | float | str] = {}
         blocks: list[tuple[str, float]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -122,7 +122,10 @@ class Schedule:
                 key, _, value = line.partition("=")
                 if key in header:
                     raise ValidationError(f"line {lineno}: duplicate header {key!r}")
-                header[key] = value
+                try:
+                    header[key] = {"n_qubits": int, "T": float}.get(key, str)(value)
+                except ValueError as exc:
+                    raise ValidationError(f"line {lineno}: bad {key} header {line!r}") from exc
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -134,16 +137,12 @@ class Schedule:
         missing = {"n_qubits", "T", "mode"} - set(header)
         if missing:
             raise ValidationError(f"schedule text lacks headers: {sorted(missing)}")
-        try:
-            n_qubits = int(header["n_qubits"])
-            target_time = float(header["T"])
-        except ValueError as exc:
-            raise ValidationError("bad n_qubits or T header") from exc
+        n_qubits = header["n_qubits"]
         return cls(
             n_qubits=n_qubits,
             patterns=PauliMasks.from_text([p for p, _ in blocks], n_qubits),
             times=tuple(t for _, t in blocks),
-            target_time=target_time,
+            target_time=header["T"],
             mode=SynthesisMode.from_name(header["mode"]),
         )
 

@@ -7,7 +7,7 @@ from daqc import bounds, dense
 from daqc.errors import SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide, vector_p_norm
-from daqc.schedule import SynthesisMode, synthesize
+from daqc.schedule import SynthesisMode, error_vector, synthesize
 
 
 def zz(i, j):
@@ -60,6 +60,9 @@ def test_p_norm_bound_direct_evaluation():
     # ratio one-norm 2, t_A/T = 1, one extra edge, delta 0.1 -> 0.1*2 + 0.1*1
     value = bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1, p=1.0)
     assert value == pytest.approx(0.3)
+    # ratio inf-norm 1, and |E|^(1/inf) = 1 for four extra edges -> 0.1*1 + 0.1*1
+    value = bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 4, p=math.inf)
+    assert value == pytest.approx(0.2)
 
 
 def test_p_norm_bound_no_defect_only_edges():
@@ -184,6 +187,15 @@ def test_report_soundness_and_echoes():
     assert report.exact_delta_o is not None
     assert report.commutator_bound is not None
     assert report.exact_delta_o <= report.commutator_bound + 1e-12
+
+
+@pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
+def test_inf_norm_bound_holds_with_unmeasured_edges(mode):
+    h_p, h_s, defect, sched, sample = make_case(mode, seed=4)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, requested_p=math.inf)
+    assert report.defect_only_edge_count > 0
+    h_eps = error_vector(sched, h_p, h_s, sample.h_delta)
+    assert report.p_norm_bound >= vector_p_norm(h_eps, math.inf)
 
 
 def test_report_mitigated_bound_keeps_first_term_only():

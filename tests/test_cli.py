@@ -290,6 +290,62 @@ def test_analyze_rejects_a_mitigated_schedule_that_leaves_an_edge(workspace, cap
     assert "sign weight 5.000e-01 on unmeasured edge (1,2,z,z)" in capsys.readouterr().err
 
 
+MALFORMED_FILES = {
+    "schedule-duplicate-header": ("schedule", "n_qubits=3\nT=1\nT=2\nmode=remove\nIII 1\n",
+                                  "line 3: duplicate header 'T'"),
+    "schedule-block-not-pattern-time": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIII 0.5\nXXI 0.5 1\n",
+                                        "line 5: expected 'pattern time', got 'XXI 0.5 1'"),
+    "schedule-non-numeric-n-qubits": ("schedule", "n_qubits=three\nT=1\nmode=remove\nIII 1\n",
+                                      "line 1: bad n_qubits header 'n_qubits=three'"),
+    "schedule-non-numeric-T": ("schedule", "n_qubits=3\n\nT=1 s\nmode=remove\nIII 1\n",
+                               "line 3: bad T header 'T=1 s'"),
+    "couplings-duplicate-header": ("source", "n_qubits=3\n0 1 z z 110\nn_qubits=3\n",
+                                   "line 3: duplicate n_qubits header"),
+    "couplings-non-integer-header": ("source", "# device\nn_qubits=3.0\n0 1 z z 110\n",
+                                     "line 2: bad n_qubits header 'n_qubits=3.0'"),
+    "couplings-unparseable-line": ("source", "n_qubits=3\n0 1 z z 110\n0 two z z 64\n",
+                                   "line 3: cannot parse '0 two z z 64'"),
+    "couplings-before-header": ("source", "\n0 1 z z 110\nn_qubits=3\n",
+                                "line 2: coupling before n_qubits header"),
+    "couplings-missing-header": ("source", "# no header\n\n", "missing n_qubits header"),
+}
+
+
+@pytest.mark.parametrize("which, text, message", list(MALFORMED_FILES.values()), ids=list(MALFORMED_FILES))
+def test_malformed_input_file_exits_validation_naming_the_line(workspace, capsys, which, text, message):
+    _, paths = workspace
+    run_synth(paths)
+    paths[which].write_text(text)
+    capsys.readouterr()
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--delta", "10", "--seed", "4",
+    ])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_comment_and_blank_lines_between_blocks_are_skipped(workspace):
+    _, paths = workspace
+    run_synth(paths)
+    schedule = Schedule.load(paths["schedule"])
+    lines = schedule.to_text().splitlines()  # three headers, then the blocks
+    assert schedule.n_blocks >= 2
+    annotated = ["# by hand", *lines[:1], "", *lines[1:4], "", "# the rest", *lines[4:6], "  ", *lines[6:]]
+    paths["schedule"].write_text("\n".join(annotated) + "\n")
+    assert Schedule.load(paths["schedule"]) == schedule
+    code = cli.main([
+        "analyze",
+        "--schedule", str(paths["schedule"]),
+        "--source", str(paths["source"]),
+        "--defects", str(paths["defects"]),
+        "--delta", "10", "--seed", "4",
+    ])
+    assert code == 0
+
+
 def test_infeasible_synthesis_exit_code(workspace, monkeypatch, capsys):
     # every pattern always admits block times, so an "infeasible" LP verdict
     # over the whole space is a solver fault
@@ -315,7 +371,7 @@ def test_sweep_rejects_a_coupling_scale_that_overflows(tmp_path, capsys, scale):
 
 
 def test_sweep_at_a_long_target_time_exits_zero(tmp_path):
-    # the LP solves for t/T, so its absolute tolerances do not scale with T
+    # the LP solves for t/T, so its tolerances do not scale with T
     out = tmp_path / "r.csv"
     assert cli.main([
         "sweep", "--topology", "nn", "--n-min", "3", "--n-max", "3", "--trials", "1",

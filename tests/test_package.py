@@ -3,13 +3,20 @@ from pathlib import Path
 
 import daqc
 
-#: exported for the tests alone; none since the LP's brute-force oracle moved into tests/lp_oracle.py
-TEST_ONLY_EXPORTS: set[str] = set()
+PACKAGE = Path(daqc.__file__).parent
 
 
-def test_every_exported_name_exists():
-    missing = [name for name in daqc.__all__ if not hasattr(daqc, name)]
-    assert missing == []
+def _public_names(tree: ast.Module) -> set[str]:
+    """Module-level defs, classes and assigned names that do not start with ``_``."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
 
 
 def _names_read(tree: ast.AST) -> set[str]:
@@ -34,15 +41,19 @@ def _names_read(tree: ast.AST) -> set[str]:
     return used
 
 
-def test_every_exported_name_is_used_inside_the_package():
-    """A public name that no module of the package reads is dead API.
+def test_every_public_name_is_used_inside_the_package():
+    """A public module-level name that no module of the package reads is dead API.
 
-    Docstrings and comments do not count: uses are read off the syntax tree.
+    Every module's defs, classes and assignments count, with no exception;
+    docstrings and comments do not count as uses: uses are read off the
+    syntax tree.
     """
-    package = Path(daqc.__file__).parent
+    public: dict[str, str] = {}
     used: set[str] = set()
-    for module in sorted(package.glob("*.py")):
-        if module.name != "__init__.py":
-            used |= _names_read(ast.parse(module.read_text(encoding="utf-8")))
-    unused = sorted(set(daqc.__all__) - used - TEST_ONLY_EXPORTS)
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        public.update(dict.fromkeys(_public_names(tree), module.name))
+        used |= _names_read(tree)
+    assert public, "no public names found"
+    unused = sorted(f"{public[name]}:{name}" for name in set(public) - used)
     assert unused == []

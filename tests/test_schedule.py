@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from daqc import bounds, lp
+from daqc import bounds, lp, schedule
 from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
 from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import AXES, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 from daqc.schedule import (
+    EXHAUSTIVE_PATTERN_LIMIT,
     REPLAY_TOL,
     Schedule,
     _verify_schedule,
@@ -178,6 +179,18 @@ def test_error_vector_on_source_support_closed_form(three_qubit_setup):
     assert h_eps[zz(1, 2)] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_error_vector_cross_check_fires_on_a_schedule_for_another_problem(three_qubit_setup):
+    # the schedule realizes h_other, so on (0,1) its block sum misses the
+    # closed form h_P * h_delta / h_S of the problem it is handed
+    h_source, defect = three_qubit_setup
+    h_problem = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): -2.0})
+    h_other = CouplingVector(3, {zz(0, 1): -1.0, zz(0, 2): -2.0})
+    sched = synthesize(h_other, h_source, defect, 1.0, MITIGATE, rng_seed=4)
+    h_delta = CouplingVector(3, {zz(0, 1): 0.2, zz(0, 2): -0.4, zz(1, 2): 3.0})
+    with pytest.raises(InternalConsistencyError, match=r"error vector at \(0,1,z,z\) deviates"):
+        error_vector(sched, h_problem, h_source, h_delta)
+
+
 def test_mode_time_ordering_and_ata_coincidence():
     rng = np.random.default_rng(17)
     for trial in range(30):
@@ -327,3 +340,25 @@ def test_whole_space_programs_always_solve_optimal():
         rhs[rng.random(len(rows)) < 0.3] = 0.0
         program = lp.LinearProgram(build_sign_matrix(patterns, rows).entries, rhs)
         assert lp.solve(program).is_optimal, (trial, rows, rhs)
+
+
+def test_synthesis_requests_the_whole_pattern_space_before_it_gives_up(monkeypatch):
+    # a chain at N = 10 has 2^10 ZZ patterns, above the exhaustive limit, so
+    # requests start at 2m+1 for its m defect edges and double up to all of them
+    h_problem, h_source, defect = generate_problem(TopologySpec("nn", 10), 100.0, rng_seed=3)
+    assert pattern_space_size(defect) == 1024 > EXHAUSTIVE_PATTERN_LIMIT
+    assert defect.edge_count == 17
+    requested = []
+
+    def recording(support, count, rng_seed):
+        requested.append(count)
+        return generate_candidate_patterns(support, count, rng_seed)
+
+    def refuse(program):
+        return lp.LpSolution(np.zeros(program.n_cols), math.inf, lp.STATUS_INFEASIBLE)
+
+    monkeypatch.setattr(schedule, "generate_candidate_patterns", recording)
+    monkeypatch.setattr(lp, "solve", refuse)
+    with pytest.raises(InternalConsistencyError, match="over all 1024 patterns"):
+        synthesize(h_problem, h_source, defect, 1.0, REMOVE, rng_seed=5)
+    assert requested == [35, 70, 140, 280, 560, 1024]
