@@ -1,9 +1,10 @@
 """Exact dense ground truth for small systems.
 
 Builds Hermitian operators from coupling vectors, evaluates the two matrix
-norms used by the stability analysis, replays schedules, and measures the
-exact deviation of one observable between the ideal and the faulty
-evolution of |+>^N.  Every dense path goes through ``build_dense``, which
+norms used by the stability analysis, replays schedules on |+>^N, and
+measures the exact deviation of one observable between the ideal and the
+faulty evolution of that state.  No unitary is ever formed: every evolution
+acts on the state vector.  Every dense path goes through ``build_dense``, which
 holds it to ``DEFAULT_QUBIT_CAP`` qubits; correctness over speed.
 
 A Pauli string, be it a two-body term, a gate layer or the observable, is
@@ -13,7 +14,8 @@ v[source[t]].  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, and
 its replay adds up one real phase, sum_k t_k G_k d G_k, since diagonal
 blocks commute; on ZZ couplings nothing here allocates a 2^N x 2^N array.
 Any other Hamiltonian is diagonalized once per replay, each block being
-exp(-it GHG) = G exp(-itH) G for its gate layer G.  The replay conjugates by
+exp(-it GHG) = G exp(-itH) G for its gate layer G, applied to the state as
+G (V exp(-it lambda) (V^dag (G psi))).  The replay conjugates by
 the gate layers themselves, independently of the sign kernel in ``blocks``.
 """
 
@@ -40,7 +42,6 @@ def _check_cap(n_qubits: int) -> None:
 class DenseHamiltonian:
     """``matrix``: the real diagonal, shape (2^N,), if ZZ-only, else the full matrix."""
 
-    n_qubits: int
     matrix: np.ndarray
 
 
@@ -73,13 +74,13 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
     if is_zz_only(h.keys()):
         # one row per term; the sum down axis 0 adds the rows in key order
         signed = h.values_array()[:, None] * _parity_sign(np.arange(dim) & phases[:, None])
-        return DenseHamiltonian(n, signed.sum(axis=0))
+        return DenseHamiltonian(signed.sum(axis=0))
     matrix = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
     for value, x, z in zip(h.values_array(), _index_masks(terms.x, n), phases):
         source, phase = _flip_and_phase(x, z, dim)
         matrix[rows, source] += value * phase
-    return DenseHamiltonian(n, matrix)
+    return DenseHamiltonian(matrix)
 
 
 def _require_hermitian(matrix: np.ndarray) -> None:
@@ -137,7 +138,7 @@ def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
     """
     if h.ndim != 1:
         raise ValidationError("the commutator norm takes a ZZ-only Hamiltonian's diagonal, not a full matrix")
-    return float(np.abs(h - _conjugate(h, *observable.index_masks)).max(initial=0.0))
+    return float(np.abs(h - h[np.arange(h.size) ^ observable.index_masks[0]]).max(initial=0.0))
 
 
 def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableSpec:
@@ -149,7 +150,7 @@ def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableS
     return ObservableSpec(PauliMasks.from_axes((1, n_qubits), [0], [qubit], [axis]))
 
 
-# -- the initial state -------------------------------------------------------
+# -- the initial state and its evolution --------------------------------------
 
 
 def plus_state(n_qubits: int) -> np.ndarray:
@@ -158,30 +159,17 @@ def plus_state(n_qubits: int) -> np.ndarray:
 
 
 def _propagator(matrix: np.ndarray):
-    """time -> exp(-1j * time * H) for Hermitian H, diagonalized once; elementwise on a diagonal."""
+    """(time, psi) -> exp(-1j * time * H) psi for Hermitian H, diagonalized once; elementwise on a diagonal."""
     if matrix.ndim == 1:
-        return lambda time: np.exp(-1j * time * matrix)
+        return lambda time, psi: np.exp(-1j * time * matrix) * psi
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    inverse = eigvecs.conj().T
-    return lambda time: (eigvecs * np.exp(-1j * time * eigvals)) @ inverse
+    # V^dag psi as conj(V^T conj(psi)), so no conjugate copy of V is made
+    return lambda time, psi: eigvecs @ (np.exp(-1j * time * eigvals) * (eigvecs.T @ psi.conj()).conj())
 
 
 def evolution_unitary(h: CouplingVector, time: float) -> np.ndarray:
-    """exp(-i * time * H) for the Hamiltonian built from ``h``.
-
-    Like ``DenseHamiltonian.matrix``: the diagonal, shape (2^N,), if ``h`` is
-    ZZ-only, else the full matrix.
-    """
-    return _propagator(build_dense(h).matrix)(time)
-
-
-def _conjugate(h: np.ndarray, x: int, z: int) -> np.ndarray:
-    """G H G for the gate layer G of index masks x, z; on a diagonal, x flips bits."""
-    if h.ndim == 1:
-        return h[np.arange(h.size) ^ x]
-    # (G H G)[a, b] = phase[a] * H[source[a], source[b]] * conj(phase[b])
-    source, phase = _flip_and_phase(x, z, h.shape[0])
-    return phase[:, None] * h[np.ix_(source, source)] * phase.conj()
+    """The state exp(-i * time * H)|+>^N for the Hamiltonian built from ``h``; the unitary is never formed."""
+    return _propagator(build_dense(h).matrix)(time, plus_state(h.n_qubits))
 
 
 def check_trotter_steps(q: int) -> None:
@@ -190,16 +178,15 @@ def check_trotter_steps(q: int) -> None:
 
 
 def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
-    """Exact unitary of the block sequence run on the couplings ``h_real``.
+    """The state U|+>^N for U the block sequence run on the couplings ``h_real``.
 
-    With ``q = 1`` this is the plain product of block unitaries, the first
-    block acting first.  With ``q > 1`` every block time is divided by ``q``
-    and the whole sequence is repeated ``q`` times (first-order interleaving).
-    Block k evolves under G_k H G_k, with H built and diagonalized once from
-    ``h_real`` and G_k the gate layer of pattern k, so the block unitary is
-    G_k exp(-i t_k H) G_k.  On ZZ couplings the blocks commute, so for every
-    ``q`` the result is exp(-i sum_k t_k G_k d G_k), the diagonal as a vector;
-    else a matrix, as in ``evolution_unitary``.
+    With ``q = 1`` the blocks act once each, the first block first.  With
+    ``q > 1`` every block time is divided by ``q`` and the whole sequence is
+    repeated ``q`` times (first-order interleaving).  Block k evolves under
+    G_k H G_k, with H built and diagonalized once from ``h_real`` and G_k the
+    gate layer of pattern k, so it acts as G_k exp(-i t_k H) G_k, each factor
+    applied to the state.  On ZZ couplings the blocks commute, so for every
+    ``q`` U is exp(-i sum_k t_k G_k d G_k), one phase per basis state.
     """
     check_trotter_steps(q)
     n = h_real.n_qubits
@@ -207,21 +194,21 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     h = build_dense(h_real).matrix
     flips = _index_masks(schedule.patterns.x, n)
+    state = plus_state(n)
     if h.ndim == 1:
         phase = (np.array(schedule.times)[:, None] * h[np.arange(h.size) ^ flips[:, None]]).sum(axis=0)
-        return np.exp(-1j * phase)
+        return np.exp(-1j * phase) * state
     evolve = _propagator(h)
-    cycle = np.eye(2**n, dtype=complex)
-    for x, z, time in zip(flips, _index_masks(schedule.patterns.z, n), schedule.times):
-        # earlier blocks act first
-        cycle = _conjugate(evolve(time / q), x, z) @ cycle
-    return np.linalg.matrix_power(cycle, int(q))
+    layers = [_flip_and_phase(x, z, state.size) for x, z in zip(flips, _index_masks(schedule.patterns.z, n))]
+    for _ in range(int(q)):
+        for (source, phase), time in zip(layers, schedule.times):
+            # G v is phase * v[source]
+            state = phase * evolve(time / q, phase * state[source])[source]
+    return state
 
 
-def _expectation(observable: ObservableSpec, u: np.ndarray) -> float:
-    """<+|U^dag P U|+> for the string P; ``u`` may be a diagonal given as a vector."""
-    plus = plus_state(observable.n_qubits)
-    state = u * plus if u.ndim == 1 else u @ plus
+def _expectation(observable: ObservableSpec, state: np.ndarray) -> float:
+    """<psi|P|psi> for the string P."""
     source, phase = _flip_and_phase(*observable.index_masks, state.size)
     return float(np.vdot(state, phase * state[source]).real)
 

@@ -198,6 +198,12 @@ def _num_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.{FLOAT_DIGITS}g}"
 
 
+def _flag_cell(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValidationError(f"expected a 0 or 1 flag cell, got {cell!r}")
+    return cell == "1"
+
+
 #: CSV cell codecs by TrialRecord field type; the fields are in CSV_COLUMNS order
 _WRITE_CELL = {
     int: str,
@@ -211,7 +217,7 @@ _READ_CELL = {
     str: str,
     float: float,
     float | None: lambda cell: None if cell == "" else float(cell),
-    bool: lambda cell: cell == "1",
+    bool: _flag_cell,
 }
 
 

@@ -120,10 +120,13 @@ class Schedule:
                 continue
             if "=" in line and not blocks:
                 key, _, value = line.partition("=")
+                parse = {"n_qubits": int, "T": float, "mode": str}.get(key)
+                if parse is None:
+                    raise ValidationError(f"line {lineno}: unknown header {key!r}, expected n_qubits, T or mode")
                 if key in header:
                     raise ValidationError(f"line {lineno}: duplicate header {key!r}")
                 try:
-                    header[key] = {"n_qubits": int, "T": float}.get(key, str)(value)
+                    header[key] = parse(value)
                 except ValueError as exc:
                     raise ValidationError(f"line {lineno}: bad {key} header {line!r}") from exc
                 continue
@@ -297,9 +300,10 @@ def error_vector(
     couplings against the closed form target_ratio * delta; disagreement
     signals a synthesis bug.  On unmeasured couplings h_real equals h_delta,
     so a closed form would only repeat the block sum through the same sign
-    kernel; the check independent of that kernel there is the exact replay,
-    ``dense.replay_unitary``.  The block sum multiplies h_real and the closed
-    form h_delta, so the gap is measured against the source and the real coupling.
+    kernel; the check independent of that kernel there is the exact replay of
+    |+>^N through the gate layers themselves, ``dense.replay_unitary``.  The
+    block sum multiplies h_real and the closed form h_delta, so the gap is
+    measured against the source and the real coupling.
     """
     h_real = h_source + h_delta
     h_eps = effective_couplings(schedule, h_real) - h_problem

@@ -299,6 +299,8 @@ MALFORMED_FILES = {
                                       "line 1: bad n_qubits header 'n_qubits=three'"),
     "schedule-non-numeric-T": ("schedule", "n_qubits=3\n\nT=1 s\nmode=remove\nIII 1\n",
                                "line 3: bad T header 'T=1 s'"),
+    "schedule-unknown-header": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIXX=0.5\n",
+                                "line 4: unknown header 'IXX', expected n_qubits, T or mode"),
     "couplings-duplicate-header": ("source", "n_qubits=3\n0 1 z z 110\nn_qubits=3\n",
                                    "line 3: duplicate n_qubits header"),
     "couplings-non-integer-header": ("source", "# device\nn_qubits=3.0\n0 1 z z 110\n",

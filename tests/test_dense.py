@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_operator_norm_matches_power_iteration():
 
 
 def test_operator_norm_rejects_non_hermitian():
-    bad = dense.DenseHamiltonian(1, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    bad = dense.DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValidationError):
         dense.operator_norm(bad)
 
@@ -259,9 +260,8 @@ def test_two_term_observable_matches_its_matrix(chain_problem):
     assert dense.commutator_norm(d, obs) == pytest.approx(
         np.linalg.norm(np.diag(d) @ o - o @ np.diag(d), 2), abs=1e-12
     )
-    plus = np.full(8, 1 / math.sqrt(8))
-    ideal = dense.evolution_unitary(h_problem, 1.0) * plus
-    faulty = dense.replay_unitary(sched, h_real) * plus
+    ideal = dense.evolution_unitary(h_problem, 1.0)
+    faulty = dense.replay_unitary(sched, h_real)
     oracle = abs(np.vdot(ideal, o @ ideal).real - np.vdot(faulty, o @ faulty).real)
     assert oracle > 1e-3
     assert dense.expectation_deviation(h_problem, sched, h_real, obs) == pytest.approx(oracle, abs=1e-12)
@@ -297,6 +297,14 @@ def test_states_are_normalized():
 # ---- replay -----------------------------------------------------------------
 
 
+def amplitude_gap(a, b):
+    """Largest |a - b| over two evolved |+> states, in units of the |+> amplitude 2^(-N/2).
+
+    For diagonal unitaries U, V this is the largest entry of |U - V|, their spectral distance.
+    """
+    return float(np.abs(a - b).max()) * math.sqrt(a.size)
+
+
 @pytest.fixture
 def chain_problem():
     h_source = CouplingVector(3, {zz(0, 1): 1.5, zz(1, 2): -2.0})
@@ -309,8 +317,8 @@ def chain_problem():
 def test_zero_time_schedule_replays_to_identity():
     sched = Schedule(2, PauliMasks.from_text([], 2), (), 1.0, SynthesisMode.REMOVE_ZEROS)
     h = CouplingVector(2, {zz(0, 1): 5.0})
-    # ZZ couplings replay to the diagonal of the unitary
-    assert np.array_equal(dense.replay_unitary(sched, h), np.ones(4, dtype=complex))
+    # the replay returns the evolved |+>, here |+> itself
+    assert np.array_equal(dense.replay_unitary(sched, h), np.full(4, 0.5, dtype=complex))
 
 
 def test_repeated_block_replays_like_one_longer_block():
@@ -318,8 +326,8 @@ def test_repeated_block_replays_like_one_longer_block():
     h = CouplingVector(2, {zz(0, 1): 1.0, CouplingKey(0, 1, "x", "z"): 0.7})
     repeated = Schedule(2, PauliMasks.from_text(["XI", "XI", "II"]), (0.3, 0.2, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
     merged = Schedule(2, PauliMasks.from_text(["XI", "II"]), (0.5, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
-    u = dense.replay_unitary(repeated, h)
-    assert np.abs(u - dense.replay_unitary(merged, h)).max() <= 1e-12
+    state = dense.replay_unitary(repeated, h)
+    assert amplitude_gap(state, dense.replay_unitary(merged, h)) <= 1e-12
     assert effective_couplings(repeated, h) == effective_couplings(merged, h)
 
 
@@ -330,8 +338,8 @@ def test_replay_does_not_read_the_sign_kernel(chain_problem, monkeypatch):
     monkeypatch.setattr(blocks, "_symplectic_signs", lambda terms, layers: np.ones((len(terms), len(layers)), np.int8))
     poisoned = blocks.sign_weights(sched.patterns, sched.times, [zz(0, 1)])[0]
     assert poisoned == pytest.approx(sched.total_analog_time)
-    u = dense.replay_unitary(sched, h_source)
-    assert np.abs(u - dense.evolution_unitary(h_problem, 1.0)).max() <= 1e-10
+    state = dense.replay_unitary(sched, h_source)
+    assert amplitude_gap(state, dense.evolution_unitary(h_problem, 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("q", [1, 3])
@@ -344,15 +352,17 @@ def test_diagonal_and_full_replay_agree(q):
     assert dense.build_dense(full).matrix.ndim == 2
     patterns = ("XYZ", "IXI", "XYZ", "YIZ")  # one block repeated
     sched = Schedule(3, PauliMasks.from_text(patterns), (0.2, 0.3, 0.1, 0.4), 1.0, SynthesisMode.REMOVE_ZEROS)
-    u_diagonal = dense.replay_unitary(sched, diagonal, q=q)
-    u_full = dense.replay_unitary(sched, full, q=q)
-    assert u_diagonal.shape == (8,) and u_full.shape == (8, 8)
-    assert np.abs(u_diagonal - np.diag(u_full)).max() <= 1e-12
-    assert np.abs(u_full - np.diag(np.diag(u_full))).max() <= 1e-12
+    state_diagonal = dense.replay_unitary(sched, diagonal, q=q)
+    state_full = dense.replay_unitary(sched, full, q=q)
+    assert state_diagonal.shape == state_full.shape == (8,)
+    assert amplitude_gap(state_diagonal, state_full) <= 1e-12
+    # the full path's unitary, formed by the oracle, is the diagonal path's phases
+    u_full = dense_block_product_replay(sched, full, q)
+    assert np.abs(u_full - np.diag(state_diagonal / dense.plus_state(3))).max() <= 1e-12
 
 
 def block_product_replay(sched, h_real, q):
-    """Reference: the ZZ replay as a product of one exponential per block, raised to the power q."""
+    """Reference: the ZZ replay's diagonal unitary as a product of one exponential per block, to the power q."""
     d = per_key_zz_diagonal(h_real)
     n, idx = h_real.n_qubits, np.arange(d.size)
     cycle = np.ones(d.size, dtype=complex)
@@ -373,30 +383,34 @@ def test_zz_replay_is_one_phase_for_every_q(kind, mode):
     h_real = h_s + bounds.sample_defect(defect, 10.0, derive_seed(seed, "d")).h_delta
     replayed = {q: dense.replay_unitary(sched, h_real, q=q) for q in (1, 3)}
     assert np.array_equal(replayed[1], replayed[3])
-    for q, u in replayed.items():
-        assert np.abs(u - block_product_replay(sched, h_real, q)).max() <= 1e-12, q
+    for q, state in replayed.items():
+        expected = block_product_replay(sched, h_real, q) * dense.plus_state(n)
+        assert amplitude_gap(state, expected) <= 1e-12, q
 
 
 def test_replay_is_unitary(chain_problem):
     _, h_source, sched = chain_problem
-    u = dense.replay_unitary(sched, h_source)
-    assert u.ndim == 1  # a diagonal unitary: every entry on the unit circle
-    assert np.abs(np.abs(u) - 1.0).max() <= 1e-10
+    state = dense.replay_unitary(sched, h_source)
+    # a diagonal unitary on |+>: every amplitude keeps its modulus 1/sqrt(8)
+    assert amplitude_gap(np.abs(state), dense.plus_state(3)) <= 1e-10
+    full = CouplingVector(3, {**dict(h_source.items()), CouplingKey(0, 1, "x", "y"): 0.6})
+    assert np.linalg.norm(dense.replay_unitary(sched, full, q=2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_commuting_replay_matches_exact_evolution(chain_problem):
     h_problem, h_source, sched = chain_problem
-    u = dense.replay_unitary(sched, h_source, q=1)
-    v = dense.evolution_unitary(h_problem, 1.0)
-    assert np.abs(u - v).max() <= 1e-10  # diagonals: the spectral norm is the largest entry
+    replayed = dense.replay_unitary(sched, h_source, q=1)
+    exact = dense.evolution_unitary(h_problem, 1.0)
+    assert amplitude_gap(replayed, exact) <= 1e-10
 
 
 def test_trotter_error_shrinks_with_q():
     h_real = CouplingVector(2, {zz(0, 1): 1.0, CouplingKey(0, 1, "x", "z"): 0.7})
     sched = Schedule(2, PauliMasks.from_text(["II", "XI"]), (0.4, 0.6), 1.0, SynthesisMode.REMOVE_ZEROS)
+    # both are states: the distance between the replayed and the target evolution of |+>
     target = dense.evolution_unitary(effective_couplings(sched, h_real), 1.0)
     distances = [
-        np.linalg.norm(dense.replay_unitary(sched, h_real, q=q) - target, 2)
+        np.linalg.norm(dense.replay_unitary(sched, h_real, q=q) - target)
         for q in (1, 2, 4, 8)
     ]
     assert all(a > b for a, b in zip(distances, distances[1:]))
@@ -444,6 +458,22 @@ def test_observable_of_the_wrong_size_rejected(chain_problem):
         dense.expectation_deviation(h_problem, sched, h_source, dense.single_qubit_observable("x", 0, 4))
 
 
+def dense_block_product_replay(sched, h_real, q):
+    """The Trotterized block unitary of a non-ZZ ``h_real`` from ``build_dense``'s matrix: one
+    eigendecomposition, each block G exp(-itH) G conjugated entrywise by its gate layer's flip and
+    phase, the first block acting first, the sequence raised to the power q."""
+    n = h_real.n_qubits
+    eigvals, eigvecs = np.linalg.eigh(dense.build_dense(h_real).matrix)
+    cycle = np.eye(2**n, dtype=complex)
+    layers = zip(dense._index_masks(sched.patterns.x, n), dense._index_masks(sched.patterns.z, n))
+    for (x, z), time in zip(layers, sched.times):
+        source, phase = dense._flip_and_phase(x, z, 2**n)
+        block = (eigvecs * np.exp(-1j * time / q * eigvals)) @ eigvecs.conj().T
+        # (G B G)[a, b] = phase[a] * B[source[a], source[b]] * conj(phase[b])
+        cycle = (phase[:, None] * block[np.ix_(source, source)] * phase.conj()) @ cycle
+    return np.linalg.matrix_power(cycle, q)
+
+
 def _kron_oracle_replay(sched, h_real, q):
     """The Trotterized block product by np.kron and expm, the first block acting first."""
     h = kron_hamiltonian(h_real)
@@ -480,7 +510,9 @@ _NON_ZZ_SCHEDULE = Schedule(
 @pytest.mark.parametrize("q", [1, 3])
 def test_non_zz_replay_matches_the_kron_expm_block_product(q):
     oracle = _kron_oracle_replay(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q)
-    assert np.abs(dense.replay_unitary(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q=q) - oracle).max() <= 1e-12
+    assert np.abs(dense_block_product_replay(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q) - oracle).max() <= 1e-12
+    state = dense.replay_unitary(_NON_ZZ_SCHEDULE, _NON_ZZ_REAL, q=q)
+    assert amplitude_gap(state, oracle @ dense.plus_state(3)) <= 1e-12
 
 
 def test_non_zz_replay_diagonalizes_h_once(monkeypatch):
@@ -505,3 +537,31 @@ def test_non_zz_deviation_matches_kron_oracle(q):
     assert oracle > 1e-3
     deviation = dense.expectation_deviation(h_problem, _NON_ZZ_SCHEDULE, _NON_ZZ_REAL, obs, q=q)
     assert deviation == pytest.approx(oracle, abs=1e-12)
+
+
+def test_non_zz_deviation_peaks_below_four_matrices():
+    # the ideal and the faulty evolution act on |+>^N: the largest arrays alive at once are H and
+    # its eigenvectors, never a block product (XX+YY chain, chain plus second-neighbour defects)
+    n = 9
+    rng = np.random.default_rng(n)
+
+    def chain():
+        return CouplingVector(n, {
+            CouplingKey(i, i + 1, axis, axis): float(rng.uniform(0.5, 1.5) * rng.choice([-1, 1]))
+            for i in range(n - 1)
+            for axis in "xy"
+        })
+
+    h_source, h_problem = chain(), chain()
+    defect = InteractionGraph(n, [CouplingKey(i, j, a, a) for i in range(n) for j in (i + 1, i + 2) if j < n for a in "xy"])
+    sched = synthesize(h_problem, h_source, defect, 1.0, SynthesisMode.REMOVE_ZEROS, rng_seed=3)
+    h_real = h_source + CouplingVector(n, {key: 0.05 for key in defect.sorted_edges()})
+    observable = dense.single_qubit_observable("x", 0, n)
+    tracemalloc.start()
+    try:
+        deviation = dense.expectation_deviation(h_problem, sched, h_real, observable, q=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviation > 1e-3
+    assert peak <= 4 * 16 * 4**n

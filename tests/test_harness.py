@@ -212,6 +212,11 @@ def test_csv_rejects_malformed_rows():
         TrialRecord.from_row(["1", "2", "nn"])
     with pytest.raises(ValidationError):
         harness.read_records(io.StringIO("not,a,results,file\n"))
+    # a flag cell is 0 or 1; anything else is not read as False
+    row = TrialRecord(0, 3, "nn", "remove", 42, 1.0, None, 2.0, None, 3.0, 4.0, 5.0, None, True, False).to_row()
+    for cell in ("yes", "maybe", "", "2"):
+        with pytest.raises(ValidationError, match="flag"):
+            TrialRecord.from_row(row[:-1] + [cell])
 
 
 # ---- summaries --------------------------------------------------------------------
