@@ -120,19 +120,19 @@ def build_sign_matrix(patterns: PauliMasks, rows: Sequence[CouplingKey]) -> Sign
 def sign_weights(patterns: PauliMasks, times: Sequence[float], keys: Sequence[CouplingKey]) -> np.ndarray:
     """Time-weighted sign sums w_alpha = sum_k t_k * s_alpha(P_k), one per key.
 
-    The blocks are added left to right, in schedule order, so every weight is
-    bit-identical to the sequential per-key sum; a matrix-vector product
-    would reorder the additions.  An empty schedule or key list gives zeros.
+    The blocks are added left to right, in schedule order, onto 0.0: one
+    ``np.cumsum`` along the blocks behind a zero column, so every weight is
+    bit-identical to the sequential per-key sum, signed zeros included; a
+    matrix-vector product would reorder the additions.  An empty schedule or
+    key list gives zeros.
     """
     if len(times) != len(patterns):
         raise ValidationError("patterns and times must have equal length")
-    weights = np.zeros(len(keys))
     if not len(patterns) or not keys:
-        return weights
-    columns = build_sign_matrix(patterns, keys).entries
-    for k, time in enumerate(times):
-        weights += float(time) * columns[:, k]
-    return weights
+        return np.zeros(len(keys))
+    terms = np.zeros((len(keys), len(times) + 1))
+    terms[:, 1:] = build_sign_matrix(patterns, keys).entries * np.asarray(times, dtype=float)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def pattern_alphabet(source_support: InteractionGraph) -> str:
@@ -159,7 +159,9 @@ def generate_candidate_patterns(
 
     A whole-space request lists ``itertools.product(alphabet, repeat=n)``,
     pattern k the digits of k, in the seed's permutation, so Dantzig's
-    first-index ties fall differently from seed to seed.  Below it, the
+    first-index ties fall differently from seed to seed.  Over ``IX`` the
+    digits of k are its bits, so its x masks are k itself, shifted into the
+    packed layout; a whole space is never so big that k overflows.  Below it, the
     seeded ``rng.integers`` rows follow, deduplicated in first-occurrence
     order, so a larger request extends a smaller one (prefix property).  No
     row is ever one integer, which would overflow at 4^32 patterns.
@@ -176,6 +178,12 @@ def generate_candidate_patterns(
     if requested == total:
         order = np.arange(total)
         rng.shuffle(order[1:])  # the identity stays first
+        if base == 2:
+            # k's big-endian bytes, qubit 0 its top bit, cut to the packed width
+            width = -(-n // 8)
+            words = order.astype(np.uint64) << np.uint64(8 * width - n)
+            x = words.astype(">u8").view(np.uint8).reshape(total, 8)[:, 8 - width :]
+            return PauliMasks(n, x, np.zeros_like(x))
         gates = order[:, None] // base ** np.arange(n - 1, -1, -1) % base
     else:
         gates = np.zeros((1, n), dtype=np.int64)  # the identity

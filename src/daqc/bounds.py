@@ -46,8 +46,7 @@ def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> Def
     edges = support.sorted_edges()
     rng = np.random.default_rng(rng_seed)
     values = rng.uniform(-delta, delta, size=len(edges))
-    h_delta = CouplingVector(support.n_qubits, dict(zip(edges, values)))
-    return DefectSample(h_delta, float(delta))
+    return DefectSample(CouplingVector.from_sorted(support.n_qubits, edges, values), float(delta))
 
 
 def _edge_count_root(e_ds: int, p: float) -> float:
@@ -209,7 +208,7 @@ def evaluate_bounds(
     """
     dense.check_trotter_steps(q)
     n = h_problem.n_qubits
-    if not set(defect.h_delta.keys()) <= defect_support.edges:
+    if not defect_support.edges.issuperset(defect.h_delta.keys()):
         raise ValidationError("defect sample declares couplings outside the defect support")
 
     source_graph = h_source.support_graph()
@@ -222,11 +221,13 @@ def evaluate_bounds(
     mitigated = schedule.mode is SynthesisMode.MITIGATE_ZEROS
     if mitigated:
         unmeasured = ds_graph.sorted_edges()
-        for key, weight in zip(unmeasured, sign_weights(schedule.patterns, schedule.times, unmeasured)):
-            if not within_replay_tol(weight / target_time, schedule, 1.0):
-                raise ValidationError(
-                    f"mitigated schedule leaves sign weight {weight:.3e} on unmeasured edge {key}"
-                )
+        weights = sign_weights(schedule.patterns, schedule.times, unmeasured)
+        uncancelled = (~within_replay_tol(weights / target_time, schedule, 1.0)).nonzero()[0]
+        if uncancelled.size:
+            at = uncancelled[0]
+            raise ValidationError(
+                f"mitigated schedule leaves sign weight {weights[at]:.3e} on unmeasured edge {unmeasured[at]}"
+            )
     effective_e_ds = 0 if mitigated else e_ds
 
     h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
@@ -262,7 +263,7 @@ def evaluate_bounds(
     else:
         exact_frob = 2.0 ** (n / 2.0) * vector_p_norm(h_eps, 2.0)
 
-    source_values = [abs(h_source[k]) for k in h_source.support()]
+    source_values = [abs(value) for value in h_source.values_array().tolist() if value != 0.0]
     small_defect = bool(source_values) and delta < SMALL_DEFECT_FACTOR * min(source_values)
     # ||h_S||_2 <= ||H_S||_op <= ||h_S||_1 for a sum of distinct Pauli strings;
     # the dense norm decides only where these two straddle the limit

@@ -8,6 +8,7 @@ come from SHA-256, so any row can be replayed in isolation on any platform.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -58,20 +59,20 @@ class TopologySpec:
             raise ValidationError(f"defect kind must be one of {DEFECT_KINDS}, got {self.defect_kind!r}")
 
 
-def chain_edges(n_qubits: int) -> list[CouplingKey]:
-    return [CouplingKey(i, i + 1, "z", "z") for i in range(n_qubits - 1)]
+@functools.cache
+def chain_edges(n_qubits: int) -> tuple[CouplingKey, ...]:
+    return tuple(CouplingKey(i, i + 1, "z", "z") for i in range(n_qubits - 1))
 
 
-def second_neighbour_edges(n_qubits: int) -> list[CouplingKey]:
-    return [CouplingKey(i, i + 2, "z", "z") for i in range(n_qubits - 2)]
+@functools.cache
+def second_neighbour_edges(n_qubits: int) -> tuple[CouplingKey, ...]:
+    return tuple(CouplingKey(i, i + 2, "z", "z") for i in range(n_qubits - 2))
 
 
-def all_pair_edges(n_qubits: int) -> list[CouplingKey]:
-    return [
-        CouplingKey(i, j, "z", "z")
-        for i in range(n_qubits)
-        for j in range(i + 1, n_qubits)
-    ]
+@functools.cache
+def all_pair_edges(n_qubits: int) -> tuple[CouplingKey, ...]:
+    """Every ZZ pair, in canonical order."""
+    return tuple(CouplingKey(i, j, "z", "z") for i in range(n_qubits) for j in range(i + 1, n_qubits))
 
 
 def derive_seed(*parts) -> int:
@@ -80,10 +81,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest()[:8], "big")
 
 
-def _sample_couplings(edges: Sequence[CouplingKey], scale: float, rng: np.random.Generator, n_qubits: int) -> CouplingVector:
+def _sample_couplings(edges: tuple[CouplingKey, ...], scale: float, rng: np.random.Generator, n_qubits: int) -> CouplingVector:
     magnitudes = rng.uniform(scale / 2.0, 3.0 * scale / 2.0, size=len(edges))
     signs = 2.0 * rng.integers(0, 2, size=len(edges)) - 1.0
-    return CouplingVector(n_qubits, dict(zip(edges, magnitudes * signs)))
+    return CouplingVector.from_sorted(n_qubits, edges, magnitudes * signs)
 
 
 def generate_problem(
@@ -101,21 +102,22 @@ def generate_problem(
         raise ValidationError(f"coupling scale must be positive, and finite at 3/2 of it, got {coupling_scale}")
     n = spec.n_qubits
     rng = np.random.default_rng(rng_seed)
+    # every edge set is a subset of all_pair_edges(n), filtered from it in canonical order
     support = chain_edges(n)
     if spec.kind == "ata":
         support = all_pair_edges(n)
     elif spec.kind == "random":
-        extras = [e for e in all_pair_edges(n) if e.j > e.i + 1]  # the pairs off the chain
-        picks = rng.random(len(extras)) < spec.extra_edge_prob
-        support += [e for e, hit in zip(extras, picks) if hit]
-    support = sorted(support)
+        # one draw per pair off the chain, in canonical order
+        off_chain = iter(rng.random(len(all_pair_edges(n)) - len(support)) < spec.extra_edge_prob)
+        support = tuple(e for e in all_pair_edges(n) if e.j == e.i + 1 or next(off_chain))
     h_problem = _sample_couplings(support, coupling_scale, rng, n)
     h_source = _sample_couplings(support, coupling_scale, rng, n)
     if spec.defect_kind == "ata":
-        defect_edges = set(all_pair_edges(n)) | set(support)
+        defect_edges = all_pair_edges(n)
     else:
-        defect_edges = set(support) | set(second_neighbour_edges(n))
-    return h_problem, h_source, InteractionGraph(n, defect_edges)
+        in_defect = frozenset(support).union(second_neighbour_edges(n))
+        defect_edges = tuple(e for e in all_pair_edges(n) if e in in_defect)
+    return h_problem, h_source, InteractionGraph.from_sorted(n, defect_edges)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,21 @@ part of the declared support.
 
 A ``CouplingKey`` is valid by construction, so the containers check only
 what a key cannot know: ``j < n_qubits`` and, for vectors, finite values.
-Raw tuples handed to a container become ``CouplingKey``s on the way in.
+Keys are checked where they enter from outside, by the public constructors
+and the file parser; raw tuples handed to them become ``CouplingKey``s on
+the way in.  A vector stores its canonical key tuple and a read-only value
+array.  Vectors and graphs derived inside the package go through
+``from_sorted``, which takes keys that are already ``CouplingKey``s: it checks
+their order and range in one pass and every value for finiteness, but
+rebuilds no key.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
 labeled by the axis pair, so a qubit pair may carry up to nine edges.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -73,6 +80,17 @@ def _key_in_range(raw: tuple, n_qubits: int) -> CouplingKey:
     return key
 
 
+def _check_sorted(keys: tuple[CouplingKey, ...], n_qubits: int) -> None:
+    """Raise unless ``keys`` increase strictly in canonical order and address ``n_qubits`` qubits."""
+    before = None
+    for key in keys:
+        if key.j >= n_qubits:
+            raise ValidationError(f"key {key} out of range for {n_qubits} qubits")
+        if before is not None and not before < key:
+            raise ValidationError(f"key {key} repeats or precedes {before} in canonical order")
+        before = key
+
+
 class CouplingVector:
     """Immutable sparse vector of two-body coupling strengths.
 
@@ -80,22 +98,40 @@ class CouplingVector:
     absent keys return 0.0.
     """
 
-    __slots__ = ("_n_qubits", "_entries")
+    __slots__ = ("_n_qubits", "_keys", "_values", "_lookup")
 
     def __init__(self, n_qubits: int, entries: Mapping[CouplingKey, float] = {}):
         if not isinstance(n_qubits, int) or n_qubits < 1:
             raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        cleaned: dict[CouplingKey, float] = {}
-        for raw_key, raw_value in entries.items():
-            key = _key_in_range(raw_key, n_qubits)
-            value = float(raw_value)
-            if not math.isfinite(value):
-                raise ValidationError(f"coupling {key} has non-finite value {value!r}")
-            cleaned[key] = value
-        keys = list(cleaned)
-        in_order = all(a < b for a, b in zip(keys, keys[1:]))
+        cleaned = {_key_in_range(key, n_qubits): float(value) for key, value in entries.items()}
+        keys = sorted(cleaned)
+        self._set(n_qubits, tuple(keys), np.array([cleaned[key] for key in keys], dtype=float))
+
+    @classmethod
+    def from_sorted(cls, n_qubits: int, keys: tuple[CouplingKey, ...], values) -> "CouplingVector":
+        """Vector of ``values`` on ``CouplingKey``s already in strictly increasing canonical order.
+
+        For keys read off a checked vector or graph: their order and range
+        are checked in one pass, and every value for finiteness, but no key
+        is rebuilt.
+        """
+        keys = tuple(keys)
+        _check_sorted(keys, n_qubits)
+        vector = cls.__new__(cls)
+        vector._set(n_qubits, keys, np.array(values, dtype=float))
+        return vector
+
+    def _set(self, n_qubits: int, keys: tuple[CouplingKey, ...], values: np.ndarray) -> None:
+        if values.shape != (len(keys),):
+            raise ValidationError(f"{values.shape} values for {len(keys)} coupling keys")
+        if not all(map(math.isfinite, values.tolist())):
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ValidationError(f"coupling {keys[bad]} has non-finite value {float(values[bad])!r}")
+        values.setflags(write=False)
         self._n_qubits = n_qubits
-        self._entries = cleaned if in_order else dict(sorted(cleaned.items()))
+        self._keys = keys
+        self._values = values
+        self._lookup = None
 
     @property
     def n_qubits(self) -> int:
@@ -103,52 +139,75 @@ class CouplingVector:
 
     def keys(self) -> tuple[CouplingKey, ...]:
         """All declared keys in canonical order (including explicit zeros)."""
-        return tuple(self._entries)
+        return self._keys
 
     def items(self) -> tuple[tuple[CouplingKey, float], ...]:
-        return tuple(self._entries.items())
+        return tuple(zip(self._keys, self._values.tolist()))
 
     def values_array(self) -> np.ndarray:
-        """Declared values as a float array, in canonical key order."""
-        return np.array(list(self._entries.values()), dtype=float)
+        """Declared values as a read-only float array, in canonical key order."""
+        return self._values
+
+    def values_at(self, keys: tuple[CouplingKey, ...]) -> np.ndarray:
+        """The value at each of ``keys``, 0.0 where absent, as ``__getitem__`` reads them."""
+        if keys == self._keys:
+            return self._values
+        lookup = self._lookup_table()
+        return np.array([lookup.get(key, 0.0) for key in keys], dtype=float)
 
     def support(self) -> tuple[CouplingKey, ...]:
         """Keys with a nonzero coupling, in canonical order."""
-        return tuple(k for k, v in self._entries.items() if v != 0.0)
+        return tuple(compress(self._keys, (self._values != 0.0).tolist()))
 
     def support_graph(self) -> "InteractionGraph":
-        return InteractionGraph(self._n_qubits, self.support())
+        return InteractionGraph.from_sorted(self._n_qubits, self.support())
 
     def restricted(self, keys: Iterable[CouplingKey]) -> "CouplingVector":
         """Sub-vector declaring exactly the given keys (absent ones become 0)."""
         return CouplingVector(self._n_qubits, {k: self[k] for k in keys})
 
+    def _lookup_table(self) -> dict[CouplingKey, float]:
+        if self._lookup is None:
+            self._lookup = dict(zip(self._keys, self._values.tolist()))
+        return self._lookup
+
     def __getitem__(self, key: CouplingKey) -> float:
-        return self._entries.get(key, 0.0)
+        return self._lookup_table().get(key, 0.0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[CouplingKey]:
-        return iter(self._entries)
+        return iter(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CouplingVector):
             return NotImplemented
-        return self._n_qubits == other._n_qubits and self._entries == other._entries
+        return (self._n_qubits, self._keys) == (other._n_qubits, other._keys) and bool(
+            np.array_equal(self._values, other._values)
+        )
 
     def __repr__(self) -> str:
-        return f"CouplingVector(n_qubits={self._n_qubits}, entries={self._entries!r})"
+        return f"CouplingVector(n_qubits={self._n_qubits}, entries={dict(self.items())!r})"
 
     def _combined(self, other: "CouplingVector", sign: float, verb: str) -> "CouplingVector":
         if not isinstance(other, CouplingVector):
             return NotImplemented
         if other._n_qubits != self._n_qubits:
             raise ValidationError(f"cannot {verb} coupling vectors of different system sizes")
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0.0) + sign * value
-        return CouplingVector(self._n_qubits, merged)
+        if self._keys == other._keys:
+            return CouplingVector.from_sorted(self._n_qubits, self._keys, self._values + sign * other._values)
+        # usually the longer key tuple holds the shorter; a key of one side
+        # only keeps its value, or gets 0.0 + sign * value
+        shorter, keys = sorted((self._keys, other._keys), key=len)
+        position = dict(zip(keys, range(len(keys))))
+        if not all(map(position.__contains__, shorter)):
+            keys = tuple(sorted({*keys, *shorter}))
+            position = dict(zip(keys, range(len(keys))))
+        values = np.zeros(len(keys))
+        values[[position[key] for key in self._keys]] = self._values
+        values[[position[key] for key in other._keys]] += sign * other._values
+        return CouplingVector.from_sorted(self._n_qubits, keys, values)
 
     def __add__(self, other: "CouplingVector") -> "CouplingVector":
         return self._combined(other, 1.0, "add")
@@ -161,7 +220,7 @@ class CouplingVector:
     def to_text(self) -> str:
         """Record format: header ``n_qubits=N`` then ``i j mu nu value`` lines."""
         lines = [f"n_qubits={self._n_qubits}"]
-        for (i, j, mu, nu), value in self._entries.items():
+        for (i, j, mu, nu), value in self.items():
             lines.append(f"{i} {j} {mu} {nu} {value:.{FLOAT_DIGITS}g}")
         return "\n".join(lines) + "\n"
 
@@ -219,25 +278,41 @@ class InteractionGraph:
 
     n_qubits: int
     edges: frozenset[CouplingKey]
+    _sorted: tuple[CouplingKey, ...] = field(repr=False, compare=False)
 
     def __init__(self, n_qubits: int, edges: Iterable[CouplingKey] = ()):
         if not isinstance(n_qubits, int) or n_qubits < 1:
             raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        edge_set = frozenset(_key_in_range(e, n_qubits) for e in edges)
+        self._set(n_qubits, tuple(sorted({_key_in_range(e, n_qubits) for e in edges})))
+
+    @classmethod
+    def from_sorted(cls, n_qubits: int, edges: tuple[CouplingKey, ...]) -> "InteractionGraph":
+        """Graph of ``CouplingKey``s already in strictly increasing canonical order.
+
+        The edges are checked as ``CouplingVector.from_sorted`` checks its keys.
+        """
+        edges = tuple(edges)
+        _check_sorted(edges, n_qubits)
+        graph = cls.__new__(cls)
+        graph._set(n_qubits, edges)
+        return graph
+
+    def _set(self, n_qubits: int, edges: tuple[CouplingKey, ...]) -> None:
         object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "edges", edge_set)
+        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "_sorted", edges)
 
     @classmethod
     def from_declared(cls, vector: CouplingVector) -> "InteractionGraph":
         """Graph of every declared key, zeros included (defect-support reading)."""
-        return cls(vector.n_qubits, vector.keys())
+        return cls.from_sorted(vector.n_qubits, vector.keys())
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def sorted_edges(self) -> tuple[CouplingKey, ...]:
-        return tuple(sorted(self.edges))
+        return self._sorted
 
     def degree(self) -> int:
         """Maximum multigraph degree over all vertices (0 for an empty graph)."""
@@ -291,14 +366,19 @@ def hadamard_divide(a: CouplingVector, b: CouplingVector) -> CouplingVector:
     """
     if a.n_qubits != b.n_qubits:
         raise ValidationError("hadamard division requires matching system sizes")
-    for key in a.support():
-        if b[key] == 0.0:
-            raise SimulabilityError(f"nonzero coupling {key} divided by zero source coupling")
-    return CouplingVector(a.n_qubits, {key: a[key] / den for key, den in b.items() if den != 0.0})
+    numerators = a.values_at(b.keys())
+    denominators = b.values_array()
+    kept = denominators != 0.0
+    # every nonzero of a must land on a nonzero denominator
+    if np.count_nonzero(numerators[kept]) != np.count_nonzero(a.values_array()):
+        key = next(key for key in a.support() if b[key] == 0.0)
+        raise SimulabilityError(f"nonzero coupling {key} divided by zero source coupling")
+    keys = tuple(compress(b.keys(), kept.tolist()))
+    return CouplingVector.from_sorted(a.n_qubits, keys, numerators[kept] / denominators[kept])
 
 
 def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGraph:
     """Edges of ``d`` that are not in ``s``; the vertex set is unchanged."""
     if d.n_qubits != s.n_qubits:
         raise ValidationError("graph difference requires matching system sizes")
-    return InteractionGraph(d.n_qubits, d.edges - s.edges)
+    return InteractionGraph.from_sorted(d.n_qubits, tuple(e for e in d.sorted_edges() if e not in s.edges))

@@ -190,21 +190,20 @@ def synthesize(
         raise ValidationError(f"target time must be positive and finite, got {target_time}")
     if not (h_problem.n_qubits == h_source.n_qubits == defect_support.n_qubits):
         raise ValidationError("problem, source and defect support disagree on system size")
-    source_support = set(h_source.support())
-    if not source_support <= defect_support.edges:
-        missing = sorted(source_support - defect_support.edges)[0]
+    source_support = h_source.support()
+    if not defect_support.edges.issuperset(source_support):
+        missing = next(key for key in source_support if key not in defect_support.edges)
         raise ValidationError(f"source coupling {missing} missing from the defect support")
 
     if mode is SynthesisMode.REMOVE_ZEROS:
-        rows = tuple(sorted(source_support))
+        rows = source_support
     elif mode is SynthesisMode.MITIGATE_ZEROS:
         rows = defect_support.sorted_edges()
     else:
         raise ValidationError(f"unknown synthesis mode {mode!r}")
     # raises SimulabilityError for a problem coupling outside the source support;
     # a row without a source coupling is a 0/0 ratio, absent, so its rhs is 0
-    ratios = hadamard_divide(h_problem, h_source)
-    rhs = np.array([ratios[k] for k in rows])
+    rhs = hadamard_divide(h_problem, h_source).values_at(rows)
 
     if not rows:
         return Schedule(h_problem.n_qubits, PauliMasks.from_text([], h_problem.n_qubits), (), float(target_time), mode)
@@ -280,12 +279,9 @@ def effective_couplings(schedule: Schedule, h_real: CouplingVector) -> CouplingV
     """
     if h_real.n_qubits != schedule.n_qubits:
         raise ValidationError("couplings and schedule disagree on system size")
-    keys = sorted(h_real.keys())
-    T = schedule.target_time
+    keys = h_real.keys()
     weights = sign_weights(schedule.patterns, schedule.times, keys)
-    return CouplingVector(
-        h_real.n_qubits, {key: w * h_real[key] / T for key, w in zip(keys, weights)}
-    )
+    return CouplingVector.from_sorted(h_real.n_qubits, keys, weights * h_real.values_array() / schedule.target_time)
 
 
 def error_vector(
@@ -307,13 +303,18 @@ def error_vector(
     """
     h_real = h_source + h_delta
     h_eps = effective_couplings(schedule, h_real) - h_problem
-    for key in h_eps.keys():
-        if h_source[key] == 0.0:
-            continue
-        gap = abs(h_eps[key] - h_problem[key] * h_delta[key] / h_source[key])
-        if not within_replay_tol(gap, schedule, max(abs(h_source[key]), abs(h_real[key]))):
-            raise InternalConsistencyError(
-                f"error vector at {key} deviates {gap:.3e} from its closed form"
-                f" (source {h_source[key]:.3e}, real {h_real[key]:.3e})"
-            )
+    keys = h_eps.keys()
+    source = h_source.values_at(keys)
+    measured = source != 0.0
+    source = source[measured]
+    real = h_real.values_at(keys)[measured]
+    closed_form = h_problem.values_at(keys)[measured] * h_delta.values_at(keys)[measured] / source
+    gap = h_eps.values_array()[measured] - closed_form
+    failed = (~within_replay_tol(gap, schedule, np.maximum(np.abs(source), np.abs(real)))).nonzero()[0]
+    if failed.size:
+        at = failed[0]
+        raise InternalConsistencyError(
+            f"error vector at {keys[measured.nonzero()[0][at]]} deviates {abs(gap[at]):.3e} from its closed form"
+            f" (source {source[at]:.3e}, real {real[at]:.3e})"
+        )
     return h_eps

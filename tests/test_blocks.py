@@ -15,6 +15,7 @@ from daqc.blocks import (
 )
 from daqc.errors import ValidationError
 from daqc.pauli import AXES, CouplingKey, InteractionGraph
+from daqc.schedule import Schedule
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -204,14 +205,24 @@ def test_sign_weights_match_sequential_oracle_bit_for_bit():
     n = 4
     keys = sorted(CouplingKey(i, j, mu, nu)
                   for i in range(n) for j in range(i + 1, n) for mu in AXES for nu in AXES)
+
+    def assert_sequential(patterns, times, masks):
+        weights = sign_weights(masks, times, keys)
+        for alpha, key in enumerate(keys):
+            expected = sum(t * oracle_sign(p, key) for p, t in zip(patterns, times))
+            # the bytes, so a -0.0 where the sum from 0 gives +0.0 fails
+            assert weights[alpha].tobytes() == np.float64(expected).tobytes()
+
     for _ in range(20):
         patterns = ["".join(rng.choice(list(GATES), size=n)) for _ in range(rng.integers(1, 12))]
         patterns.append(patterns[0])  # a schedule read from text may repeat a block
         times = rng.uniform(0.0, 3.0, size=len(patterns)).tolist()
-        weights = sign_weights(PauliMasks.from_text(patterns), times, keys)
-        for alpha, key in enumerate(keys):
-            expected = sum(t * oracle_sign(p, key) for p, t in zip(patterns, times))
-            assert weights[alpha] == expected
+        assert_sequential(patterns, times, PauliMasks.from_text(patterns))
+    # zero-time blocks alone: t * s is -0.0 on every negative sign, and the weight is +0.0
+    assert_sequential(["XYZI", "ZZXI"], [0.0, 0.0], PauliMasks.from_text(["XYZI", "ZZXI"]))
+    text = "n_qubits=4\nT=2\nmode=remove\nXYZI 0.75\nIZZX 0\nXYZI 0.3\nYIXZ 1.25\n"
+    sched = Schedule.from_text(text)
+    assert_sequential(["XYZI", "IZZX", "XYZI", "YIXZ"], sched.times, sched.patterns)
 
 
 # ---- candidate generation ---------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from daqc import harness
+from daqc import harness, pauli
 from daqc.errors import ValidationError
 from daqc.harness import (
     CSV_COLUMNS,
@@ -153,6 +153,30 @@ def test_observable_trial_at_the_cap_allocates_no_full_matrix():
         tracemalloc.stop()
     assert record.exact_delta_o is not None
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode))
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_a_repeated_trial_builds_and_checks_no_key(monkeypatch, kind, mode):
+    # the edge lists are built once per N; every vector and graph a trial
+    # derives from them takes its keys as they are, without rebuilding them
+    config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
+    first = run_trial(config, 7, 0)
+    calls = {"CouplingKey.__new__": 0, "_key_in_range": 0}
+    build_key, key_in_range = CouplingKey.__new__, pauli._key_in_range
+
+    def counted_new(cls, *args, **kwargs):
+        calls["CouplingKey.__new__"] += 1
+        return build_key(cls, *args, **kwargs)
+
+    def counted_in_range(*args):
+        calls["_key_in_range"] += 1
+        return key_in_range(*args)
+
+    monkeypatch.setattr(CouplingKey, "__new__", counted_new)
+    monkeypatch.setattr(pauli, "_key_in_range", counted_in_range)
+    assert run_trial(config, 7, 0) == first
+    assert calls == {"CouplingKey.__new__": 0, "_key_in_range": 0}
 
 
 def test_sweep_csv_digest_is_pinned():

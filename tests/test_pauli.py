@@ -48,6 +48,67 @@ def test_derived_vectors_are_canonical_and_checked():
         hadamard_divide(huge, CouplingVector(3, {zz(0, 1): 1e-308}))
 
 
+# ---- stored arrays and derived vectors ----------------------------------------
+
+
+def test_stored_values_cannot_be_written():
+    v = CouplingVector(3, {zz(1, 2): 3.0, zz(0, 1): 1.0})
+    assert v.keys() is v.keys() and v.values_array() is v.values_array()
+    with pytest.raises(ValueError):
+        v.values_array()[0] = 2.0
+    for derived in (v + v, v - CouplingVector(3, {zz(0, 2): 1.0}), hadamard_divide(v, v)):
+        assert not derived.values_array().flags.writeable
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("other", [{zz(0, 2): 1.0, zz(1, 2): -1e308}, {zz(1, 2): -1e308}], ids=["equal", "merged"])
+def test_arithmetic_that_overflows_names_the_key(other):
+    a = CouplingVector(3, {zz(0, 2): 1.0, zz(1, 2): 1e308})
+    b = CouplingVector(3, other)
+    assert (a.keys() == b.keys()) == (len(other) == 2)
+    with pytest.raises(ValidationError, match=r"coupling \(1,2,z,z\) has non-finite value inf"):
+        a - b
+    with pytest.raises(ValidationError, match=r"coupling \(1,2,z,z\) has non-finite value -inf"):
+        b + b
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_division_that_overflows_names_the_key():
+    a = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): 1e300})
+    b = CouplingVector(3, {zz(0, 1): 2.0, zz(0, 2): 1e-300})
+    with pytest.raises(ValidationError, match=r"coupling \(0,2,z,z\) has non-finite value inf"):
+        hadamard_divide(a, b)
+
+
+@pytest.mark.parametrize("keys, named", [
+    ((zz(0, 2), zz(0, 1)), r"\(0,1,z,z\) repeats or precedes \(0,2,z,z\)"),
+    ((zz(0, 1), zz(0, 1)), r"\(0,1,z,z\) repeats or precedes \(0,1,z,z\)"),
+    ((zz(0, 1), zz(1, 3)), r"\(1,3,z,z\) out of range for 3 qubits"),
+], ids=["unsorted", "duplicate", "out-of-range"])
+def test_sorted_constructors_name_the_bad_key(keys, named):
+    with pytest.raises(ValidationError, match=named):
+        CouplingVector.from_sorted(3, keys, [1.0, 2.0])
+    with pytest.raises(ValidationError, match=named):
+        InteractionGraph.from_sorted(3, keys)
+
+
+def test_sorted_constructor_checks_every_value():
+    with pytest.raises(ValidationError, match=r"coupling \(1,2,z,z\) has non-finite value nan"):
+        CouplingVector.from_sorted(3, (zz(0, 1), zz(1, 2)), [1.0, math.nan])
+    with pytest.raises(ValidationError, match="2 coupling keys"):
+        CouplingVector.from_sorted(3, (zz(0, 1), zz(1, 2)), [1.0])
+
+
+def test_arithmetic_keeps_one_sided_values_bit_for_bit():
+    # a key of one side keeps its value (a -0.0 stays -0.0) or gets 0.0 + sign * value
+    a = CouplingVector(3, {zz(0, 1): -0.0, zz(1, 2): 1.5})
+    b = CouplingVector(3, {zz(0, 2): 0.0, zz(1, 2): 0.5})
+    for total, expected in ((a + b, [-0.0, 0.0, 2.0]), (a - b, [-0.0, 0.0, 1.0]), (b - a, [0.0, 0.0, -1.0])):
+        assert total.keys() == (zz(0, 1), zz(0, 2), zz(1, 2))
+        assert np.array_equal(np.signbit(total.values_array()), np.signbit(expected))
+        assert total.values_array().tolist() == expected
+
+
 # ---- p-norms ---------------------------------------------------------------
 
 

@@ -191,6 +191,20 @@ def test_error_vector_cross_check_fires_on_a_schedule_for_another_problem(three_
         error_vector(sched, h_problem, h_source, h_delta)
 
 
+def test_error_vector_cross_check_names_a_later_measured_key():
+    # the schedule matches the problem on (0,1) and (0,3) but realizes the
+    # other sign on (2,3); unmeasured keys (0,2) and (1,3) come in between
+    h_source = CouplingVector(4, {zz(0, 1): 2.0, zz(0, 3): -1.5, zz(2, 3): 3.0})
+    defect = InteractionGraph(4, [zz(0, 1), zz(0, 2), zz(0, 3), zz(1, 3), zz(2, 3)])
+    h_problem = CouplingVector(4, {zz(0, 1): 1.0, zz(0, 3): 0.5, zz(2, 3): -2.0})
+    h_other = CouplingVector(4, {zz(0, 1): 1.0, zz(0, 3): 0.5, zz(2, 3): 2.0})
+    sched = synthesize(h_other, h_source, defect, 1.0, MITIGATE, rng_seed=4)
+    h_delta = CouplingVector(4, {key: 0.1 * (k + 1) for k, key in enumerate(defect.sorted_edges())})
+    error_vector(sched, h_other, h_source, h_delta)
+    with pytest.raises(InternalConsistencyError, match=r"error vector at \(2,3,z,z\) deviates .* \(source 3\.000e\+00, real 3\.500e\+00\)"):
+        error_vector(sched, h_problem, h_source, h_delta)
+
+
 def test_mode_time_ordering_and_ata_coincidence():
     rng = np.random.default_rng(17)
     for trial in range(30):
