@@ -21,7 +21,6 @@ from .pauli import (
     InteractionGraph,
     graph_difference,
     hadamard_divide,
-    is_zz_only,
     vector_p_norm,
 )
 from .schedule import Schedule, SynthesisMode, error_vector, within_replay_tol
@@ -230,7 +229,8 @@ def evaluate_bounds(
             )
     effective_e_ds = 0 if mitigated else e_ds
 
-    h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta)
+    h_real = h_source + defect.h_delta
+    h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta, h_real=h_real)
     ratios = hadamard_divide(h_problem, h_source)
 
     p_bound = p_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds, requested_p)
@@ -255,10 +255,9 @@ def evaluate_bounds(
         exact_op = dense.operator_norm(h_eps_dense)
         exact_frob = dense.frobenius_norm(h_eps_dense)
         if observable is not None:
-            exact_delta_o = dense.expectation_deviation(
-                h_problem, schedule, h_source + defect.h_delta, observable, q=q
-            )
-            if all(is_zz_only(v.keys()) for v in (h_problem, h_source, defect.h_delta)):
+            exact_delta_o = dense.expectation_deviation(h_problem, schedule, h_real, observable, q=q)
+            # h_eps declares every key of h_problem, h_source and h_delta: diagonal iff all three are ZZ-only
+            if h_eps_dense.matrix.ndim == 1:
                 commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)
     else:
         exact_frob = 2.0 ** (n / 2.0) * vector_p_norm(h_eps, 2.0)

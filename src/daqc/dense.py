@@ -10,9 +10,12 @@ holds it to ``DEFAULT_QUBIT_CAP`` qubits; correctness over speed.
 A Pauli string, be it a two-body term, a gate layer or the observable, is
 never a matrix here.  Its ``PauliMasks`` become basis-index masks, qubit 0
 the top bit, and it acts by an index flip and a phase, (P v)[t] = phase[t] *
-v[source[t]].  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, and
-its replay adds up one real phase, sum_k t_k G_k d G_k, since diagonal
-blocks commute; on ZZ couplings nothing here allocates a 2^N x 2^N array.
+v[source[t]].  The per-qubit Z sign rows, the basis index range, |+>^N and
+each single-qubit observable depend on N alone, so each is built once per N,
+read-only.  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, the sum
+of h_ij Z_i Z_j in key order, and its replay adds up one real phase,
+sum_k t_k G_k d G_k, since diagonal blocks commute; on ZZ couplings nothing
+here allocates a 2^N x 2^N array.
 Any other Hamiltonian is diagonalized once per replay, each block being
 exp(-it GHG) = G exp(-itH) G for its gate layer G, applied to the state as
 G (V exp(-it lambda) (V^dag (G psi))).  The replay conjugates by
@@ -50,6 +53,22 @@ def _parity_sign(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.cache
+def _basis(dim: int) -> np.ndarray:
+    return _read_only(np.arange(dim))
+
+
+@functools.cache
+def _z_rows(n_qubits: int) -> np.ndarray:
+    """Row q: the sign of Z on qubit q, bit N - 1 - q of the basis index."""
+    return _read_only(_parity_sign(_basis(2**n_qubits) & (1 << np.arange(n_qubits - 1, -1, -1))[:, None]))
+
+
 def _index_masks(bits: np.ndarray, n_qubits: int) -> np.ndarray:
     """Packed ``PauliMasks`` rows as basis-index masks: qubit q is bit N - 1 - q."""
     return np.unpackbits(bits, axis=-1, count=n_qubits) @ (1 << np.arange(n_qubits - 1, -1, -1))
@@ -60,7 +79,7 @@ def _flip_and_phase(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``source`` flips the qubits of x; phase[t] = i^(#Y) * (-1)^(parity of source[t] & z), Y = x & z.
     """
-    source = np.arange(dim) ^ x
+    source = _basis(dim) ^ x
     return source, 1j ** (int(x & z).bit_count() % 4) * _parity_sign(source & z)
 
 
@@ -69,17 +88,15 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
     _check_cap(h.n_qubits)
     n = h.n_qubits
     dim = 2**n
-    terms = term_masks(h.keys(), n)
-    phases = _index_masks(terms.z, n)
     if is_zz_only(h.keys()):
-        # one row per term; the sum down axis 0 adds the rows in key order
-        signed = h.values_array()[:, None] * _parity_sign(np.arange(dim) & phases[:, None])
-        return DenseHamiltonian(signed.sum(axis=0))
+        # one row per term, Z_i Z_j exactly +/-1; the sum down axis 0 adds the rows in key order
+        z = _z_rows(n)[np.array([key[:2] for key in h.keys()], dtype=np.intp).reshape(-1, 2).T]  # rows Z_i, Z_j
+        return DenseHamiltonian((h.values_array()[:, None] * (z[0] * z[1])).sum(axis=0))
+    terms = term_masks(h.keys(), n)
     matrix = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for value, x, z in zip(h.values_array(), _index_masks(terms.x, n), phases):
+    for value, x, z in zip(h.values_array(), _index_masks(terms.x, n), _index_masks(terms.z, n)):
         source, phase = _flip_and_phase(x, z, dim)
-        matrix[rows, source] += value * phase
+        matrix[_basis(dim), source] += value * phase
     return DenseHamiltonian(matrix)
 
 
@@ -107,7 +124,9 @@ def frobenius_norm(h: DenseHamiltonian) -> float:
     """
     m = h.matrix
     e = math.frexp(np.abs(m).max(initial=0.0))[1]
-    squares = np.sum(np.square(np.ldexp(m.real, -e))) + np.sum(np.square(np.ldexp(m.imag, -e)))
+    squares = np.sum(np.square(np.ldexp(m.real, -e)))
+    if np.iscomplexobj(m):  # a real matrix's imaginary part would add +0.0
+        squares += np.sum(np.square(np.ldexp(m.imag, -e)))
     return math.ldexp(math.sqrt(squares), e)
 
 
@@ -129,6 +148,10 @@ class ObservableSpec:
     def index_masks(self) -> tuple[int, int]:
         return int(_index_masks(self.string.x, self.n_qubits)[0]), int(_index_masks(self.string.z, self.n_qubits)[0])
 
+    @functools.cached_property
+    def flip_and_phase(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, _flip_and_phase(*self.index_masks, 2**self.n_qubits)))
+
 
 def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
     """Spectral norm of [D, P] for a ZZ-only Hamiltonian's diagonal ``h`` = D.
@@ -138,24 +161,27 @@ def commutator_norm(h: np.ndarray, observable: ObservableSpec) -> float:
     """
     if h.ndim != 1:
         raise ValidationError("the commutator norm takes a ZZ-only Hamiltonian's diagonal, not a full matrix")
-    return float(np.abs(h - h[np.arange(h.size) ^ observable.index_masks[0]]).max(initial=0.0))
+    return float(np.abs(h - h[_basis(h.size) ^ observable.index_masks[0]]).max(initial=0.0))
 
 
+@functools.cache
 def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableSpec:
-    """sigma^axis acting on one qubit, identity elsewhere."""
+    """sigma^axis acting on one qubit, identity elsewhere; one read-only spec per (axis, qubit, N)."""
     if axis not in AXES:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
     if not 0 <= qubit < n_qubits:
         raise ValidationError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    return ObservableSpec(PauliMasks.from_axes((1, n_qubits), [0], [qubit], [axis]))
+    string = PauliMasks.from_axes((1, n_qubits), [0], [qubit], [axis])
+    return ObservableSpec(PauliMasks(n_qubits, _read_only(string.x), _read_only(string.z)))
 
 
 # -- the initial state and its evolution --------------------------------------
 
 
+@functools.cache
 def plus_state(n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    return _read_only(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
 
 
 def _propagator(matrix: np.ndarray):
@@ -196,7 +222,7 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     flips = _index_masks(schedule.patterns.x, n)
     state = plus_state(n)
     if h.ndim == 1:
-        phase = (np.array(schedule.times)[:, None] * h[np.arange(h.size) ^ flips[:, None]]).sum(axis=0)
+        phase = (np.array(schedule.times)[:, None] * h[_basis(h.size) ^ flips[:, None]]).sum(axis=0)
         return np.exp(-1j * phase) * state
     evolve = _propagator(h)
     layers = [_flip_and_phase(x, z, state.size) for x, z in zip(flips, _index_masks(schedule.patterns.z, n))]
@@ -209,7 +235,7 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
 
 def _expectation(observable: ObservableSpec, state: np.ndarray) -> float:
     """<psi|P|psi> for the string P."""
-    source, phase = _flip_and_phase(*observable.index_masks, state.size)
+    source, phase = observable.flip_and_phase
     return float(np.vdot(state, phase * state[source]).real)
 
 

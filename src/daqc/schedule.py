@@ -289,8 +289,10 @@ def error_vector(
     h_problem: CouplingVector,
     h_source: CouplingVector,
     h_delta: CouplingVector,
+    *,
+    h_real: CouplingVector | None = None,
 ) -> CouplingVector:
-    """Coupling error h_eps of the schedule run on ``h_source + h_delta``.
+    """Coupling error h_eps of the schedule run on ``h_real`` = ``h_source + h_delta``.
 
     Computed from the block-sum definition, then cross-checked on measured
     couplings against the closed form target_ratio * delta; disagreement
@@ -299,22 +301,20 @@ def error_vector(
     kernel; the check independent of that kernel there is the exact replay of
     |+>^N through the gate layers themselves, ``dense.replay_unitary``.  The
     block sum multiplies h_real and the closed form h_delta, so the gap is
-    measured against the source and the real coupling.
+    measured against the source and the real coupling.  A caller that has
+    already formed ``h_real`` passes it, and the sum is not formed again.
     """
-    h_real = h_source + h_delta
+    h_real = h_source + h_delta if h_real is None else h_real
     h_eps = effective_couplings(schedule, h_real) - h_problem
-    keys = h_eps.keys()
-    source = h_source.values_at(keys)
-    measured = source != 0.0
-    source = source[measured]
-    real = h_real.values_at(keys)[measured]
-    closed_form = h_problem.values_at(keys)[measured] * h_delta.values_at(keys)[measured] / source
-    gap = h_eps.values_array()[measured] - closed_form
+    measured = h_source.support()  # h_eps declares every key of h_source
+    source = h_source.values_at(measured)
+    real = h_real.values_at(measured)
+    gap = h_eps.values_at(measured) - h_problem.values_at(measured) * h_delta.values_at(measured) / source
     failed = (~within_replay_tol(gap, schedule, np.maximum(np.abs(source), np.abs(real)))).nonzero()[0]
     if failed.size:
         at = failed[0]
         raise InternalConsistencyError(
-            f"error vector at {keys[measured.nonzero()[0][at]]} deviates {abs(gap[at]):.3e} from its closed form"
+            f"error vector at {measured[at]} deviates {abs(gap[at]):.3e} from its closed form"
             f" (source {source[at]:.3e}, real {real[at]:.3e})"
         )
     return h_eps

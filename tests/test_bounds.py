@@ -189,6 +189,18 @@ def test_report_soundness_and_echoes():
     assert report.exact_delta_o <= report.commutator_bound + 1e-12
 
 
+def test_a_zero_xx_key_on_the_problem_alone_drops_the_commutator_bound():
+    # h_eps declares the problem's keys too, so the zero XX key makes its
+    # dense build a full matrix: no ZZ commutator, the same operator norm
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
+    h_p_xx = CouplingVector(4, {**dict(h_p.items()), CouplingKey(0, 1, "x", "x"): 0.0})
+    obs = dense.single_qubit_observable("x", 0, 4)
+    zz_only, with_xx = (bounds.evaluate_bounds(p, h_s, defect, sched, sample, observable=obs) for p in (h_p, h_p_xx))
+    assert zz_only.commutator_bound is not None
+    assert with_xx.commutator_bound is None
+    assert with_xx.exact_op_norm == pytest.approx(zz_only.exact_op_norm, rel=1e-13)
+
+
 @pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
 def test_inf_norm_bound_holds_with_unmeasured_edges(mode):
     h_p, h_s, defect, sched, sample = make_case(mode, seed=4)

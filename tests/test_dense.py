@@ -290,6 +290,17 @@ def test_sigma_x_deviation_on_plus_is_a_difference_of_cosine_products(kind, mode
         assert dev == pytest.approx(abs(x0(h_p) - x0(h_eff)), abs=1e-12), trial
 
 
+def test_size_tables_and_cached_observables_are_read_only():
+    observable = dense.single_qubit_observable("y", 1, 3)
+    assert dense.single_qubit_observable("y", 1, 3) is observable
+    z_rows = dense._z_rows(3)
+    assert np.array_equal(z_rows, [np.diag(kron_string(label)).real for label in ("ZII", "IZI", "IIZ")])
+    tables = [dense._basis(8), z_rows, dense.plus_state(3), observable.string.x, observable.string.z]
+    for array in tables + list(observable.flip_and_phase):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_states_are_normalized():
     assert np.linalg.norm(dense.plus_state(3)) == pytest.approx(1.0)
 

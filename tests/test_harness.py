@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from daqc import harness, pauli
+from daqc import dense, harness, pauli
 from daqc.errors import ValidationError
 from daqc.harness import (
     CSV_COLUMNS,
@@ -18,7 +18,7 @@ from daqc.harness import (
     run_trial,
     summarize,
 )
-from daqc.pauli import CouplingKey
+from daqc.pauli import CouplingKey, CouplingVector
 from daqc.schedule import SynthesisMode
 
 
@@ -177,6 +177,27 @@ def test_a_repeated_trial_builds_and_checks_no_key(monkeypatch, kind, mode):
     monkeypatch.setattr(pauli, "_key_in_range", counted_in_range)
     assert run_trial(config, 7, 0) == first
     assert calls == {"CouplingKey.__new__": 0, "_key_in_range": 0}
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode))
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_a_repeated_observable_trial_misses_no_size_table_and_adds_once(monkeypatch, kind, mode):
+    # dense builds its size-only arrays once per N; a trial forms h_source + h_delta once
+    config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
+    first = run_trial(config, 7, 0)
+    tables = (dense._basis, dense._z_rows, dense.plus_state, dense.single_qubit_observable)
+    misses = [table.cache_info().misses for table in tables]
+    adds = []
+    add = CouplingVector.__add__
+
+    def counted_add(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(CouplingVector, "__add__", counted_add)
+    assert run_trial(config, 7, 0) == first
+    assert [table.cache_info().misses for table in tables] == misses
+    assert len(adds) == 1
 
 
 def test_sweep_csv_digest_is_pinned():
