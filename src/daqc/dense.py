@@ -172,7 +172,9 @@ def single_qubit_observable(axis: str, qubit: int, n_qubits: int) -> ObservableS
     if not 0 <= qubit < n_qubits:
         raise ValidationError(f"qubit {qubit} out of range for {n_qubits} qubits")
     string = PauliMasks.from_axes((1, n_qubits), [0], [qubit], [axis])
-    return ObservableSpec(PauliMasks(n_qubits, _read_only(string.x), _read_only(string.z)))
+    _read_only(string.x)
+    _read_only(string.z)
+    return ObservableSpec(string)
 
 
 # -- the initial state and its evolution --------------------------------------

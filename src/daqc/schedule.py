@@ -290,7 +290,7 @@ def error_vector(
     h_source: CouplingVector,
     h_delta: CouplingVector,
     *,
-    h_real: CouplingVector | None = None,
+    h_real: CouplingVector,
 ) -> CouplingVector:
     """Coupling error h_eps of the schedule run on ``h_real`` = ``h_source + h_delta``.
 
@@ -301,10 +301,8 @@ def error_vector(
     kernel; the check independent of that kernel there is the exact replay of
     |+>^N through the gate layers themselves, ``dense.replay_unitary``.  The
     block sum multiplies h_real and the closed form h_delta, so the gap is
-    measured against the source and the real coupling.  A caller that has
-    already formed ``h_real`` passes it, and the sum is not formed again.
+    measured against the source and the real coupling.
     """
-    h_real = h_source + h_delta if h_real is None else h_real
     h_eps = effective_couplings(schedule, h_real) - h_problem
     measured = h_source.support()  # h_eps declares every key of h_source
     source = h_source.values_at(measured)

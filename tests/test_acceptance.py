@@ -144,7 +144,7 @@ def _paired_error_vectors(kind: str, r_rm, r_mi):
     for record, mode in ((r_rm, REMOVE), (r_mi, MITIGATE)):
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(r_rm.seed, "patterns"))
         assert sched.total_analog_time == record.t_a, f"not the swept schedule: seed {record.seed}"
-        vectors.append(error_vector(sched, h_p, h_s, sample.h_delta))
+        vectors.append(error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta))
     return h_s, defect, vectors
 
 
@@ -263,7 +263,7 @@ def test_c4_error_vector_closed_forms():
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
         sample = bounds.sample_defect(defect, 10.0, derive_seed(seed, "d"))
-        h_eps = error_vector(sched, h_p, h_s, sample.h_delta)
+        h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
         for key in h_eps.keys():
             if h_s[key] != 0.0:
                 closed = h_p[key] * sample.h_delta[key] / h_s[key]

@@ -206,7 +206,7 @@ def test_inf_norm_bound_holds_with_unmeasured_edges(mode):
     h_p, h_s, defect, sched, sample = make_case(mode, seed=4)
     report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, requested_p=math.inf)
     assert report.defect_only_edge_count > 0
-    h_eps = error_vector(sched, h_p, h_s, sample.h_delta)
+    h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
     assert report.p_norm_bound >= vector_p_norm(h_eps, math.inf)
 
 

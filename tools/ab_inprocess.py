@@ -3,29 +3,29 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/ab_inprocess.py TREE_A TREE_B --rounds 40
 
 Each tree's ``src/daqc`` is copied to a temporary directory as ``daqc_a`` or
-``daqc_b``.  The trials are those of the gated workloads of ``perfbench/bench.py``,
-their inputs built once per tree.  Each round runs the trees in turn, A first on
-even rounds, making every call in ``CALLS`` once per trial.  Prints JSON: per
-trial set, call and tree, the mean over trials of each trial's best time in us.
+``daqc_b``.  The trials are those of the workloads ``BENCHMARK.json`` gates, as
+``perfbench/bench.py`` defines them, inputs built once per tree.  Each round
+runs the trees in turn, A first on even rounds, making each call in ``CALLS``
+once per trial.  Prints JSON: the mean of each trial's best time in us.
 """
 
 import argparse
 import importlib
+import inspect
 import itertools
 import json
 import shutil
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
 
-#: (topologies, sizes, trials per point, observable axis), as ``perfbench/bench.py`` defines them
-SETS = {
-    "sweep_small": (("nn", "random", "ata"), (3, 4, 5, 6, 7), 5, None),
-    "replay_obs": (("nn", "random", "ata"), (7, 8), 1, "x"),
-}
-MASTER_SEED = 11
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+from perfbench.bench import MASTER_SEED, WORKLOADS  # noqa: E402
+SETS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 CALLS = {
     "run_trial": lambda m, t: m.harness.run_trial(t.config, t.n, t.index),
@@ -34,7 +34,8 @@ CALLS = {
     "sample_defect": lambda m, t: m.bounds.sample_defect(t.support, t.config.delta, t.seeds[2]),
     "evaluate_bounds": lambda m, t: m.bounds.evaluate_bounds(t.h_p, t.h_s, t.support, t.sched, t.defect, t.obs),
     "h_s + h_d": lambda m, t: t.h_s + t.defect.h_delta,
-    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta),
+    # as the tree's evaluate_bounds calls it: with the h_real it formed, where error_vector takes one
+    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, **t.h_real_arg),
     "effective_couplings": lambda m, t: m.schedule.effective_couplings(t.sched, t.h_real),
     "build_dense": lambda m, t: m.dense.build_dense(t.h_eps),
     "frobenius_norm": lambda m, t: m.dense.frobenius_norm(t.h_eps_dense),
@@ -47,24 +48,23 @@ def load(tree: str, name: str, into: Path) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in ("harness", "schedule", "bounds", "dense")})
 
 
-def trials(m: SimpleNamespace, set_name: str) -> list[SimpleNamespace]:
-    """Every trial of the set with its inputs, seeded as ``harness.run_trial`` seeds them."""
-    kinds, sizes, per_point, axis = SETS[set_name]
-    out = []
-    for kind, mode, n, index in itertools.product(kinds, m.schedule.SynthesisMode, sizes, range(per_point)):
-        config = m.harness.ExperimentConfig(m.harness.TopologySpec(kind, n), (n,), trials=per_point, mode=mode,
-                                            master_seed=MASTER_SEED, observable_axis=axis)
-        seed = m.harness.derive_seed(MASTER_SEED, n, index)
+def trials(m: SimpleNamespace, set_name: str) -> Iterator[SimpleNamespace]:
+    """Every trial of the workload with its inputs, built from the tree's own classes."""
+    w = WORKLOADS[set_name]
+    for kind, mode, n, index in itertools.product(w.topologies, m.schedule.SynthesisMode, w.sizes, range(w.trials_per_point)):
+        config = m.harness.ExperimentConfig(m.harness.TopologySpec(kind, n), (n,), trials=w.trials_per_point, mode=mode,
+                                            master_seed=MASTER_SEED, observable_axis=w.observable_axis)
+        seed = m.harness.derive_seed(MASTER_SEED, n, index)  # mirrors harness.run_trial's seed derivation
         t = SimpleNamespace(config=config, n=n, index=index,
                             seeds=[m.harness.derive_seed(seed, part) for part in ("problem", "patterns", "defect")])
         t.h_p, t.h_s, t.support = CALLS["generate_problem"](m, t)
         t.sched, t.defect = CALLS["synthesize"](m, t), CALLS["sample_defect"](m, t)
-        t.obs = m.dense.single_qubit_observable(axis, 0, n) if axis else None
+        t.obs = m.dense.single_qubit_observable(w.observable_axis, config.observable_qubit, n) if w.observable_axis else None
         t.h_real = t.h_s + t.defect.h_delta
-        t.h_eps = m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta)
+        t.h_real_arg = {"h_real": t.h_real} if "h_real" in inspect.signature(m.schedule.error_vector).parameters else {}
+        t.h_eps = CALLS["error_vector"](m, t)
         t.h_eps_dense = m.dense.build_dense(t.h_eps)
-        out.append(t)
-    return out
+        yield t
 
 
 def main(argv=None) -> None:
@@ -76,7 +76,7 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
         trees = {side: load(tree, f"daqc_{side}", Path(scratch)) for side, tree in (("a", args.tree_a), ("b", args.tree_b))}
-        sets = {(side, s): trials(m, s) for side, m in trees.items() for s in SETS}
+        sets = {(side, s): list(trials(m, s)) for side, m in trees.items() for s in SETS}
         best: dict = {}
         for r in range(args.rounds):
             for side in ("ab" if r % 2 == 0 else "ba"):
