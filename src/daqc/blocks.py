@@ -11,9 +11,12 @@ Aaronson & Gottesman 2004).  ``sign_weights`` sums those signs over a
 schedule, w_alpha = sum_k t_k s_alpha(P_k): the schedule implements
 w_alpha h_alpha / T on coupling alpha.  Every sign in the package comes from
 that parity, ``_symplectic_signs``; the dense replay conjugates by each gate
-layer's index flip and phase instead, independently of it.
+layer's index flip and phase instead, independently of it.  Where the whole
+{I, X}^N space is listed (N <= 9), its signs of every ZZ pair under every IX
+layer are kept per N, read-only, and ZZ rows under z-free layers gather them.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +26,10 @@ from .errors import ValidationError
 from .pauli import AXES, CouplingKey, InteractionGraph, is_zz_only
 
 GATES = "IXYZ"
+
+#: when the pattern space is at most this big, the LP sees every pattern;
+#: beyond it, candidates start at 2*|defect edges|+1 and double on infeasibility
+EXHAUSTIVE_PATTERN_LIMIT = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +105,32 @@ def _symplectic_signs(terms: PauliMasks, layers: PauliMasks) -> np.ndarray:
     return np.array([1, -1], dtype=np.int8)[odd]
 
 
+@functools.cache
+def _ix_masks(n_qubits: int) -> np.ndarray:
+    """Read-only packed x masks of 0..2^N-1: k's big-endian bytes, qubit 0 its top bit, cut to the packed width."""
+    width = -(-n_qubits // 8)
+    words = np.arange(2**n_qubits, dtype=np.uint64) << np.uint64(8 * width - n_qubits)
+    masks = np.ascontiguousarray(words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :])
+    masks.setflags(write=False)
+    return masks
+
+
+@functools.cache
+def _zz_signs(n_qubits: int) -> np.ndarray:
+    """Read-only int8 signs of ZZ pair (i, j), row i (2N - i - 1) / 2 + j - i - 1, under the IX layer of k, column k."""
+    pairs = [CouplingKey(i, j, "z", "z") for i in range(n_qubits) for j in range(i + 1, n_qubits)]
+    x = _ix_masks(n_qubits)
+    signs = _symplectic_signs(term_masks(pairs, n_qubits), PauliMasks(n_qubits, x, np.zeros_like(x)))
+    signs.setflags(write=False)
+    return signs
+
+
+def ix_indices(layers: PauliMasks) -> np.ndarray:
+    """The k whose bits are each layer's x mask, read off its packed bytes (at most 16 qubits)."""
+    width = layers.x.shape[1]
+    return np.ascontiguousarray(layers.x).view(f">u{width}")[:, 0] >> 8 * width - layers.n_qubits
+
+
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
     """Dense +/-1 matrix: rows are coupling keys, columns are gate patterns."""
@@ -112,7 +145,12 @@ def build_sign_matrix(patterns: PauliMasks, rows: Sequence[CouplingKey]) -> Sign
     top = max(k.j for k in rows)
     if top >= patterns.n_qubits:
         raise ValidationError(f"rows up to qubit {top} exceed the {patterns.n_qubits}-qubit patterns")
-    entries = _symplectic_signs(term_masks(rows, patterns.n_qubits), patterns)
+    n = patterns.n_qubits
+    pairs = [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j, mu, nu in rows if mu == nu == "z"]
+    if len(pairs) == len(rows) and 2**n <= EXHAUSTIVE_PATTERN_LIMIT and not patterns.z.any():
+        entries = _zz_signs(n).take(pairs, 0).take(ix_indices(patterns), 1)
+    else:
+        entries = _symplectic_signs(term_masks(rows, n), patterns)
     entries.setflags(write=False)
     return SignMatrix(entries)
 
@@ -160,8 +198,8 @@ def generate_candidate_patterns(
     A whole-space request lists ``itertools.product(alphabet, repeat=n)``,
     pattern k the digits of k, in the seed's permutation, so Dantzig's
     first-index ties fall differently from seed to seed.  Over ``IX`` the
-    digits of k are its bits, so its x masks are k itself, shifted into the
-    packed layout; a whole space is never so big that k overflows.  Below it, the
+    digits of k are its bits, so the listing gathers the x masks of 0..2^N-1;
+    a whole space is never so big that k overflows.  Below it, the
     seeded ``rng.integers`` rows follow, deduplicated in first-occurrence
     order, so a larger request extends a smaller one (prefix property).  No
     row is ever one integer, which would overflow at 4^32 patterns.
@@ -179,10 +217,7 @@ def generate_candidate_patterns(
         order = np.arange(total)
         rng.shuffle(order[1:])  # the identity stays first
         if base == 2:
-            # k's big-endian bytes, qubit 0 its top bit, cut to the packed width
-            width = -(-n // 8)
-            words = order.astype(np.uint64) << np.uint64(8 * width - n)
-            x = words.astype(">u8").view(np.uint8).reshape(total, 8)[:, 8 - width :]
+            x = (_ix_masks if total <= EXHAUSTIVE_PATTERN_LIMIT else _ix_masks.__wrapped__)(n).take(order, 0)
             return PauliMasks(n, x, np.zeros_like(x))
         gates = order[:, None] // base ** np.arange(n - 1, -1, -1) % base
     else:

@@ -140,7 +140,7 @@ class ObservableSpec:
     def n_qubits(self) -> int:
         return self.string.n_qubits
 
-    @property
+    @functools.cached_property
     def support(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(np.unpackbits(self.string.x | self.string.z, count=self.n_qubits)).tolist())
 

@@ -187,7 +187,7 @@ class TrialRecord:
     short_time: bool
 
     def to_row(self) -> list[str]:
-        return [_WRITE_CELL[f.type](getattr(self, f.name)) for f in fields(self)]
+        return [write(getattr(self, name)) for name, write in _ROW_WRITERS]
 
     @classmethod
     def from_row(cls, row: Sequence[str]) -> "TrialRecord":
@@ -206,7 +206,7 @@ def _flag_cell(cell: str) -> bool:
     return cell == "1"
 
 
-#: CSV cell codecs by TrialRecord field type; the fields are in CSV_COLUMNS order
+#: CSV cell codecs by TrialRecord field type, and (name, writer) of each field in CSV_COLUMNS order
 _WRITE_CELL = {
     int: str,
     str: str,
@@ -214,6 +214,7 @@ _WRITE_CELL = {
     float | None: _num_cell,
     bool: lambda value: "1" if value else "0",
 }
+_ROW_WRITERS = tuple((f.name, _WRITE_CELL[f.type]) for f in fields(TrialRecord))
 _READ_CELL = {
     int: int,
     str: str,

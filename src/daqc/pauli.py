@@ -16,7 +16,7 @@ the way in.  A vector stores its canonical key tuple and a read-only value
 array.  Vectors and graphs derived inside the package go through
 ``from_sorted``, which takes keys that are already ``CouplingKey``s: it checks
 their order and range in one pass and every value for finiteness, but
-rebuilds no key.
+rebuilds no key.  A sum or difference on an operand's own keys checks only its values.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
 labeled by the axis pair, so a qubit pair may carry up to nine edges.
@@ -117,11 +117,9 @@ class CouplingVector:
         """
         keys = tuple(keys)
         _check_sorted(keys, n_qubits)
-        vector = cls.__new__(cls)
-        vector._set(n_qubits, keys, np.array(values, dtype=float))
-        return vector
+        return cls.__new__(cls)._set(n_qubits, keys, np.array(values, dtype=float))
 
-    def _set(self, n_qubits: int, keys: tuple[CouplingKey, ...], values: np.ndarray) -> None:
+    def _set(self, n_qubits: int, keys: tuple[CouplingKey, ...], values: np.ndarray) -> "CouplingVector":
         if values.shape != (len(keys),):
             raise ValidationError(f"{values.shape} values for {len(keys)} coupling keys")
         if not all(map(math.isfinite, values.tolist())):
@@ -132,6 +130,7 @@ class CouplingVector:
         self._keys = keys
         self._values = values
         self._lookup = None
+        return self
 
     @property
     def n_qubits(self) -> int:
@@ -196,18 +195,20 @@ class CouplingVector:
         if other._n_qubits != self._n_qubits:
             raise ValidationError(f"cannot {verb} coupling vectors of different system sizes")
         if self._keys == other._keys:
-            return CouplingVector.from_sorted(self._n_qubits, self._keys, self._values + sign * other._values)
-        # usually the longer key tuple holds the shorter; a key of one side
-        # only keeps its value, or gets 0.0 + sign * value
-        shorter, keys = sorted((self._keys, other._keys), key=len)
-        position = dict(zip(keys, range(len(keys))))
-        if not all(map(position.__contains__, shorter)):
-            keys = tuple(sorted({*keys, *shorter}))
+            keys, values = self._keys, self._values + sign * other._values  # keys checked when built
+        else:
+            # usually the longer key tuple, checked when built, holds the shorter;
+            # a key of one side only keeps its value, or gets 0.0 + sign * value
+            shorter, keys = sorted((self._keys, other._keys), key=len)
             position = dict(zip(keys, range(len(keys))))
-        values = np.zeros(len(keys))
-        values[[position[key] for key in self._keys]] = self._values
-        values[[position[key] for key in other._keys]] += sign * other._values
-        return CouplingVector.from_sorted(self._n_qubits, keys, values)
+            if not all(map(position.__contains__, shorter)):
+                keys = tuple(sorted({*keys, *shorter}))
+                _check_sorted(keys, self._n_qubits)
+                position = dict(zip(keys, range(len(keys))))
+            values = np.zeros(len(keys))
+            values[[position[key] for key in self._keys]] = self._values
+            values[[position[key] for key in other._keys]] += sign * other._values
+        return CouplingVector.__new__(CouplingVector)._set(self._n_qubits, keys, values)
 
     def __add__(self, other: "CouplingVector") -> "CouplingVector":
         return self._combined(other, 1.0, "add")

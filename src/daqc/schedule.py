@@ -20,13 +20,15 @@ mitigated one whenever both solve over the same candidate set.
 
 Patterns with equal sign columns on the LP's rows are one variable to the LP;
 on ZZ rows a pattern and its global X flip always are.  Only the first in
-candidate order (``np.unique`` on the columns' bytes) reaches ``lp.solve``,
-so its pivots and vertex stay as with every copy present: a later copy has
-the same reduced cost as its first, so neither Dantzig pricing (first
-minimum) nor Bland's rule on degenerate runs enters it first; the
-drive-out's ``argmax`` takes the first of equal entries; and dropping
-columns keeps the order of the rest.  The exhaustive ZZ program at N qubits
-thus has 2^(N-1) columns, not 2^N, when its rows connect all N.
+candidate order reaches ``lp.solve``, so its pivots and vertex stay as with
+every copy present: a later copy has the same reduced cost as its first, so
+neither Dantzig pricing (first minimum) nor Bland's rule on degenerate runs
+enters it first; the drive-out's ``argmax`` takes the first of equal
+entries; and dropping columns keeps the order of the rest.  A whole-space
+ZZ listing keeps the first of each flip pair k, k ^ (2^N - 1) before any sign
+is built.  Two kept columns are equal when their xor flips no row, so when no
+kept column but the identity's is all +1 (the rows connect all N qubits) the
+program has its 2^(N-1) columns; else ``np.unique`` on the bytes finds them.
 
 The program over the whole pattern space is always feasible: its rows are
 distinct Walsh characters of the pattern group, so it has full row rank, and
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
+from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, generate_candidate_patterns, ix_indices
+from .blocks import pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
 
@@ -50,10 +53,6 @@ from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, 
 #: on the default-scale acceptance sweeps (g = 100) those terms stay below 1300,
 #: so every check there is below 1e-9 absolute
 REPLAY_TOL = 5e-13
-
-#: when the pattern space is at most this big, the LP sees every pattern;
-#: beyond it, candidates start at 2*|defect edges|+1 and double on infeasibility
-EXHAUSTIVE_PATTERN_LIMIT = 512
 
 
 class SynthesisMode(enum.Enum):
@@ -212,12 +211,16 @@ def synthesize(
     solution = None
     for requested in _candidate_counts(total, defect_support.edge_count):
         patterns = generate_candidate_patterns(defect_support, requested, rng_seed)
-        entries = build_sign_matrix(patterns, rows).entries
         # the LP gets each distinct column once, at its first pattern (module docstring)
-        columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
-        keep = np.sort(np.unique(columns, return_index=True)[1])
-        patterns = patterns[keep]
-        sign_entries = entries[:, keep].astype(float)
+        if whole_zz := total == 2**h_problem.n_qubits <= EXHAUSTIVE_PATTERN_LIMIT:  # all of {I, X}^N
+            position = np.argsort(ix_indices(patterns))  # of k; position[::-1][k] is that of k ^ (2^N - 1)
+            patterns = patterns[np.sort(np.minimum(position, position[::-1])[: total // 2])]
+        entries = build_sign_matrix(patterns, rows).entries
+        if not whole_zz or np.count_nonzero(entries.min(axis=0) == 1) > 1:
+            columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
+            keep = np.sort(np.unique(columns, return_index=True)[1])
+            patterns, entries = patterns[keep], entries[:, keep]
+        sign_entries = entries.astype(float)
         candidate = lp.solve(lp.LinearProgram(sign_entries, rhs))
         if candidate.is_optimal:
             solution = candidate

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from daqc import blocks
 from daqc.blocks import (
     GATES,
     PauliMasks,
@@ -346,3 +347,60 @@ def test_whole_space_request_matches_the_recorded_permutation(n, digest):
     patterns = generate_candidate_patterns(zz_graph(n, [(0, 1)]), 2**n, rng_seed=2024).to_text()
     assert len(patterns) == 2**n
     assert pattern_digest(patterns) == digest
+
+
+# ---- the per-size ZZ sign table -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_zz_rows_under_ix_layers_gather_the_kernel_signs(monkeypatch, n):
+    # the table holds the kernel's signs, so a gather equals the kernel bit for bit, in C order
+    rng = np.random.default_rng(100 + n)
+    pairs = [zz(i, j) for i, j in itertools.combinations(range(n), 2)]
+    graph = InteractionGraph(n, pairs)
+    layer_sets = [
+        generate_candidate_patterns(graph, 2**n, rng_seed=n),  # whole space, seeded order
+        generate_candidate_patterns(graph, 2 ** (n - 1) + 1, rng_seed=n),  # sampled
+        PauliMasks.from_text(["".join(rng.choice(["I", "X"], n)) for _ in range(9)]),  # repeats allowed
+    ]
+    row_sets = [pairs, [pairs[k] for k in rng.permutation(len(pairs))[: max(1, len(pairs) // 2)]], [pairs[-1]]]
+    kernel = blocks._symplectic_signs
+    blocks._zz_signs(n)
+
+    def no_kernel(terms, layers):
+        raise AssertionError("ZZ rows under IX layers read the kernel")
+
+    for layers, rows in itertools.product(layer_sets, row_sets):
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "_symplectic_signs", no_kernel)
+            gathered = build_sign_matrix(layers, rows).entries
+        assert gathered.dtype == np.int8 and gathered.flags.c_contiguous
+        assert np.array_equal(gathered, kernel(term_masks(rows, n), layers))
+
+
+def test_other_rows_and_layers_take_the_kernel(monkeypatch):
+    calls = []
+    kernel = blocks._symplectic_signs
+
+    def counted(terms, layers):
+        calls.append(len(layers))
+        return kernel(terms, layers)
+
+    monkeypatch.setattr(blocks, "_symplectic_signs", counted)
+    ix = PauliMasks.from_text(["IXI", "XXI", "III"])
+    build_sign_matrix(ix, [zz(0, 1), CouplingKey(1, 2, "x", "z")])  # a row that is not ZZ
+    build_sign_matrix(PauliMasks.from_text(["IXI", "XZI"]), [zz(0, 1)])  # a layer with z bits
+    ten = generate_candidate_patterns(zz_graph(10, [(0, 9)]), 20, rng_seed=1)  # 2^10 > the whole-space limit
+    build_sign_matrix(ten, [zz(0, 9)])
+    assert calls == [3, 2, 20]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_size_tables_are_read_only_and_keyed_by_size(n):
+    masks, signs = blocks._ix_masks(n), blocks._zz_signs(n)
+    assert blocks._ix_masks(n) is masks and blocks._zz_signs(n) is signs
+    assert masks.shape == (2**n, -(-n // 8)) and signs.shape == (n * (n - 1) // 2, 2**n)
+    assert PauliMasks(n, masks, np.zeros_like(masks)).to_text() == ["".join(p) for p in itertools.product("IX", repeat=n)]
+    for table in (masks, signs):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1

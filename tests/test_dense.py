@@ -347,10 +347,19 @@ def test_replay_does_not_read_the_sign_kernel(chain_problem, monkeypatch):
     # of the parity kernel forced to +1 it must still reproduce the target evolution
     h_problem, h_source, sched = chain_problem
     monkeypatch.setattr(blocks, "_symplectic_signs", lambda terms, layers: np.ones((len(terms), len(layers)), np.int8))
-    poisoned = blocks.sign_weights(sched.patterns, sched.times, [zz(0, 1)])[0]
-    assert poisoned == pytest.approx(sched.total_analog_time)
-    state = dense.replay_unitary(sched, h_source)
-    assert amplitude_gap(state, dense.evolution_unitary(h_problem, 1.0)) <= 1e-10
+    # the per-size sign tables are built by the kernel: emptied so the poisoned
+    # kernel builds them, and emptied again so no poisoned table outlives the test
+    tables = (blocks._ix_masks, blocks._zz_signs)
+    for table in tables:
+        table.cache_clear()
+    try:
+        poisoned = blocks.sign_weights(sched.patterns, sched.times, [zz(0, 1)])[0]
+        assert poisoned == pytest.approx(sched.total_analog_time)
+        state = dense.replay_unitary(sched, h_source)
+        assert amplitude_gap(state, dense.evolution_unitary(h_problem, 1.0)) <= 1e-10
+    finally:
+        for table in tables:
+            table.cache_clear()
 
 
 @pytest.mark.parametrize("q", [1, 3])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from daqc import dense, harness, pauli
+from daqc import blocks, dense, harness, pauli
 from daqc.errors import ValidationError
 from daqc.harness import (
     CSV_COLUMNS,
@@ -177,6 +177,46 @@ def test_a_repeated_trial_builds_and_checks_no_key(monkeypatch, kind, mode):
     monkeypatch.setattr(pauli, "_key_in_range", counted_in_range)
     assert run_trial(config, 7, 0) == first
     assert calls == {"CouplingKey.__new__": 0, "_key_in_range": 0}
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode))
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_a_repeated_trial_checks_key_order_ten_times(monkeypatch, kind, mode):
+    # a sum or difference on an operand's own, checked key tuple checks only its
+    # values: h_source + h_delta and the error vector's difference made 12 at the parent
+    config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
+    first = run_trial(config, 7, 0)
+    calls = []
+    check_sorted = pauli._check_sorted
+
+    def counted(keys, n_qubits):
+        calls.append(keys)
+        return check_sorted(keys, n_qubits)
+
+    monkeypatch.setattr(pauli, "_check_sorted", counted)
+    assert run_trial(config, 7, 0) == first
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("mode", list(SynthesisMode))
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def test_a_repeated_whole_space_trial_reads_the_sign_tables_only(monkeypatch, kind, mode):
+    # every sign of a ZZ trial at N <= 9 is gathered from the per-size tables, built on the first trial
+    config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
+    first = run_trial(config, 7, 0)
+    tables = (blocks._ix_masks, blocks._zz_signs)
+    misses = [table.cache_info().misses for table in tables]
+    calls = []
+    kernel = blocks._symplectic_signs
+
+    def counted(terms, layers):
+        calls.append(len(layers))
+        return kernel(terms, layers)
+
+    monkeypatch.setattr(blocks, "_symplectic_signs", counted)
+    assert run_trial(config, 7, 0) == first
+    assert [table.cache_info().misses for table in tables] == misses
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))

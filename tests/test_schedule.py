@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from daqc import bounds, lp, schedule
+from daqc import blocks, bounds, lp, schedule
 from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
 from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
@@ -324,6 +324,58 @@ def test_dropping_duplicate_columns_keeps_the_lp_answer(monkeypatch, kind, mode)
             # the objective sums times vectors of different lengths, which numpy's
             # pairwise summation may group differently, so only it may move in the last place
             assert solution.objective_value == pytest.approx(reference.objective_value, rel=2 * np.finfo(float).eps, abs=0)
+
+
+def _bytes_deduplicated_program(h_problem, h_source, defect, mode, seed):
+    """The whole listing's kernel signs, first pattern of each distinct column kept by its bytes."""
+    rows = h_source.support() if mode is REMOVE else defect.sorted_edges()
+    patterns = generate_candidate_patterns(defect, pattern_space_size(defect), seed)
+    entries = blocks._symplectic_signs(blocks.term_masks(rows, defect.n_qubits), patterns)
+    keep = sorted({column.tobytes(): k for k, column in reversed(list(enumerate(entries.T)))}.values())
+    return patterns[np.array(keep)], entries[:, keep].astype(float)
+
+
+def _check_the_flip_pair_keep(monkeypatch, h_problem, h_source, defect, mode, seed):
+    solve = lp.solve
+    solved = []
+
+    def recording_solve(program):
+        solved.append((program, solve(program)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    sched = synthesize(h_problem, h_source, defect, 1.0, mode, seed)
+    ((program, solution),) = solved
+    patterns, entries = _bytes_deduplicated_program(h_problem, h_source, defect, mode, seed)
+    assert np.array_equal(program.constraint_matrix, entries)
+    assert sched.patterns == patterns[solution.times > 0.0]
+    return program.n_cols
+
+
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
+def test_the_flip_pair_keep_equals_the_bytes_dedup(monkeypatch, kind, mode):
+    for n in range(3, 10):
+        trial_seed = derive_seed(13, n, 0)
+        h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
+        assert _check_the_flip_pair_keep(monkeypatch, h_p, h_s, defect, mode, derive_seed(trial_seed, "patterns")) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n, source_pairs, defect_pairs, columns", [
+    (6, [(0, 1), (1, 2), (3, 4), (4, 5)], [], 2**4),  # two components
+    (5, [(0, 1), (1, 2), (2, 3)], [], 2**3),  # qubit 4 untouched
+    (4, [(1, 2), (2, 3)], [], 2**2),  # qubit 0 untouched
+    (6, [(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)], 2**3),  # removed rows fall apart, the defect does not
+])
+@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
+def test_the_flip_pair_keep_on_a_partial_support_falls_back_to_the_bytes(monkeypatch, mode, n, source_pairs,
+                                                                          defect_pairs, columns):
+    rng = np.random.default_rng(n)
+    h_source = CouplingVector(n, {zz(i, j): rng.uniform(1.0, 2.0) for i, j in source_pairs})
+    h_problem = CouplingVector(n, {zz(i, j): rng.uniform(-1.0, 1.0) for i, j in source_pairs})
+    defect = InteractionGraph(n, [zz(i, j) for i, j in source_pairs + defect_pairs])
+    n_cols = _check_the_flip_pair_keep(monkeypatch, h_problem, h_source, defect, mode, 5)
+    assert n_cols == (columns if mode is REMOVE or not defect_pairs else 2 ** (n - 1))
 
 
 @pytest.mark.parametrize("mode", [REMOVE, MITIGATE])

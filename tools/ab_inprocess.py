@@ -1,17 +1,20 @@
 """In-process A/B timing of two daqc trees, imported side by side in one process.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/ab_inprocess.py TREE_A TREE_B --rounds 40
+    OPENBLAS_NUM_THREADS=1 python3 tools/ab_inprocess.py TREE_B TREE_A --rounds 40
 
 Each tree's ``src/daqc`` is copied to a temporary directory as ``daqc_a`` or
 ``daqc_b``.  The trials are those of the workloads ``BENCHMARK.json`` gates, as
 ``perfbench/bench.py`` defines them, inputs built once per tree.  Each round
 runs the trees in turn, A first on even rounds, making each call in ``CALLS``
-once per trial.  Prints JSON: the mean of each trial's best time in us.
+once per trial.  Prints JSON: the mean of each trial's best time in us.  Run
+both orders, as above: a function that neither tree changed still reads 2-8%
+apart between the sides of one run, so only a gap that keeps its sign when
+the trees swap sides is the change's.
 """
 
 import argparse
 import importlib
-import inspect
 import itertools
 import json
 import shutil
@@ -34,9 +37,13 @@ CALLS = {
     "sample_defect": lambda m, t: m.bounds.sample_defect(t.support, t.config.delta, t.seeds[2]),
     "evaluate_bounds": lambda m, t: m.bounds.evaluate_bounds(t.h_p, t.h_s, t.support, t.sched, t.defect, t.obs),
     "h_s + h_d": lambda m, t: t.h_s + t.defect.h_delta,
-    # as the tree's evaluate_bounds calls it: with the h_real it formed, where error_vector takes one
-    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, **t.h_real_arg),
+    # as evaluate_bounds calls it, with the h_real it formed
+    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, h_real=t.h_real),
     "effective_couplings": lambda m, t: m.schedule.effective_couplings(t.sched, t.h_real),
+    # as effective_couplings calls it, and the whole-space listing synthesize asks for at these sizes
+    "sign_weights": lambda m, t: m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.h_real.keys()),
+    "generate_candidate_patterns": lambda m, t: m.blocks.generate_candidate_patterns(
+        t.support, m.blocks.pattern_space_size(t.support), t.seeds[1]),
     "build_dense": lambda m, t: m.dense.build_dense(t.h_eps),
     "frobenius_norm": lambda m, t: m.dense.frobenius_norm(t.h_eps_dense),
     "expectation_deviation": lambda m, t: m.dense.expectation_deviation(t.h_p, t.sched, t.h_real, t.obs),
@@ -45,7 +52,7 @@ CALLS = {
 
 def load(tree: str, name: str, into: Path) -> SimpleNamespace:
     shutil.copytree(Path(tree) / "src" / "daqc", into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in ("harness", "schedule", "bounds", "dense")})
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in ("harness", "schedule", "bounds", "dense", "blocks")})
 
 
 def trials(m: SimpleNamespace, set_name: str) -> Iterator[SimpleNamespace]:
@@ -61,7 +68,6 @@ def trials(m: SimpleNamespace, set_name: str) -> Iterator[SimpleNamespace]:
         t.sched, t.defect = CALLS["synthesize"](m, t), CALLS["sample_defect"](m, t)
         t.obs = m.dense.single_qubit_observable(w.observable_axis, config.observable_qubit, n) if w.observable_axis else None
         t.h_real = t.h_s + t.defect.h_delta
-        t.h_real_arg = {"h_real": t.h_real} if "h_real" in inspect.signature(m.schedule.error_vector).parameters else {}
         t.h_eps = CALLS["error_vector"](m, t)
         t.h_eps_dense = m.dense.build_dense(t.h_eps)
         yield t
