@@ -100,9 +100,14 @@ def term_masks(keys: Sequence[CouplingKey], n_qubits: int) -> PauliMasks:
 
 
 def _symplectic_signs(terms: PauliMasks, layers: PauliMasks) -> np.ndarray:
-    """int8 (-1)^popcount((x & tz) ^ (z & tx)), one row per term and one column per layer."""
-    odd = np.bitwise_count((terms.x[:, None] & layers.z) ^ (terms.z[:, None] & layers.x)).sum(axis=-1) & 1
-    return np.array([1, -1], dtype=np.int8)[odd]
+    """int8 (-1)^popcount((x & tz) ^ (z & tx)), one row per term and one column per layer.
+
+    Byte b of every (term, layer) pair is xor-ed into one (terms, layers) uint8 array, one b at a time:
+    its parity is that of the whole row, so the bits are counted once."""
+    acc = np.zeros((len(terms), len(layers)), dtype=np.uint8)
+    for b in range(terms.x.shape[1]):
+        acc ^= (terms.x[:, b, None] & layers.z[:, b]) ^ (terms.z[:, b, None] & layers.x[:, b])
+    return np.array([1, -1], dtype=np.int8)[np.bitwise_count(acc) & 1]
 
 
 @functools.cache
@@ -125,10 +130,12 @@ def _zz_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def ix_indices(layers: PauliMasks) -> np.ndarray:
-    """The k whose bits are each layer's x mask, read off its packed bytes (at most 16 qubits)."""
-    width = layers.x.shape[1]
-    return np.ascontiguousarray(layers.x).view(f">u{width}")[:, 0] >> 8 * width - layers.n_qubits
+def basis_indices(bits: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Each row of packed masks ``bits`` as the integer with qubit q at bit N - 1 - q (at most 16 qubits).
+
+    The x mask of the IX layer of k reads as k, and a string's masks as the basis-index masks of ``dense``."""
+    width = bits.shape[1]
+    return np.ascontiguousarray(bits).view(f">u{width}")[:, 0] >> 8 * width - n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +155,7 @@ def build_sign_matrix(patterns: PauliMasks, rows: Sequence[CouplingKey]) -> Sign
     n = patterns.n_qubits
     pairs = [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j, mu, nu in rows if mu == nu == "z"]
     if len(pairs) == len(rows) and 2**n <= EXHAUSTIVE_PATTERN_LIMIT and not patterns.z.any():
-        entries = _zz_signs(n).take(pairs, 0).take(ix_indices(patterns), 1)
+        entries = _zz_signs(n).take(pairs, 0).take(basis_indices(patterns.x, n), 1)
     else:
         entries = _symplectic_signs(term_masks(rows, n), patterns)
     entries.setflags(write=False)

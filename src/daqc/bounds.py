@@ -1,11 +1,14 @@
 """Defect sampling and the analytic error bounds, with exact counterparts.
 
-The bounds take the schedule-level quantities (total analog time, edge
-counts, degrees, the ratio vector h_P/h_S from ``pauli.hadamard_divide``,
-which leaves 0/0 ratios out) and return upper bounds on norms of the
-coupling error and on the deviation of an observable's expectation value.  ``evaluate_bounds`` packages one full
-evaluation, pairing every bound with its exact dense value when the system
-is small enough.
+The bounds are scalar formulas in the schedule-level numbers: the total
+analog time t_A, the target time T, the unmeasured edge count |E|, the
+degrees deg(P) and deg(D\\S), and norms of the ratio vector h_P/h_S from
+``pauli.hadamard_divide``, which leaves 0/0 ratios out.  They return upper
+bounds on norms of the coupling error and on the deviation of an
+observable's expectation value.  ``evaluate_bounds`` packages one full
+evaluation: it forms each of those numbers once, hands the same floats to
+the formulas and to the report, and pairs every bound with its exact dense
+value when the system is small enough.
 """
 
 import math
@@ -16,13 +19,7 @@ import numpy as np
 from . import dense
 from .blocks import sign_weights
 from .errors import ValidationError
-from .pauli import (
-    CouplingVector,
-    InteractionGraph,
-    graph_difference,
-    hadamard_divide,
-    vector_p_norm,
-)
+from .pauli import CouplingVector, InteractionGraph, hadamard_divide, max_degree, vector_p_norm
 from .schedule import Schedule, SynthesisMode, error_vector, within_replay_tol
 
 #: "much smaller than" thresholds used for the validity-regime flags
@@ -32,10 +29,17 @@ SHORT_TIME_LIMIT = 0.1
 
 @dataclass(frozen=True)
 class DefectSample:
-    """One draw of unknown coupling deviations, entrywise bounded by ``delta``."""
+    """One draw of unknown coupling deviations, entrywise bounded by ``delta``: a larger one raises."""
 
     h_delta: CouplingVector
     delta: float
+
+    def __post_init__(self):
+        magnitudes = np.abs(self.h_delta.values_array())
+        if magnitudes.max(initial=0.0) > self.delta:
+            bad = int(np.flatnonzero(magnitudes > self.delta)[0])
+            key = self.h_delta.keys()[bad]
+            raise ValidationError(f"defect coupling {key} exceeds delta {self.delta} in magnitude")
 
 
 def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> DefectSample:
@@ -56,49 +60,49 @@ def _edge_count_root(e_ds: int, p: float) -> float:
 
 
 def p_norm_error_bound(
-    ratios: CouplingVector,
+    ratio_norm: float,
     delta: float,
     target_time: float,
     total_analog_time: float,
     e_ds: int,
     p: float,
 ) -> float:
-    """Bound on the p-norm of the coupling error vector, from ``ratios`` = h_P/h_S.
+    """Bound on the p-norm of the coupling error vector, from ``ratio_norm`` = ||h_P/h_S||_p.
 
     delta * ||h_P/h_S||_p over the measured couplings, plus
     delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.
     """
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_norm = vector_p_norm(ratios, p)
+    if not p > 0:  # 0, negatives, -inf and nan
+        raise ValidationError(f"norm order must be positive or inf, got {p!r}")
     return delta * ratio_norm + delta * (total_analog_time / target_time) * _edge_count_root(e_ds, p)
 
 
 def op_norm_error_bound(
-    ratios: CouplingVector,
+    ratio_norm_1: float,
     delta: float,
     target_time: float,
     total_analog_time: float,
     e_ds: int,
 ) -> float:
-    """Operator-norm bound on the error Hamiltonian: the p=1 case above."""
-    return p_norm_error_bound(ratios, delta, target_time, total_analog_time, e_ds, p=1.0)
+    """Operator-norm bound on the error Hamiltonian: the p=1 case above, from ||h_P/h_S||_1."""
+    return p_norm_error_bound(ratio_norm_1, delta, target_time, total_analog_time, e_ds, p=1.0)
 
 
 def frobenius_stability_factor(
-    ratios: CouplingVector,
+    ratio_norm_2: float,
     total_analog_time: float,
     target_time: float,
     e_ds: int,
 ) -> float:
     """Dimensionless multiplier f with ||H_eps||_F <= f * ||H_delta||_F.
 
-    ``ratios`` is h_P/h_S; f = sqrt(||h_P/h_S||_2^2 + |E| * (t_A/T)^2).
+    f = sqrt(||h_P/h_S||_2^2 + |E| * (t_A/T)^2), from ``ratio_norm_2`` = ||h_P/h_S||_2.
     """
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    ratio_sq = vector_p_norm(ratios, 2.0) ** 2
-    return math.sqrt(ratio_sq + e_ds * (total_analog_time / target_time) ** 2)
+    return math.sqrt(ratio_norm_2**2 + e_ds * (total_analog_time / target_time) ** 2)
 
 
 def expectation_error_bound(
@@ -210,16 +214,15 @@ def evaluate_bounds(
     if not defect_support.edges.issuperset(defect.h_delta.keys()):
         raise ValidationError("defect sample declares couplings outside the defect support")
 
-    source_graph = h_source.support_graph()
-    ds_graph = graph_difference(defect_support, source_graph)
-    e_ds = ds_graph.edge_count
+    measured = frozenset(h_source.support())
+    unmeasured = tuple(key for key in defect_support.sorted_edges() if key not in measured)
+    e_ds = len(unmeasured)
     t_a = schedule.total_analog_time
     target_time = schedule.target_time
     delta = defect.delta
 
     mitigated = schedule.mode is SynthesisMode.MITIGATE_ZEROS
     if mitigated:
-        unmeasured = ds_graph.sorted_edges()
         weights = sign_weights(schedule.patterns, schedule.times, unmeasured)
         uncancelled = (~within_replay_tol(weights / target_time, schedule, 1.0)).nonzero()[0]
         if uncancelled.size:
@@ -232,22 +235,23 @@ def evaluate_bounds(
     h_real = h_source + defect.h_delta
     h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta, h_real=h_real)
     ratios = hadamard_divide(h_problem, h_source)
+    # each distinct order once; the formulas and the report read the same floats
+    ratio_norm = {p: vector_p_norm(ratios, p) for p in dict.fromkeys((1.0, 2.0, math.inf, requested_p))}
 
-    p_bound = p_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds, requested_p)
-    op_bound = op_norm_error_bound(ratios, delta, target_time, t_a, effective_e_ds)
-    frob_factor = frobenius_stability_factor(ratios, t_a, target_time, e_ds)
+    p_bound = p_norm_error_bound(ratio_norm[requested_p], delta, target_time, t_a, effective_e_ds, requested_p)
+    op_bound = op_norm_error_bound(ratio_norm[1.0], delta, target_time, t_a, effective_e_ds)
+    frob_factor = frobenius_stability_factor(ratio_norm[2.0], t_a, target_time, e_ds)
     defect_frob = 2.0 ** (n / 2.0) * vector_p_norm(defect.h_delta, 2.0)
     frob_bound = frob_factor * defect_frob
 
     supp_o = len(observable.support) if observable is not None else 1
     norm_o = 1.0
-    ratio_inf = vector_p_norm(ratios, math.inf)
-    deg_p = h_problem.support_graph().degree()
-    deg_ds = ds_graph.degree()
+    deg_p = max_degree(h_problem.support(), n)
+    deg_ds = max_degree(unmeasured, n)
     exp_bound = expectation_error_bound(
-        supp_o, norm_o, deg_p, deg_ds, ratio_inf, delta, target_time, t_a
+        supp_o, norm_o, deg_p, deg_ds, ratio_norm[math.inf], delta, target_time, t_a
     )
-    exp_bound_mit = mitigated_expectation_bound(supp_o, norm_o, deg_p, ratio_inf, delta, target_time)
+    exp_bound_mit = mitigated_expectation_bound(supp_o, norm_o, deg_p, ratio_norm[math.inf], delta, target_time)
 
     exact_op = exact_frob = exact_delta_o = commutator_bound = None
     if n <= dense.DEFAULT_QUBIT_CAP:
@@ -277,14 +281,14 @@ def evaluate_bounds(
         delta=delta,
         target_time=target_time,
         total_analog_time=t_a,
-        source_edge_count=source_graph.edge_count,
+        source_edge_count=len(measured),
         defect_edge_count=defect_support.edge_count,
         defect_only_edge_count=e_ds,
         problem_degree=deg_p,
         defect_only_degree=deg_ds,
-        ratio_norm_1=vector_p_norm(ratios, 1.0),
-        ratio_norm_2=vector_p_norm(ratios, 2.0),
-        ratio_norm_inf=ratio_inf,
+        ratio_norm_1=ratio_norm[1.0],
+        ratio_norm_2=ratio_norm[2.0],
+        ratio_norm_inf=ratio_norm[math.inf],
         requested_p=float(requested_p),
         p_norm_bound=p_bound,
         op_norm_bound=op_bound,

@@ -8,9 +8,9 @@ acts on the state vector.  Every dense path goes through ``build_dense``, which
 holds it to ``DEFAULT_QUBIT_CAP`` qubits; correctness over speed.
 
 A Pauli string, be it a two-body term, a gate layer or the observable, is
-never a matrix here.  Its ``PauliMasks`` become basis-index masks, qubit 0
-the top bit, and it acts by an index flip and a phase, (P v)[t] = phase[t] *
-v[source[t]].  The per-qubit Z sign rows, the basis index range, |+>^N and
+never a matrix here.  ``blocks.basis_indices`` reads its ``PauliMasks`` as
+basis-index masks, qubit 0 the top bit, and it acts by an index flip and a
+phase, (P v)[t] = phase[t] * v[source[t]].  The per-qubit Z sign rows, the basis index range, |+>^N and
 each single-qubit observable depend on N alone, so each is built once per N,
 read-only.  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, the sum
 of h_ij Z_i Z_j in key order, and its replay adds up one real phase,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import PauliMasks, term_masks
+from .blocks import PauliMasks, basis_indices, term_masks
 from .errors import ValidationError
 from .pauli import AXES, CouplingVector, is_zz_only
 
@@ -69,11 +69,6 @@ def _z_rows(n_qubits: int) -> np.ndarray:
     return _read_only(_parity_sign(_basis(2**n_qubits) & (1 << np.arange(n_qubits - 1, -1, -1))[:, None]))
 
 
-def _index_masks(bits: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Packed ``PauliMasks`` rows as basis-index masks: qubit q is bit N - 1 - q."""
-    return np.unpackbits(bits, axis=-1, count=n_qubits) @ (1 << np.arange(n_qubits - 1, -1, -1))
-
-
 def _flip_and_phase(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(source, phase) with (P v)[t] = phase[t] * v[source[t]] for the string of index masks x, z.
 
@@ -94,7 +89,7 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
         return DenseHamiltonian((h.values_array()[:, None] * (z[0] * z[1])).sum(axis=0))
     terms = term_masks(h.keys(), n)
     matrix = np.zeros((dim, dim), dtype=complex)
-    for value, x, z in zip(h.values_array(), _index_masks(terms.x, n), _index_masks(terms.z, n)):
+    for value, x, z in zip(h.values_array(), basis_indices(terms.x, n), basis_indices(terms.z, n)):
         source, phase = _flip_and_phase(x, z, dim)
         matrix[_basis(dim), source] += value * phase
     return DenseHamiltonian(matrix)
@@ -146,7 +141,7 @@ class ObservableSpec:
 
     @functools.cached_property
     def index_masks(self) -> tuple[int, int]:
-        return int(_index_masks(self.string.x, self.n_qubits)[0]), int(_index_masks(self.string.z, self.n_qubits)[0])
+        return tuple(int(basis_indices(bits, self.n_qubits)[0]) for bits in (self.string.x, self.string.z))
 
     @functools.cached_property
     def flip_and_phase(self) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +216,13 @@ def replay_unitary(schedule, h_real: CouplingVector, q: int = 1) -> np.ndarray:
     if schedule.n_qubits != n:
         raise ValidationError("schedule and couplings disagree on the number of qubits")
     h = build_dense(h_real).matrix
-    flips = _index_masks(schedule.patterns.x, n)
+    flips = basis_indices(schedule.patterns.x, n)
     state = plus_state(n)
     if h.ndim == 1:
         phase = (np.array(schedule.times)[:, None] * h[_basis(h.size) ^ flips[:, None]]).sum(axis=0)
         return np.exp(-1j * phase) * state
     evolve = _propagator(h)
-    layers = [_flip_and_phase(x, z, state.size) for x, z in zip(flips, _index_masks(schedule.patterns.z, n))]
+    layers = [_flip_and_phase(x, z, state.size) for x, z in zip(flips, basis_indices(schedule.patterns.z, n))]
     for _ in range(int(q)):
         for (source, phase), time in zip(layers, schedule.times):
             # G v is phase * v[source]

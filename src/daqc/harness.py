@@ -147,25 +147,6 @@ class ExperimentConfig:
         return dense.DEFAULT_QUBIT_CAP
 
 
-CSV_COLUMNS = (
-    "trial_id",
-    "N",
-    "topology",
-    "mode",
-    "seed",
-    "t_A",
-    "exact_op_norm",
-    "bound_op_norm",
-    "exact_frob",
-    "frob_bound",
-    "expectation_bound",
-    "expectation_bound_mitigated",
-    "exact_delta_O",
-    "small_defect",
-    "short_time",
-)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One CSV row of a sweep; optional exact fields are None above the cap."""
@@ -194,6 +175,11 @@ class TrialRecord:
         if len(row) != len(CSV_COLUMNS):
             raise ValidationError(f"expected {len(CSV_COLUMNS)} CSV fields, got {len(row)}")
         return cls(**{f.name: _READ_CELL[f.type](cell) for f, cell in zip(fields(cls), row)})
+
+
+#: the CSV header: the TrialRecord fields in order, three of them renamed
+_CSV_RENAMES = {"n_qubits": "N", "t_a": "t_A", "exact_delta_o": "exact_delta_O"}
+CSV_COLUMNS = tuple(_CSV_RENAMES.get(f.name, f.name) for f in fields(TrialRecord))
 
 
 def _num_cell(value: float | None) -> str:

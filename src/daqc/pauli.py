@@ -19,7 +19,9 @@ their order and range in one pass and every value for finiteness, but
 rebuilds no key.  A sum or difference on an operand's own keys checks only its values.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
-labeled by the axis pair, so a qubit pair may carry up to nine edges.
+labeled by the axis pair, so a qubit pair may carry up to nine edges.  An edge
+set is a key tuple, and ``max_degree`` reads its largest vertex degree;
+``InteractionGraph`` is only a declared defect support.
 """
 
 import math
@@ -158,9 +160,6 @@ class CouplingVector:
         """Keys with a nonzero coupling, in canonical order."""
         return tuple(compress(self._keys, (self._values != 0.0).tolist()))
 
-    def support_graph(self) -> "InteractionGraph":
-        return InteractionGraph.from_sorted(self._n_qubits, self.support())
-
     def restricted(self, keys: Iterable[CouplingKey]) -> "CouplingVector":
         """Sub-vector declaring exactly the given keys (absent ones become 0)."""
         return CouplingVector(self._n_qubits, {k: self[k] for k in keys})
@@ -270,11 +269,10 @@ class CouplingVector:
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Edge set of a coupling vector, viewed as a weighted multigraph support.
+    """A declared defect support: an edge set of coupling keys, viewed as a multigraph.
 
     Each key is one edge; parallel edges with different axis labels are
-    distinct.  Degrees count edge endpoints, so every key incident to a
-    vertex contributes 1.
+    distinct.
     """
 
     n_qubits: int
@@ -315,13 +313,14 @@ class InteractionGraph:
     def sorted_edges(self) -> tuple[CouplingKey, ...]:
         return self._sorted
 
-    def degree(self) -> int:
-        """Maximum multigraph degree over all vertices (0 for an empty graph)."""
-        counts = [0] * self.n_qubits
-        for e in self.edges:
-            counts[e.i] += 1
-            counts[e.j] += 1
-        return max(counts, default=0)
+
+def max_degree(keys: Iterable[CouplingKey], n_qubits: int) -> int:
+    """Maximum multigraph degree of the edges ``keys`` on ``n_qubits`` vertices: each key adds 1 at i and at j."""
+    counts = [0] * n_qubits
+    for key in keys:
+        counts[key.i] += 1
+        counts[key.j] += 1
+    return max(counts, default=0)
 
 
 def is_zz_only(keys: Iterable[CouplingKey]) -> bool:
@@ -376,10 +375,3 @@ def hadamard_divide(a: CouplingVector, b: CouplingVector) -> CouplingVector:
         raise SimulabilityError(f"nonzero coupling {key} divided by zero source coupling")
     keys = tuple(compress(b.keys(), kept.tolist()))
     return CouplingVector.from_sorted(a.n_qubits, keys, numerators[kept] / denominators[kept])
-
-
-def graph_difference(d: InteractionGraph, s: InteractionGraph) -> InteractionGraph:
-    """Edges of ``d`` that are not in ``s``; the vertex set is unchanged."""
-    if d.n_qubits != s.n_qubits:
-        raise ValidationError("graph difference requires matching system sizes")
-    return InteractionGraph.from_sorted(d.n_qubits, tuple(e for e in d.sorted_edges() if e not in s.edges))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, generate_candidate_patterns, ix_indices
+from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, basis_indices, build_sign_matrix, generate_candidate_patterns
 from .blocks import pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
@@ -128,6 +128,8 @@ class Schedule:
                     header[key] = parse(value)
                 except ValueError as exc:
                     raise ValidationError(f"line {lineno}: bad {key} header {line!r}") from exc
+                if key == "n_qubits" and header[key] < 1:
+                    raise ValidationError(f"line {lineno}: n_qubits must be a positive integer, got {header[key]}")
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -213,7 +215,8 @@ def synthesize(
         patterns = generate_candidate_patterns(defect_support, requested, rng_seed)
         # the LP gets each distinct column once, at its first pattern (module docstring)
         if whole_zz := total == 2**h_problem.n_qubits <= EXHAUSTIVE_PATTERN_LIMIT:  # all of {I, X}^N
-            position = np.argsort(ix_indices(patterns))  # of k; position[::-1][k] is that of k ^ (2^N - 1)
+            # the position of k; position[::-1][k] is that of k ^ (2^N - 1)
+            position = np.argsort(basis_indices(patterns.x, patterns.n_qubits))
             patterns = patterns[np.sort(np.minimum(position, position[::-1])[: total // 2])]
         entries = build_sign_matrix(patterns, rows).entries
         if not whole_zz or np.count_nonzero(entries.min(axis=0) == 1) > 1:

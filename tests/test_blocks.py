@@ -62,6 +62,11 @@ def test_conjugation_sign_matches_matrix_oracle():
 _SIGN_TABLE = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.int8)
 
 
+def table_sign(pattern: str, key: CouplingKey) -> int:
+    gate_i, gate_j = GATES.index(pattern[key.i]), GATES.index(pattern[key.j])
+    return int(_SIGN_TABLE[gate_i, AXES.index(key.mu)] * _SIGN_TABLE[gate_j, AXES.index(key.nu)])
+
+
 def test_parity_kernel_matches_the_gate_table_on_every_three_qubit_pattern():
     # all 27 two-body axis rows on three qubits, under all 64 IXYZ^3 patterns
     rows = [CouplingKey(i, j, mu, nu) for i, j in itertools.combinations(range(3), 2) for mu in AXES for nu in AXES]
@@ -70,9 +75,7 @@ def test_parity_kernel_matches_the_gate_table_on_every_three_qubit_pattern():
     assert sm.entries.shape == (27, 64) and sm.entries.dtype == np.int8
     for col, pattern in enumerate(patterns):
         for alpha, key in enumerate(rows):
-            gate_i, gate_j = GATES.index(pattern[key.i]), GATES.index(pattern[key.j])
-            expected = _SIGN_TABLE[gate_i, AXES.index(key.mu)] * _SIGN_TABLE[gate_j, AXES.index(key.nu)]
-            assert sm.entries[alpha, col] == expected, (pattern, key)
+            assert sm.entries[alpha, col] == table_sign(pattern, key), (pattern, key)
 
 
 def test_text_round_trips_through_the_masks_above_64_qubits():
@@ -96,6 +99,29 @@ def test_term_masks_match_the_gate_table_across_byte_boundaries(n):
     assert term_masks(keys, n) == expected
     assert term_masks([], n) == PauliMasks.from_axes((0, n), [], [], [])
     assert term_masks([], n).x.shape == (0, -(-n // 8))
+
+
+@pytest.mark.parametrize("n", [9, 16, 17, 70])
+def test_parity_kernel_matches_the_gate_table_across_byte_boundaries(n):
+    # the kernel xors the packed bytes one column at a time; every byte must count
+    rng = np.random.default_rng(n)
+    keys = sorted({CouplingKey(*sorted(map(int, rng.choice(n, 2, replace=False))), *rng.choice(list(AXES), 2))
+                   for _ in range(40)})
+    labels = ["".join(rng.choice(list(GATES), size=n)) for _ in range(30)]
+    signs = blocks._symplectic_signs(term_masks(keys, n), PauliMasks.from_text(labels))
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [[table_sign(label, key) for label in labels] for key in keys]
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 9, 13, 16])
+def test_basis_indices_read_qubit_zero_as_the_top_bit(n):
+    rng = np.random.default_rng(n)
+    labels = ["".join(rng.choice(list(GATES), size=n)) for _ in range(20)]
+    masks = PauliMasks.from_text(labels)
+    assert blocks.basis_indices(masks.x, n).tolist() == [int("".join("01"[g in "XY"] for g in label), 2)
+                                                          for label in labels]
+    assert blocks.basis_indices(masks.z, n).tolist() == [int("".join("01"[g in "YZ"] for g in label), 2)
+                                                          for label in labels]
 
 
 def test_parser_rejects_patterns_of_unequal_lengths():

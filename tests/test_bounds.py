@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_sample_defect_validates_delta():
         bounds.sample_defect(TRIANGLE, 0.0, rng_seed=0)
 
 
+def test_defect_sample_above_its_delta_is_rejected_naming_the_first_key():
+    # evaluate_bounds took this random N = 5 sample, scaled x100 past its delta, silently:
+    # exact_op_norm 3889.3 against op_norm_bound 126.7 on the remove-mode schedule of seed 3
+    defect = generate_problem(TopologySpec("random", 5), 100.0, 7)[2]
+    sample = bounds.sample_defect(defect, 10.0, 5)
+    scaled = CouplingVector.from_sorted(5, sample.h_delta.keys(), 100.0 * sample.h_delta.values_array())
+    first = next(key for key, value in scaled.items() if abs(value) > 10.0)
+    with pytest.raises(ValidationError, match=f"defect coupling {re.escape(str(first))} exceeds delta 10.0"):
+        bounds.DefectSample(scaled, 10.0)
+    bounds.DefectSample(CouplingVector(3, {zz(0, 1): -0.5, zz(1, 2): 0.5}), 0.5)  # |h_delta| = delta is allowed
+
+
 # ---- closed-form bounds --------------------------------------------------------
 
 
@@ -52,24 +65,27 @@ def unit_ratios():
     return hadamard_divide(*ratio_pair())
 
 
+def unit_norm(p):
+    return vector_p_norm(unit_ratios(), p)
+
+
 def test_p_norm_bound_zero_delta():
-    assert bounds.p_norm_error_bound(unit_ratios(), 0.0, 1.0, 1.0, 1, p=2.0) == 0.0
+    assert bounds.p_norm_error_bound(unit_norm(2.0), 0.0, 1.0, 1.0, 1, p=2.0) == 0.0
 
 
 def test_p_norm_bound_direct_evaluation():
     # ratio one-norm 2, t_A/T = 1, one extra edge, delta 0.1 -> 0.1*2 + 0.1*1
-    value = bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1, p=1.0)
+    value = bounds.p_norm_error_bound(unit_norm(1.0), 0.1, 1.0, 1.0, 1, p=1.0)
     assert value == pytest.approx(0.3)
     # ratio inf-norm 1, and |E|^(1/inf) = 1 for four extra edges -> 0.1*1 + 0.1*1
-    value = bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 4, p=math.inf)
+    value = bounds.p_norm_error_bound(unit_norm(math.inf), 0.1, 1.0, 1.0, 4, p=math.inf)
     assert value == pytest.approx(0.2)
 
 
 def test_p_norm_bound_no_defect_only_edges():
-    ratios = unit_ratios()
     for p in (1.0, 2.0, math.inf):
-        value = bounds.p_norm_error_bound(ratios, 0.5, 1.0, 7.0, 0, p=p)
-        assert value == pytest.approx(0.5 * vector_p_norm(ratios, p))
+        value = bounds.p_norm_error_bound(unit_norm(p), 0.5, 1.0, 7.0, 0, p=p)
+        assert value == pytest.approx(0.5 * unit_norm(p))
 
 
 def test_ratio_bounds_reject_problem_coupling_without_source():
@@ -87,31 +103,38 @@ def test_ratio_bounds_reject_problem_coupling_without_source():
 
 def test_p_norm_bound_rejects_minus_inf():
     with pytest.raises(ValidationError):
-        bounds.p_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1, p=-math.inf)
+        bounds.p_norm_error_bound(unit_norm(1.0), 0.1, 1.0, 1.0, 1, p=-math.inf)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+def test_p_norm_bound_rejects_an_order_that_is_not_positive(p):
+    with pytest.raises(ValidationError, match="norm order"):
+        bounds.p_norm_error_bound(1.0, 0.1, 1.0, 1.0, 1, p=p)
 
 
 def test_op_norm_bound_is_one_norm_case():
-    ratios = unit_ratios()
+    norm_1 = unit_norm(1.0)
     for delta, t_a, e_ds in [(0.1, 1.0, 1), (2.0, 3.5, 4), (0.0, 1.0, 0)]:
-        assert bounds.op_norm_error_bound(ratios, delta, 1.0, t_a, e_ds) == \
-            bounds.p_norm_error_bound(ratios, delta, 1.0, t_a, e_ds, p=1.0)
+        assert bounds.op_norm_error_bound(norm_1, delta, 1.0, t_a, e_ds) == \
+            bounds.p_norm_error_bound(norm_1, delta, 1.0, t_a, e_ds, p=1.0)
 
 
 def test_op_norm_bound_three_qubit_path():
-    assert bounds.op_norm_error_bound(unit_ratios(), 0.1, 1.0, 1.0, 1) == pytest.approx(0.3)
+    assert bounds.op_norm_error_bound(unit_norm(1.0), 0.1, 1.0, 1.0, 1) == pytest.approx(0.3)
 
 
 def test_frobenius_factor_single_ratio():
     h_s = CouplingVector(2, {zz(0, 1): 2.0})
     h_p = CouplingVector(2, {zz(0, 1): -3.0})
-    assert bounds.frobenius_stability_factor(hadamard_divide(h_p, h_s), 1.0, 1.0, 0) == pytest.approx(1.5)
+    assert bounds.frobenius_stability_factor(vector_p_norm(hadamard_divide(h_p, h_s), 2.0), 1.0, 1.0, 0) == \
+        pytest.approx(1.5)
 
 
 def test_frobenius_factor_equal_ratios():
     m = 4
     h_s = CouplingVector(5, {zz(i, i + 1): 2.0 for i in range(m)})
     h_p = CouplingVector(5, {zz(i, i + 1): 1.0 for i in range(m)})
-    assert bounds.frobenius_stability_factor(hadamard_divide(h_p, h_s), 1.0, 1.0, 0) == \
+    assert bounds.frobenius_stability_factor(vector_p_norm(hadamard_divide(h_p, h_s), 2.0), 1.0, 1.0, 0) == \
         pytest.approx(0.5 * math.sqrt(m))
 
 
@@ -122,7 +145,7 @@ def test_frobenius_factor_two_couplings_max_min_form():
     expected = math.sqrt(
         vector_p_norm(ratios, math.inf) ** 2 + np.abs(ratios.values_array()).min() ** 2
     )
-    assert bounds.frobenius_stability_factor(ratios, 1.0, 1.0, 0) == pytest.approx(expected)
+    assert bounds.frobenius_stability_factor(vector_p_norm(ratios, 2.0), 1.0, 1.0, 0) == pytest.approx(expected)
 
 
 def test_expectation_bound_zero_delta():
@@ -147,18 +170,18 @@ def test_mitigated_bound_worked_example():
 
 
 def test_bound_monotonicity_under_perturbation():
-    ratios = unit_ratios()
+    norm_1, norm_2 = unit_norm(1.0), unit_norm(2.0)
     rng = np.random.default_rng(9)
     base = dict(delta=0.3, t=1.0, t_a=2.0, e_ds=2)
-    b0 = bounds.op_norm_error_bound(ratios, base["delta"], base["t"], base["t_a"], base["e_ds"])
-    f0 = bounds.frobenius_stability_factor(ratios, base["t_a"], base["t"], base["e_ds"])
+    b0 = bounds.op_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"], base["e_ds"])
+    f0 = bounds.frobenius_stability_factor(norm_2, base["t_a"], base["t"], base["e_ds"])
     e0 = bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"], base["t"], base["t_a"])
     for _ in range(25):
         bump = float(rng.uniform(0, 1))
-        assert bounds.op_norm_error_bound(ratios, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"]) >= b0
-        assert bounds.op_norm_error_bound(ratios, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"]) >= b0
-        assert bounds.frobenius_stability_factor(ratios, base["t_a"] + bump, base["t"], base["e_ds"]) >= f0
-        assert bounds.frobenius_stability_factor(ratios, base["t_a"], base["t"], base["e_ds"] + 1) >= f0
+        assert bounds.op_norm_error_bound(norm_1, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"]) >= b0
+        assert bounds.op_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"]) >= b0
+        assert bounds.frobenius_stability_factor(norm_2, base["t_a"] + bump, base["t"], base["e_ds"]) >= f0
+        assert bounds.frobenius_stability_factor(norm_2, base["t_a"], base["t"], base["e_ds"] + 1) >= f0
         assert bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"] + bump, base["t"], base["t_a"]) >= e0
 
 
@@ -210,6 +233,32 @@ def test_inf_norm_bound_holds_with_unmeasured_edges(mode):
     assert report.p_norm_bound >= vector_p_norm(h_eps, math.inf)
 
 
+@pytest.mark.parametrize("requested_p", [2.0, 3.0, math.inf])
+def test_each_norm_is_formed_once_per_distinct_order(monkeypatch, requested_p):
+    # the parent normed the ratio vector six times at the default p = 2, three of them at p = 2
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS, seed=4)
+    calls = []
+    norm = bounds.vector_p_norm
+
+    def counted(vector, p):
+        calls.append((vector, p))
+        return norm(vector, p)
+
+    monkeypatch.setattr(bounds, "vector_p_norm", counted)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, requested_p=requested_p)
+    pairs = [(id(vector), p) for vector, p in calls]
+    assert len(pairs) == len(set(pairs))
+    ratios = hadamard_divide(h_p, h_s)
+    assert [p for vector, p in calls if vector == ratios] == list(dict.fromkeys([1.0, 2.0, math.inf, requested_p]))
+    assert (report.ratio_norm_1, report.ratio_norm_2, report.ratio_norm_inf) == tuple(
+        norm(ratios, p) for p in (1.0, 2.0, math.inf)
+    )
+    e_ds = report.defect_only_edge_count
+    assert report.p_norm_bound == bounds.p_norm_error_bound(
+        norm(ratios, requested_p), sample.delta, 1.0, sched.total_analog_time, e_ds, requested_p
+    )
+
+
 def test_report_mitigated_bound_keeps_first_term_only():
     h_p, h_s, defect, sched, sample = make_case(SynthesisMode.MITIGATE_ZEROS, seed=5)
     report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
@@ -219,7 +268,7 @@ def test_report_mitigated_bound_keeps_first_term_only():
     # the factor itself stays protocol-generic
     assert report.frobenius_factor == pytest.approx(
         bounds.frobenius_stability_factor(
-            hadamard_divide(h_p, h_s), sched.total_analog_time, 1.0, report.defect_only_edge_count
+            vector_p_norm(hadamard_divide(h_p, h_s), 2.0), sched.total_analog_time, 1.0, report.defect_only_edge_count
         )
     )
 
@@ -240,6 +289,19 @@ def test_declared_zero_source_coupling_reads_as_absent(mode):
         reports.append(bounds.evaluate_bounds(h_p, source, defect, sched, sample, observable=obs))
     assert schedules[0] == schedules[1]
     assert reports[0] == reports[1]
+
+
+def test_report_counts_and_degrees_read_the_unmeasured_keys_of_a_multigraph():
+    # the defect support declares all nine axis pairs of the triangle; only its ZZ edges are measured
+    pairs = ((0, 1), (0, 2), (1, 2))
+    defect = InteractionGraph(3, [CouplingKey(i, j, mu, nu) for i, j in pairs for mu in "xyz" for nu in "xyz"])
+    h_s = CouplingVector(3, {zz(0, 1): 2.0, zz(0, 2): 1.0, zz(1, 2): 4.0})
+    h_p = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): -1.0})
+    sched = synthesize(h_p, h_s, defect, 1.0, SynthesisMode.REMOVE_ZEROS, 1)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, bounds.sample_defect(defect, 0.1, 2))
+    assert (report.source_edge_count, report.defect_edge_count, report.defect_only_edge_count) == (3, 27, 24)
+    # 2 pairs x 9 axis pairs at every vertex, less its 2 measured ZZ edges; problem edges 01 and 02 meet at 0
+    assert (report.defect_only_degree, report.problem_degree) == (16, 2)
 
 
 def test_report_without_observable_uses_unit_observable():

@@ -297,6 +297,10 @@ MALFORMED_FILES = {
                                         "line 5: expected 'pattern time', got 'XXI 0.5 1'"),
     "schedule-non-numeric-n-qubits": ("schedule", "n_qubits=three\nT=1\nmode=remove\nIII 1\n",
                                       "line 1: bad n_qubits header 'n_qubits=three'"),
+    "schedule-zero-n-qubits": ("schedule", "n_qubits=0\nT=1\nmode=remove\nIII 1\n",
+                               "line 1: n_qubits must be a positive integer, got 0"),
+    "schedule-negative-n-qubits-no-blocks": ("schedule", "T=1\nmode=remove\n\nn_qubits=-1\n",
+                                             "line 4: n_qubits must be a positive integer, got -1"),
     "schedule-non-numeric-T": ("schedule", "n_qubits=3\n\nT=1 s\nmode=remove\nIII 1\n",
                                "line 3: bad T header 'T=1 s'"),
     "schedule-unknown-header": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIXX=0.5\n",

@@ -485,7 +485,7 @@ def dense_block_product_replay(sched, h_real, q):
     n = h_real.n_qubits
     eigvals, eigvecs = np.linalg.eigh(dense.build_dense(h_real).matrix)
     cycle = np.eye(2**n, dtype=complex)
-    layers = zip(dense._index_masks(sched.patterns.x, n), dense._index_masks(sched.patterns.z, n))
+    layers = zip(blocks.basis_indices(sched.patterns.x, n), blocks.basis_indices(sched.patterns.z, n))
     for (x, z), time in zip(layers, sched.times):
         source, phase = dense._flip_and_phase(x, z, 2**n)
         block = (eigvecs * np.exp(-1j * time / q * eigvals)) @ eigvecs.conj().T

@@ -181,9 +181,9 @@ def test_a_repeated_trial_builds_and_checks_no_key(monkeypatch, kind, mode):
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))
 @pytest.mark.parametrize("kind", ["nn", "random", "ata"])
-def test_a_repeated_trial_checks_key_order_ten_times(monkeypatch, kind, mode):
+def test_a_repeated_trial_checks_key_order_seven_times(monkeypatch, kind, mode):
     # a sum or difference on an operand's own, checked key tuple checks only its
-    # values: h_source + h_delta and the error vector's difference made 12 at the parent
+    # values, and evaluate_bounds reads its edge sets as key tuples, building no graph
     config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
     first = run_trial(config, 7, 0)
     calls = []
@@ -195,7 +195,7 @@ def test_a_repeated_trial_checks_key_order_ten_times(monkeypatch, kind, mode):
 
     monkeypatch.setattr(pauli, "_check_sorted", counted)
     assert run_trial(config, 7, 0) == first
-    assert len(calls) == 10
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))

@@ -55,7 +55,7 @@ def test_removed_three_qubit_time(three_qubit_setup):
 
 def test_identity_target_takes_unit_time():
     h = CouplingVector(4, {zz(i, i + 1): 1.0 + 0.5 * i for i in range(3)})
-    sched = synthesize(h, h, h.support_graph(), 1.0, REMOVE, rng_seed=1)
+    sched = synthesize(h, h, InteractionGraph(h.n_qubits, h.support()), 1.0, REMOVE, rng_seed=1)
     assert sched.total_analog_time == pytest.approx(1.0, abs=1e-9)
     replay = effective_couplings(sched, h)
     for key in h.keys():
