@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import AXES, CouplingKey, InteractionGraph, is_zz_only
+from .pauli import AXES, CouplingKey, _check_sorted, is_zz_only
 
 GATES = "IXYZ"
 
@@ -80,10 +80,6 @@ class PauliMasks:
     def __getitem__(self, rows) -> "PauliMasks":
         width = self.x.shape[1]
         return PauliMasks(self.n_qubits, self.x[rows].reshape(-1, width), self.z[rows].reshape(-1, width))
-
-    def __eq__(self, other) -> bool:
-        same = isinstance(other, PauliMasks) and self.n_qubits == other.n_qubits
-        return same and np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z)
 
 
 def term_masks(keys: Sequence[CouplingKey], n_qubits: int) -> PauliMasks:
@@ -180,29 +176,32 @@ def sign_weights(patterns: PauliMasks, times: Sequence[float], keys: Sequence[Co
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def pattern_alphabet(source_support: InteractionGraph) -> str:
-    """Per-qubit gate alphabet needed to flip signs on the given support.
+def pattern_alphabet(support: Sequence[CouplingKey]) -> str:
+    """Per-qubit gate alphabet needed to flip signs on the given support; only its axes are read.
 
     ZZ-only supports need only ``IX`` (an X on either endpoint flips a ZZ
     term); anything with other axes gets the full Pauli alphabet.
     """
-    if is_zz_only(source_support.edges):
+    if is_zz_only(support):
         return "IX"
     return GATES
 
 
-def pattern_space_size(source_support: InteractionGraph) -> int:
-    return len(pattern_alphabet(source_support)) ** source_support.n_qubits
+def pattern_space_size(n_qubits: int, support: tuple[CouplingKey, ...]) -> int:
+    """How many patterns on ``n_qubits`` qubits flip signs on ``support``, a canonical key tuple."""
+    _check_sorted(support, n_qubits)
+    return len(pattern_alphabet(support)) ** n_qubits
 
 
 def generate_candidate_patterns(
-    source_support: InteractionGraph,
+    n_qubits: int,
+    support: tuple[CouplingKey, ...],
     requested: int,
     rng_seed: int,
 ) -> PauliMasks:
-    """Deterministic, duplicate-free patterns with the identity first.
+    """Deterministic, duplicate-free patterns for ``support``, a canonical key tuple, with the identity first.
 
-    A whole-space request lists ``itertools.product(alphabet, repeat=n)``,
+    A whole-space request lists ``itertools.product(alphabet, repeat=n_qubits)``,
     pattern k the digits of k, in the seed's permutation, so Dantzig's
     first-index ties fall differently from seed to seed.  Over ``IX`` the
     digits of k are its bits, so the listing gathers the x masks of 0..2^N-1;
@@ -211,25 +210,25 @@ def generate_candidate_patterns(
     order, so a larger request extends a smaller one (prefix property).  No
     row is ever one integer, which would overflow at 4^32 patterns.
     """
+    _check_sorted(support, n_qubits)
     if requested < 1:
         raise ValidationError(f"requested must be >= 1, got {requested}")
-    n = source_support.n_qubits
-    alphabet = pattern_alphabet(source_support)
+    alphabet = pattern_alphabet(support)
     base = len(alphabet)
-    total = base**n
+    total = base**n_qubits
     if requested > total:
-        raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n}")
+        raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n_qubits}")
     rng = np.random.default_rng(rng_seed)
     if requested == total:
         order = np.arange(total)
         rng.shuffle(order[1:])  # the identity stays first
         if base == 2:
-            x = (_ix_masks if total <= EXHAUSTIVE_PATTERN_LIMIT else _ix_masks.__wrapped__)(n).take(order, 0)
-            return PauliMasks(n, x, np.zeros_like(x))
-        gates = order[:, None] // base ** np.arange(n - 1, -1, -1) % base
+            x = (_ix_masks if total <= EXHAUSTIVE_PATTERN_LIMIT else _ix_masks.__wrapped__)(n_qubits).take(order, 0)
+            return PauliMasks(n_qubits, x, np.zeros_like(x))
+        gates = order[:, None] // base ** np.arange(n_qubits - 1, -1, -1) % base
     else:
-        gates = np.zeros((1, n), dtype=np.int64)  # the identity
+        gates = np.zeros((1, n_qubits), dtype=np.int64)  # the identity
         while len(first := np.unique(gates, axis=0, return_index=True)[1]) < requested:
-            gates = np.concatenate([gates, rng.integers(0, base, size=(max(64, requested), n))])
+            gates = np.concatenate([gates, rng.integers(0, base, size=(max(64, requested), n_qubits))])
         gates = gates[np.sort(first)[:requested]]
     return PauliMasks._from_gates(gates)  # both alphabets begin GATES, so a digit is a gate index

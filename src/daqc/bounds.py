@@ -19,7 +19,7 @@ import numpy as np
 from . import dense
 from .blocks import sign_weights
 from .errors import ValidationError
-from .pauli import CouplingVector, InteractionGraph, hadamard_divide, max_degree, vector_p_norm
+from .pauli import CouplingKey, CouplingVector, _check_sorted, hadamard_divide, max_degree, vector_p_norm
 from .schedule import Schedule, SynthesisMode, error_vector, within_replay_tol
 
 #: "much smaller than" thresholds used for the validity-regime flags
@@ -42,14 +42,16 @@ class DefectSample:
             raise ValidationError(f"defect coupling {key} exceeds delta {self.delta} in magnitude")
 
 
-def sample_defect(support: InteractionGraph, delta: float, rng_seed: int) -> DefectSample:
-    """Uniform entries in [-delta, delta] on every edge of ``support``."""
+def sample_defect(n_qubits: int, support: tuple[CouplingKey, ...], delta: float, rng_seed: int) -> DefectSample:
+    """Uniform entries in [-delta, delta] on every edge of ``support``, a canonical key tuple on ``n_qubits`` qubits.
+
+    ``CouplingVector.from_sorted`` checks the key tuple.
+    """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    edges = support.sorted_edges()
     rng = np.random.default_rng(rng_seed)
-    values = rng.uniform(-delta, delta, size=len(edges))
-    return DefectSample(CouplingVector.from_sorted(support.n_qubits, edges, values), float(delta))
+    values = rng.uniform(-delta, delta, size=len(support))
+    return DefectSample(CouplingVector.from_sorted(n_qubits, support, values), float(delta))
 
 
 def _edge_count_root(e_ds: int, p: float) -> float:
@@ -187,7 +189,7 @@ class BoundReport:
 def evaluate_bounds(
     h_problem: CouplingVector,
     h_source: CouplingVector,
-    defect_support: InteractionGraph,
+    defect_support: tuple[CouplingKey, ...],
     schedule: Schedule,
     defect: DefectSample,
     observable: dense.ObservableSpec | None = None,
@@ -196,6 +198,8 @@ def evaluate_bounds(
 ) -> BoundReport:
     """Evaluate every bound for one (problem, source, schedule, defect) tuple.
 
+    ``defect_support`` is the declared defect support, a canonical key tuple
+    on the problem's qubits, and holds every key of the defect sample.
     The observable is one Pauli string, so ||O|| = 1; without one the
     expectation bounds are reported for a generic single-site string.  Exact
     dense quantities (operator and Frobenius norm, the deviation of the
@@ -211,11 +215,12 @@ def evaluate_bounds(
     """
     dense.check_trotter_steps(q)
     n = h_problem.n_qubits
-    if not defect_support.edges.issuperset(defect.h_delta.keys()):
+    _check_sorted(defect_support, n)
+    if not frozenset(defect_support).issuperset(defect.h_delta.keys()):
         raise ValidationError("defect sample declares couplings outside the defect support")
 
     measured = frozenset(h_source.support())
-    unmeasured = tuple(key for key in defect_support.sorted_edges() if key not in measured)
+    unmeasured = tuple(key for key in defect_support if key not in measured)
     e_ds = len(unmeasured)
     t_a = schedule.total_analog_time
     target_time = schedule.target_time
@@ -282,7 +287,7 @@ def evaluate_bounds(
         target_time=target_time,
         total_analog_time=t_a,
         source_edge_count=len(measured),
-        defect_edge_count=defect_support.edge_count,
+        defect_edge_count=len(defect_support),
         defect_only_edge_count=e_ds,
         problem_degree=deg_p,
         defect_only_degree=deg_ds,

@@ -11,7 +11,7 @@ import sys
 
 from . import bounds, dense, harness
 from .errors import InternalConsistencyError, LpSolverStallError, ValidationError
-from .pauli import CouplingVector, InteractionGraph
+from .pauli import CouplingKey, CouplingVector
 from .schedule import Schedule, SynthesisMode, effective_couplings, synthesize, within_replay_tol
 
 EXIT_OK = 0
@@ -22,7 +22,7 @@ EXIT_INCONSISTENT = 4
 def _cmd_synth(args: argparse.Namespace) -> int:
     h_problem = CouplingVector.load(args.problem)
     h_source = CouplingVector.load(args.source)
-    defect_support = InteractionGraph.from_declared(CouplingVector.load(args.defects))
+    defect_support = _declared_defects(args.defects, h_source.n_qubits)
     mode = SynthesisMode.from_name(args.mode)
     sched = synthesize(h_problem, h_source, defect_support, args.time, mode, args.seed)
     sched.save(args.out)
@@ -30,17 +30,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _default_defect_graph(h_source: CouplingVector) -> InteractionGraph:
-    """All-to-all defects over the axis pairs present in the source."""
-    axes = {(k.mu, k.nu) for k in h_source.keys()} or {("z", "z")}
+def _declared_defects(path, n_qubits: int) -> tuple[CouplingKey, ...]:
+    """The declared keys of a defect-support file, which must be on the source's ``n_qubits`` qubits."""
+    defects = CouplingVector.load(path)
+    if defects.n_qubits != n_qubits:
+        raise ValidationError(f"the defect support is on {defects.n_qubits} qubits, the source on {n_qubits}")
+    return defects.keys()
+
+
+def _default_defect_keys(h_source: CouplingVector) -> tuple[CouplingKey, ...]:
+    """All-to-all defects over the axis pairs present in the source, in canonical order."""
+    axes = sorted({(k.mu, k.nu) for k in h_source.keys()} or {("z", "z")})
     n = h_source.n_qubits
-    edges = [
-        (i, j, mu, nu)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for mu, nu in sorted(axes)
-    ]
-    return InteractionGraph(n, edges)
+    return tuple(CouplingKey(i, j, mu, nu) for i in range(n) for j in range(i + 1, n) for mu, nu in axes)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -55,10 +57,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"schedule realizes {realized[key]:.17g} on coupling {key}, the problem asks {h_problem[key]:.17g}"
             )
     if args.defects:
-        defect_support = InteractionGraph.from_declared(CouplingVector.load(args.defects))
+        defect_support = _declared_defects(args.defects, h_source.n_qubits)
     else:
-        defect_support = _default_defect_graph(h_source)
-    defect = bounds.sample_defect(defect_support, args.delta, args.seed)
+        defect_support = _default_defect_keys(h_source)
+    defect = bounds.sample_defect(h_source.n_qubits, defect_support, args.delta, args.seed)
     observable = None
     if args.observable_x is not None:
         observable = dense.single_qubit_observable("x", args.observable_x, h_source.n_qubits)

@@ -125,7 +125,7 @@ def frobenius_norm(h: DenseHamiltonian) -> float:
     return math.ldexp(math.sqrt(squares), e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """One Pauli string of unit norm, one row of ``PauliMasks`` (``PauliMasks.from_text(["IXI"])``)."""
 

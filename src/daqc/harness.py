@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, dense
 from .errors import DaqcError, ValidationError
-from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph
+from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector
 from .schedule import SynthesisMode, synthesize
 
 TOPOLOGY_KINDS = ("nn", "random", "ata")
@@ -91,12 +91,13 @@ def generate_problem(
     spec: TopologySpec,
     coupling_scale: float,
     rng_seed: int,
-) -> tuple[CouplingVector, CouplingVector, InteractionGraph]:
-    """Random problem and source couplings on a shared support, plus defects.
+) -> tuple[CouplingVector, CouplingVector, tuple[CouplingKey, ...]]:
+    """Random problem and source couplings on a shared support, plus the defect support.
 
     Magnitudes are uniform in [scale/2, 3*scale/2] with a fair random sign,
-    drawn independently for the problem and the source.  The defect support
-    adds second-neighbour or all remaining pairs on top of the shared support.
+    drawn independently for the problem and the source.  The defect support,
+    a canonical key tuple, adds second-neighbour or all remaining pairs on
+    top of the shared support.
     """
     if not (coupling_scale > 0 and math.isfinite(3.0 * coupling_scale / 2.0)):
         raise ValidationError(f"coupling scale must be positive, and finite at 3/2 of it, got {coupling_scale}")
@@ -117,7 +118,7 @@ def generate_problem(
     else:
         in_defect = frozenset(support).union(second_neighbour_edges(n))
         defect_edges = tuple(e for e in all_pair_edges(n) if e in in_defect)
-    return h_problem, h_source, InteractionGraph.from_sorted(n, defect_edges)
+    return h_problem, h_source, defect_edges
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def run_trial(config: ExperimentConfig, n_qubits: int, trial_index: int) -> Tria
             config.mode,
             derive_seed(trial_seed, "patterns"),
         )
-        defect = bounds.sample_defect(defect_support, config.delta, derive_seed(trial_seed, "defect"))
+        defect = bounds.sample_defect(n_qubits, defect_support, config.delta, derive_seed(trial_seed, "defect"))
         observable = None
         if config.observable_axis is not None:
             observable = dense.single_qubit_observable(

@@ -60,12 +60,6 @@ class LinearProgram:
     def n_cols(self) -> int:
         return self.constraint_matrix.shape[1]
 
-    def dump_debug(self) -> str:
-        """Plain-text dump (matrix rows, then the rhs) for bug reports."""
-        lines = [" ".join(f"{v:.17g}" for v in row) for row in self.constraint_matrix]
-        lines.append("rhs: " + " ".join(f"{v:.17g}" for v in self.rhs))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -240,4 +234,3 @@ def solve(lp: LinearProgram) -> LpSolution:
         )
     times = np.clip(times, 0.0, None)
     return LpSolution(times, float(times.sum()), STATUS_OPTIMAL)
-

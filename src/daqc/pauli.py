@@ -1,4 +1,4 @@
-"""Two-body Pauli Hamiltonians as sparse coupling vectors and interaction graphs.
+"""Two-body Pauli Hamiltonians as sparse coupling vectors, and edge sets as key tuples.
 
 A Hamiltonian of the form  sum_{i<j} sum_{mu,nu} h[i,j,mu,nu] s_i^mu s_j^nu
 (s^mu the Pauli matrices, hbar = 1) is stored as a mapping from keys
@@ -10,22 +10,23 @@ part of the declared support.
 
 A ``CouplingKey`` is valid by construction, so the containers check only
 what a key cannot know: ``j < n_qubits`` and, for vectors, finite values.
-Keys are checked where they enter from outside, by the public constructors
-and the file parser; raw tuples handed to them become ``CouplingKey``s on
-the way in.  A vector stores its canonical key tuple and a read-only value
-array.  Vectors and graphs derived inside the package go through
-``from_sorted``, which takes keys that are already ``CouplingKey``s: it checks
-their order and range in one pass and every value for finiteness, but
-rebuilds no key.  A sum or difference on an operand's own keys checks only its values.
+``CouplingVector``'s constructor and the file parser take raw tuples too and
+make ``CouplingKey``s of them.  A vector stores its canonical key tuple and a
+read-only value array.  Vectors derived inside the package go through
+``from_sorted``, which rebuilds no key: it checks their order and range in
+one pass and every value for finiteness.  A sum or difference on an
+operand's own keys checks only its values.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
-labeled by the axis pair, so a qubit pair may carry up to nine edges.  An edge
-set is a key tuple, and ``max_degree`` reads its largest vertex degree;
-``InteractionGraph`` is only a declared defect support.
+labeled by the axis pair, so a qubit pair may carry up to nine edges.  Every
+edge set, the declared defect support included, is a canonical key tuple:
+``CouplingKey``s in strictly increasing canonical order, as ``keys()`` and
+``support()`` return them.  A public function that takes one checks it once
+with ``_check_sorted``, which rejects anything else, and ``max_degree`` reads
+its largest vertex degree.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -35,8 +36,8 @@ from .errors import SimulabilityError, ValidationError
 
 AXES = ("x", "y", "z")
 
-#: Significant digits used when printing coupling strengths; 17 digits
-#: round-trip any IEEE double exactly.
+#: Significant digits of every float the package writes (schedule times, CSV
+#: cells); 17 digits round-trip any IEEE double exactly.
 FLOAT_DIGITS = 17
 
 
@@ -83,9 +84,15 @@ def _key_in_range(raw: tuple, n_qubits: int) -> CouplingKey:
 
 
 def _check_sorted(keys: tuple[CouplingKey, ...], n_qubits: int) -> None:
-    """Raise unless ``keys`` increase strictly in canonical order and address ``n_qubits`` qubits."""
+    """Raise unless ``keys`` is a tuple of ``CouplingKey``s in strictly increasing canonical order on ``n_qubits``."""
+    if not isinstance(n_qubits, int) or n_qubits < 1:
+        raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    if type(keys) is not tuple:
+        raise ValidationError(f"coupling keys must come as a tuple, got {type(keys).__name__}")
     before = None
     for key in keys:
+        if type(key) is not CouplingKey:
+            raise ValidationError(f"{key!r} is not a CouplingKey")
         if key.j >= n_qubits:
             raise ValidationError(f"key {key} out of range for {n_qubits} qubits")
         if before is not None and not before < key:
@@ -113,11 +120,10 @@ class CouplingVector:
     def from_sorted(cls, n_qubits: int, keys: tuple[CouplingKey, ...], values) -> "CouplingVector":
         """Vector of ``values`` on ``CouplingKey``s already in strictly increasing canonical order.
 
-        For keys read off a checked vector or graph: their order and range
-        are checked in one pass, and every value for finiteness, but no key
-        is rebuilt.
+        For a key tuple read off a checked vector or edge set: its order and
+        range are checked in one pass, and every value for finiteness, but no
+        key is rebuilt.
         """
-        keys = tuple(keys)
         _check_sorted(keys, n_qubits)
         return cls.__new__(cls)._set(n_qubits, keys, np.array(values, dtype=float))
 
@@ -141,9 +147,6 @@ class CouplingVector:
     def keys(self) -> tuple[CouplingKey, ...]:
         """All declared keys in canonical order (including explicit zeros)."""
         return self._keys
-
-    def items(self) -> tuple[tuple[CouplingKey, float], ...]:
-        return tuple(zip(self._keys, self._values.tolist()))
 
     def values_array(self) -> np.ndarray:
         """Declared values as a read-only float array, in canonical key order."""
@@ -172,21 +175,8 @@ class CouplingVector:
     def __getitem__(self, key: CouplingKey) -> float:
         return self._lookup_table().get(key, 0.0)
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def __iter__(self) -> Iterator[CouplingKey]:
         return iter(self._keys)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CouplingVector):
-            return NotImplemented
-        return (self._n_qubits, self._keys) == (other._n_qubits, other._keys) and bool(
-            np.array_equal(self._values, other._values)
-        )
-
-    def __repr__(self) -> str:
-        return f"CouplingVector(n_qubits={self._n_qubits}, entries={dict(self.items())!r})"
 
     def _combined(self, other: "CouplingVector", sign: float, verb: str) -> "CouplingVector":
         if not isinstance(other, CouplingVector):
@@ -215,17 +205,11 @@ class CouplingVector:
     def __sub__(self, other: "CouplingVector") -> "CouplingVector":
         return self._combined(other, -1.0, "subtract")
 
-    # -- plain-text serialization ------------------------------------------
-
-    def to_text(self) -> str:
-        """Record format: header ``n_qubits=N`` then ``i j mu nu value`` lines."""
-        lines = [f"n_qubits={self._n_qubits}"]
-        for (i, j, mu, nu), value in self.items():
-            lines.append(f"{i} {j} {mu} {nu} {value:.{FLOAT_DIGITS}g}")
-        return "\n".join(lines) + "\n"
+    # -- plain-text reading --------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "CouplingVector":
+        """Record format: header ``n_qubits=N`` then ``i j mu nu value`` lines; ``#`` starts a comment line."""
         n_qubits = None
         entries: dict[CouplingKey, float] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -239,6 +223,8 @@ class CouplingVector:
                     n_qubits = int(line.split("=", 1)[1])
                 except ValueError as exc:
                     raise ValidationError(f"line {lineno}: bad n_qubits header {line!r}") from exc
+                if n_qubits < 1:
+                    raise ValidationError(f"line {lineno}: n_qubits must be a positive integer, got {n_qubits}")
                 continue
             if n_qubits is None:
                 raise ValidationError(f"line {lineno}: coupling before n_qubits header")
@@ -257,61 +243,10 @@ class CouplingVector:
             raise ValidationError("missing n_qubits header")
         return cls(n_qubits, entries)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def load(cls, path) -> "CouplingVector":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
-
-
-@dataclass(frozen=True)
-class InteractionGraph:
-    """A declared defect support: an edge set of coupling keys, viewed as a multigraph.
-
-    Each key is one edge; parallel edges with different axis labels are
-    distinct.
-    """
-
-    n_qubits: int
-    edges: frozenset[CouplingKey]
-    _sorted: tuple[CouplingKey, ...] = field(repr=False, compare=False)
-
-    def __init__(self, n_qubits: int, edges: Iterable[CouplingKey] = ()):
-        if not isinstance(n_qubits, int) or n_qubits < 1:
-            raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        self._set(n_qubits, tuple(sorted({_key_in_range(e, n_qubits) for e in edges})))
-
-    @classmethod
-    def from_sorted(cls, n_qubits: int, edges: tuple[CouplingKey, ...]) -> "InteractionGraph":
-        """Graph of ``CouplingKey``s already in strictly increasing canonical order.
-
-        The edges are checked as ``CouplingVector.from_sorted`` checks its keys.
-        """
-        edges = tuple(edges)
-        _check_sorted(edges, n_qubits)
-        graph = cls.__new__(cls)
-        graph._set(n_qubits, edges)
-        return graph
-
-    def _set(self, n_qubits: int, edges: tuple[CouplingKey, ...]) -> None:
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "_sorted", edges)
-
-    @classmethod
-    def from_declared(cls, vector: CouplingVector) -> "InteractionGraph":
-        """Graph of every declared key, zeros included (defect-support reading)."""
-        return cls.from_sorted(vector.n_qubits, vector.keys())
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> tuple[CouplingKey, ...]:
-        return self._sorted
 
 
 def max_degree(keys: Iterable[CouplingKey], n_qubits: int) -> int:

@@ -47,7 +47,7 @@ from . import lp
 from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, basis_indices, build_sign_matrix, generate_candidate_patterns
 from .blocks import pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
+from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, hadamard_divide
 
 #: a replay residual may be this fraction of the terms it sums (``within_replay_tol``);
 #: on the default-scale acceptance sweeps (g = 100) those terms stay below 1300,
@@ -67,12 +67,13 @@ class SynthesisMode(enum.Enum):
         raise ValidationError(f"unknown synthesis mode {name!r}; use 'remove' or 'mitigate'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Timed sequence of gate patterns targeting ``h_P`` for time ``target_time``.
 
-    The blocks are all it holds, so a schedule read back from its text equals
-    the one written; the text is the only place its patterns are letters.
+    The blocks are all it holds, so a schedule read back from its text has
+    the blocks of the one written; the text is the only place its patterns
+    are letters.
     """
 
     n_qubits: int
@@ -175,31 +176,36 @@ def _candidate_counts(total: int, defect_edge_count: int):
 def synthesize(
     h_problem: CouplingVector,
     h_source: CouplingVector,
-    defect_support: InteractionGraph,
+    defect_support: tuple[CouplingKey, ...],
     target_time: float,
     mode: SynthesisMode,
     rng_seed: int,
 ) -> Schedule:
     """Build a schedule reproducing ``h_problem`` from ``h_source`` blocks.
 
-    Requires the nonzero problem couplings to sit inside the nonzero source
-    couplings, and those inside the declared defect support.  Raises
-    ``InternalConsistencyError`` if the LP finds no nonnegative solution even
-    over every pattern, which the module docstring shows cannot happen.
+    ``defect_support`` is the declared defect support, a canonical key tuple
+    on the problem's qubits.  Requires the nonzero problem couplings to sit
+    inside the nonzero source couplings, and those inside the defect support.
+    Raises ``InternalConsistencyError`` if the LP finds no nonnegative
+    solution even over every pattern, which the module docstring shows cannot
+    happen.
     """
     if not (target_time > 0 and math.isfinite(target_time)):
         raise ValidationError(f"target time must be positive and finite, got {target_time}")
-    if not (h_problem.n_qubits == h_source.n_qubits == defect_support.n_qubits):
-        raise ValidationError("problem, source and defect support disagree on system size")
+    n = h_problem.n_qubits
+    if h_source.n_qubits != n:
+        raise ValidationError("problem and source disagree on system size")
+    total = pattern_space_size(n, defect_support)  # checks the key tuple
     source_support = h_source.support()
-    if not defect_support.edges.issuperset(source_support):
-        missing = next(key for key in source_support if key not in defect_support.edges)
+    edges = frozenset(defect_support)
+    if not edges.issuperset(source_support):
+        missing = next(key for key in source_support if key not in edges)
         raise ValidationError(f"source coupling {missing} missing from the defect support")
 
     if mode is SynthesisMode.REMOVE_ZEROS:
         rows = source_support
     elif mode is SynthesisMode.MITIGATE_ZEROS:
-        rows = defect_support.sorted_edges()
+        rows = defect_support
     else:
         raise ValidationError(f"unknown synthesis mode {mode!r}")
     # raises SimulabilityError for a problem coupling outside the source support;
@@ -207,14 +213,13 @@ def synthesize(
     rhs = hadamard_divide(h_problem, h_source).values_at(rows)
 
     if not rows:
-        return Schedule(h_problem.n_qubits, PauliMasks.from_text([], h_problem.n_qubits), (), float(target_time), mode)
+        return Schedule(n, PauliMasks.from_text([], n), (), float(target_time), mode)
 
-    total = pattern_space_size(defect_support)
     solution = None
-    for requested in _candidate_counts(total, defect_support.edge_count):
-        patterns = generate_candidate_patterns(defect_support, requested, rng_seed)
+    for requested in _candidate_counts(total, len(defect_support)):
+        patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
         # the LP gets each distinct column once, at its first pattern (module docstring)
-        if whole_zz := total == 2**h_problem.n_qubits <= EXHAUSTIVE_PATTERN_LIMIT:  # all of {I, X}^N
+        if whole_zz := total == 2**n <= EXHAUSTIVE_PATTERN_LIMIT:  # all of {I, X}^N
             # the position of k; position[::-1][k] is that of k ^ (2^N - 1)
             position = np.argsort(basis_indices(patterns.x, patterns.n_qubits))
             patterns = patterns[np.sort(np.minimum(position, position[::-1])[: total // 2])]
@@ -235,7 +240,7 @@ def synthesize(
 
     kept = solution.times > 0.0
     schedule = Schedule(
-        n_qubits=h_problem.n_qubits,
+        n_qubits=n,
         patterns=patterns[kept],
         times=tuple(float(t) * target_time for t in solution.times[kept]),
         target_time=float(target_time),

@@ -20,7 +20,7 @@ from daqc.harness import (
     generate_problem,
     run_experiment,
 )
-from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph, hadamard_divide
+from daqc.pauli import CouplingKey, CouplingVector, hadamard_divide
 from daqc.schedule import SynthesisMode, error_vector, synthesize
 from lp_oracle import brute_force_optimum
 
@@ -129,7 +129,7 @@ def test_c2_mitigated_bound_tightening(sweeps):
             ratios = hadamard_divide(h_p, h_s)
             first_term = 10.0 * float(np.abs(ratios.values_array()).sum())
             assert record.bound_op_norm == pytest.approx(first_term, rel=1e-12)
-            for key in sorted(defect.edges - set(h_s.support())):
+            for key in sorted(set(defect) - set(h_s.support())):
                 weight = _oracle_weight(sched, key)
                 assert abs(weight) <= 1e-9, f"uncancelled edge {key} at seed {record.seed}"
             checked += 1
@@ -139,7 +139,7 @@ def test_c2_mitigated_bound_tightening(sweeps):
 def _paired_error_vectors(kind: str, r_rm, r_mi):
     """Recompute one swept pair's error vectors in both modes under its shared defect draw."""
     h_p, h_s, defect = _regenerate(kind, r_rm)
-    sample = bounds.sample_defect(defect, 10.0, derive_seed(r_rm.seed, "defect"))
+    sample = bounds.sample_defect(h_s.n_qubits, defect, 10.0, derive_seed(r_rm.seed, "defect"))
     vectors = []
     for record, mode in ((r_rm, REMOVE), (r_mi, MITIGATE)):
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(r_rm.seed, "patterns"))
@@ -191,13 +191,13 @@ def test_c2_per_seed_suppression(sweeps):
                 f"Frobenius norm rose: {kind} N={r_rm.n_qubits} seed={r_rm.seed}"
             )
             _, h_s, defect = _regenerate(kind, r_rm)
-            if defect.edges - set(h_s.support()):
+            if set(defect) - set(h_s.support()):
                 unmeasured[kind].append((r_rm, r_mi))
 
         for r_rm, r_mi in paired[:: len(paired) // 25]:
             h_s, defect, (eps_rm, eps_mi) = _paired_error_vectors(kind, r_rm, r_mi)
             measured = set(h_s.support())
-            for key in defect.sorted_edges():
+            for key in defect:
                 where = f"{kind} N={r_rm.n_qubits} seed={r_rm.seed} {key}"
                 if key in measured:
                     assert abs(eps_mi[key] - eps_rm[key]) <= REPLAY_TOL, f"modes differ: {where}"
@@ -238,7 +238,7 @@ def test_c3_total_time_ordering(sweeps):
                 assert abs(r_rm.t_a - r_mi.t_a) <= 1e-9
 
     rng = np.random.default_rng(MASTER_SEED)
-    defect = InteractionGraph.from_declared(CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}))
+    defect = CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}).keys()
     for trial in range(100):
         source_values = rng.uniform(0.5, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
         b = rng.uniform(-3.0, 3.0, size=2)
@@ -262,7 +262,7 @@ def test_c4_error_vector_closed_forms():
         seed = derive_seed("closed-forms", trial)
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
-        sample = bounds.sample_defect(defect, 10.0, derive_seed(seed, "d"))
+        sample = bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d"))
         h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
         for key in h_eps.keys():
             if h_s[key] != 0.0:
@@ -320,7 +320,7 @@ def test_c6_expectation_bound_regime():
             h_s_norm = dense.operator_norm(dense.build_dense(h_s))
             target_time = 0.09 / h_s_norm
             sched = synthesize(h_p, h_s, defect, target_time, REMOVE, derive_seed(seed, "s"))
-            sample = bounds.sample_defect(defect, 0.1, derive_seed(seed, "d"))
+            sample = bounds.sample_defect(n, defect, 0.1, derive_seed(seed, "d"))
             report = bounds.evaluate_bounds(
                 h_p, h_s, defect, sched, sample, observable=observable
             )

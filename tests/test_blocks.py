@@ -15,8 +15,9 @@ from daqc.blocks import (
     term_masks,
 )
 from daqc.errors import ValidationError
-from daqc.pauli import AXES, CouplingKey, InteractionGraph
+from daqc.pauli import AXES, CouplingKey
 from daqc.schedule import Schedule
+from helpers import same
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -96,8 +97,8 @@ def test_term_masks_match_the_gate_table_across_byte_boundaries(n):
     rows = [*range(len(keys))] * 2
     expected = PauliMasks.from_axes((len(keys), n), rows, [k.i for k in keys] + [k.j for k in keys],
                                     [k.mu for k in keys] + [k.nu for k in keys])
-    assert term_masks(keys, n) == expected
-    assert term_masks([], n) == PauliMasks.from_axes((0, n), [], [], [])
+    assert same(term_masks(keys, n), expected)
+    assert same(term_masks([], n), PauliMasks.from_axes((0, n), [], [], []))
     assert term_masks([], n).x.shape == (0, -(-n // 8))
 
 
@@ -255,78 +256,79 @@ def test_sign_weights_match_sequential_oracle_bit_for_bit():
 # ---- candidate generation ---------------------------------------------------
 
 
-def zz_graph(n, edges):
-    return InteractionGraph(n, [zz(i, j) for i, j in edges])
+def zz_support(n, edges):
+    """(n_qubits, canonical key tuple) of the ZZ pairs ``edges``."""
+    return n, tuple(sorted(zz(i, j) for i, j in edges))
 
 
 def test_alphabet_restriction():
-    assert pattern_alphabet(zz_graph(3, [(0, 1), (1, 2)])) == "IX"
-    mixed = InteractionGraph(3, [CouplingKey(0, 1, "x", "z")])
-    assert pattern_alphabet(mixed) == "IXYZ"
+    assert pattern_alphabet(zz_support(3, [(0, 1), (1, 2)])[1]) == "IX"
+    assert pattern_alphabet((CouplingKey(0, 1, "x", "z"),)) == "IXYZ"
 
 
 def test_candidates_start_with_identity_and_are_unique():
-    g = zz_graph(3, [(0, 1), (0, 2), (1, 2)])
-    pats = generate_candidate_patterns(g, 4, rng_seed=9).to_text()
+    support = zz_support(3, [(0, 1), (0, 2), (1, 2)])
+    pats = generate_candidate_patterns(*support, 4, rng_seed=9).to_text()
     assert pats[0] == "III"
     assert len(set(pats)) == 4
     assert all(set(p) <= {"I", "X"} for p in pats)
 
 
 def test_single_candidate_is_identity():
-    g = zz_graph(2, [(0, 1)])
-    assert generate_candidate_patterns(g, 1, rng_seed=0).to_text() == ["II"]
+    support = zz_support(2, [(0, 1)])
+    assert generate_candidate_patterns(*support, 1, rng_seed=0).to_text() == ["II"]
 
 
 def test_exhaustive_request_covers_whole_alphabet():
-    g = zz_graph(3, [(0, 1), (1, 2)])
-    pats = generate_candidate_patterns(g, 8, rng_seed=123).to_text()
+    support = zz_support(3, [(0, 1), (1, 2)])
+    pats = generate_candidate_patterns(*support, 8, rng_seed=123).to_text()
     assert pats[0] == "III"
     assert sorted(pats) == sorted("".join(p) for p in itertools.product("IX", repeat=3))
 
 
 def test_request_beyond_alphabet_exhausts():
-    g = zz_graph(3, [(0, 1)])
+    support = zz_support(3, [(0, 1)])
     with pytest.raises(ValidationError, match="only 8 exist"):
-        generate_candidate_patterns(g, 9, rng_seed=0)
+        generate_candidate_patterns(*support, 9, rng_seed=0)
 
 
 def test_candidates_deterministic_and_prefix_stable():
-    g = zz_graph(4, [(0, 1), (1, 2), (2, 3)])
-    small = generate_candidate_patterns(g, 5, rng_seed=77).to_text()
-    again = generate_candidate_patterns(g, 5, rng_seed=77).to_text()
-    grown = generate_candidate_patterns(g, 11, rng_seed=77).to_text()
+    support = zz_support(4, [(0, 1), (1, 2), (2, 3)])
+    small = generate_candidate_patterns(*support, 5, rng_seed=77).to_text()
+    again = generate_candidate_patterns(*support, 5, rng_seed=77).to_text()
+    grown = generate_candidate_patterns(*support, 11, rng_seed=77).to_text()
     assert small == again
     assert grown[:5] == small
 
 
-def xz_graph(n):
-    return InteractionGraph(n, [CouplingKey(0, n - 1, "x", "z")])
+def xz_support(n):
+    return n, (CouplingKey(0, n - 1, "x", "z"),)
 
 
-@pytest.mark.parametrize("graph", [zz_graph(5, [(0, 1)]), xz_graph(3)], ids=["IX", "IXYZ"])
-def test_whole_space_request_is_a_seeded_permutation_of_the_space(graph):
-    alphabet = pattern_alphabet(graph)
-    space = ["".join(p) for p in itertools.product(alphabet, repeat=graph.n_qubits)]
-    pats = generate_candidate_patterns(graph, len(space), rng_seed=3).to_text()
-    assert pats[0] == "I" * graph.n_qubits
+@pytest.mark.parametrize("support", [zz_support(5, [(0, 1)]), xz_support(3)], ids=["IX", "IXYZ"])
+def test_whole_space_request_is_a_seeded_permutation_of_the_space(support):
+    n, keys = support
+    space = ["".join(p) for p in itertools.product(pattern_alphabet(keys), repeat=n)]
+    pats = generate_candidate_patterns(*support, len(space), rng_seed=3).to_text()
+    assert pats[0] == "I" * n
     assert sorted(pats) == sorted(space) and len(set(pats)) == len(space)
-    assert generate_candidate_patterns(graph, len(space), rng_seed=3).to_text() == pats
-    assert generate_candidate_patterns(graph, len(space), rng_seed=4).to_text() != pats
+    assert generate_candidate_patterns(*support, len(space), rng_seed=3).to_text() == pats
+    assert generate_candidate_patterns(*support, len(space), rng_seed=4).to_text() != pats
 
 
-def sampled_stream(graph, requested, seed):
+def sampled_stream(support, requested, seed):
     """The first ``requested`` distinct patterns of the sampler's seeded stream.
 
     A whole-space request is listed, not sampled, so its stream is the sampled
     list one short of the whole space followed by the one pattern it lacks.
     """
-    alphabet = pattern_alphabet(graph)
-    total = len(alphabet) ** graph.n_qubits
+    n, keys = support
+    alphabet = pattern_alphabet(keys)
+    total = len(alphabet) ** n
     if requested < total:
-        return generate_candidate_patterns(graph, requested, rng_seed=seed).to_text()
-    patterns = generate_candidate_patterns(graph, total - 1, rng_seed=seed).to_text()
-    space = {"".join(p) for p in itertools.product(alphabet, repeat=graph.n_qubits)}
+        return generate_candidate_patterns(*support, requested, rng_seed=seed).to_text()
+    patterns = generate_candidate_patterns(*support, total - 1, rng_seed=seed).to_text()
+    space = {"".join(p) for p in itertools.product(alphabet, repeat=n)}
     return patterns + sorted(space - set(patterns))
 
 
@@ -338,20 +340,20 @@ def pattern_digest(patterns):
 # candidate letter by letter; the draws consumed are in the comments
 @pytest.mark.parametrize("graph, requested, seed, digest", [
     # IX, every pattern: 1, 2, 2, 3, 7 and 6 chunks of max(64, requested) rows
-    (zz_graph(3, [(0, 1)]), 8, 2024, "f1779596aa1c9a55ac7ee36684aee0d4893209c0ea48f66df3957c1398c4c35f"),
-    (zz_graph(4, [(0, 1)]), 16, 2024, "1f15191d941526038d4795ea663fbaf90fffdc1759a64b58afa429aff27d2850"),
-    (zz_graph(5, [(0, 1)]), 32, 2024, "dc6f46865f43dd9fc51f986d259e17b1ca90c049b8a9ddfffafa4640cb6d6935"),
-    (zz_graph(6, [(0, 1)]), 64, 2024, "62e7c0315245854824676c39190f1bb09f301481c41911a4891ed273bf393927"),
-    (zz_graph(7, [(0, 1)]), 128, 2024, "68f49754c66d57ee05109364809de122cf52677e5b67d84461035070d69c7f8a"),
-    (zz_graph(8, [(0, 1)]), 256, 2024, "1f9280e11a2e9df94ba76345a706b82f4397131bb37576b5674f9a95678ca522"),
+    (zz_support(3, [(0, 1)]), 8, 2024, "f1779596aa1c9a55ac7ee36684aee0d4893209c0ea48f66df3957c1398c4c35f"),
+    (zz_support(4, [(0, 1)]), 16, 2024, "1f15191d941526038d4795ea663fbaf90fffdc1759a64b58afa429aff27d2850"),
+    (zz_support(5, [(0, 1)]), 32, 2024, "dc6f46865f43dd9fc51f986d259e17b1ca90c049b8a9ddfffafa4640cb6d6935"),
+    (zz_support(6, [(0, 1)]), 64, 2024, "62e7c0315245854824676c39190f1bb09f301481c41911a4891ed273bf393927"),
+    (zz_support(7, [(0, 1)]), 128, 2024, "68f49754c66d57ee05109364809de122cf52677e5b67d84461035070d69c7f8a"),
+    (zz_support(8, [(0, 1)]), 256, 2024, "1f9280e11a2e9df94ba76345a706b82f4397131bb37576b5674f9a95678ca522"),
     # stops at row 26 of the second chunk of 100
-    (xz_graph(4), 100, 5, "ec3533d62cfd76d55b4223428006317e86098b8e3b53015985bba1b776cd9ec7"),
+    (xz_support(4), 100, 5, "ec3533d62cfd76d55b4223428006317e86098b8e3b53015985bba1b776cd9ec7"),
     # three chunks of 120, stopping at row 72 of the third
-    (zz_graph(7, [(0, 1)]), 120, 31, "98e11e5fd76d8469abfb161aec5daaf74516cd74f633d128a4a08c6d6db5724e"),
+    (zz_support(7, [(0, 1)]), 120, 31, "98e11e5fd76d8469abfb161aec5daaf74516cd74f633d128a4a08c6d6db5724e"),
     # 4^32 and 4^40 patterns: the sampler must not encode a pattern as one integer
-    (xz_graph(32), 5, 7, "acd0c474d10166bb16a703a1b3f687cdba4f25e7c1d55101bb299a58c198d59a"),
-    (xz_graph(40), 9, 7, "8a6f1d20e44d2a05af9a754051e7ae1d1008b78bedf22b275d723e9179f62a8c"),
-    (xz_graph(40), 70, 8, "2b2c64b025569dfa108808c6d55257227fa4f541d909c8195941ecb21cf7e733"),
+    (xz_support(32), 5, 7, "acd0c474d10166bb16a703a1b3f687cdba4f25e7c1d55101bb299a58c198d59a"),
+    (xz_support(40), 9, 7, "8a6f1d20e44d2a05af9a754051e7ae1d1008b78bedf22b275d723e9179f62a8c"),
+    (xz_support(40), 70, 8, "2b2c64b025569dfa108808c6d55257227fa4f541d909c8195941ecb21cf7e733"),
 ])
 def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
     patterns = sampled_stream(graph, requested, seed)
@@ -370,7 +372,7 @@ def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
     (8, "082e349cbbb27820e486acee7aca13f00565bf6b841d8ae68094a3efd0878e96"),
 ])
 def test_whole_space_request_matches_the_recorded_permutation(n, digest):
-    patterns = generate_candidate_patterns(zz_graph(n, [(0, 1)]), 2**n, rng_seed=2024).to_text()
+    patterns = generate_candidate_patterns(*zz_support(n, [(0, 1)]), 2**n, rng_seed=2024).to_text()
     assert len(patterns) == 2**n
     assert pattern_digest(patterns) == digest
 
@@ -383,10 +385,9 @@ def test_zz_rows_under_ix_layers_gather_the_kernel_signs(monkeypatch, n):
     # the table holds the kernel's signs, so a gather equals the kernel bit for bit, in C order
     rng = np.random.default_rng(100 + n)
     pairs = [zz(i, j) for i, j in itertools.combinations(range(n), 2)]
-    graph = InteractionGraph(n, pairs)
     layer_sets = [
-        generate_candidate_patterns(graph, 2**n, rng_seed=n),  # whole space, seeded order
-        generate_candidate_patterns(graph, 2 ** (n - 1) + 1, rng_seed=n),  # sampled
+        generate_candidate_patterns(n, tuple(pairs), 2**n, rng_seed=n),  # whole space, seeded order
+        generate_candidate_patterns(n, tuple(pairs), 2 ** (n - 1) + 1, rng_seed=n),  # sampled
         PauliMasks.from_text(["".join(rng.choice(["I", "X"], n)) for _ in range(9)]),  # repeats allowed
     ]
     row_sets = [pairs, [pairs[k] for k in rng.permutation(len(pairs))[: max(1, len(pairs) // 2)]], [pairs[-1]]]
@@ -416,7 +417,7 @@ def test_other_rows_and_layers_take_the_kernel(monkeypatch):
     ix = PauliMasks.from_text(["IXI", "XXI", "III"])
     build_sign_matrix(ix, [zz(0, 1), CouplingKey(1, 2, "x", "z")])  # a row that is not ZZ
     build_sign_matrix(PauliMasks.from_text(["IXI", "XZI"]), [zz(0, 1)])  # a layer with z bits
-    ten = generate_candidate_patterns(zz_graph(10, [(0, 9)]), 20, rng_seed=1)  # 2^10 > the whole-space limit
+    ten = generate_candidate_patterns(*zz_support(10, [(0, 9)]), 20, rng_seed=1)  # 2^10 > the whole-space limit
     build_sign_matrix(ten, [zz(0, 9)])
     assert calls == [3, 2, 20]
 

@@ -12,7 +12,8 @@ import pytest
 from daqc import cli, harness, lp
 from daqc.errors import InternalConsistencyError
 from daqc.pauli import CouplingKey, CouplingVector
-from daqc.schedule import Schedule
+from daqc.schedule import Schedule, SynthesisMode
+from helpers import same, write_couplings
 
 
 def zz(i, j):
@@ -30,9 +31,9 @@ def workspace(tmp_path):
         "defects": tmp_path / "defects.txt",
         "schedule": tmp_path / "schedule.txt",
     }
-    problem.save(paths["problem"])
-    source.save(paths["source"])
-    defects.save(paths["defects"])
+    write_couplings(problem, paths["problem"])
+    write_couplings(source, paths["source"])
+    write_couplings(defects, paths["defects"])
     return tmp_path, paths
 
 
@@ -177,9 +178,9 @@ def test_analyze_observable_on_an_eleven_qubit_source(tmp_path, capsys):
     n = 11
     chain = [zz(i, i + 1) for i in range(n - 1)]
     paths = {name: tmp_path / f"{name}.txt" for name in ("problem", "source", "defects", "schedule")}
-    CouplingVector(n, {key: 40.0 + 3.0 * k for k, key in enumerate(chain)}).save(paths["problem"])
-    CouplingVector(n, {key: 90.0 - 2.0 * k for k, key in enumerate(chain)}).save(paths["source"])
-    CouplingVector(n, {key: 0.0 for key in chain}).save(paths["defects"])
+    write_couplings(CouplingVector(n, {key: 40.0 + 3.0 * k for k, key in enumerate(chain)}), paths["problem"])
+    write_couplings(CouplingVector(n, {key: 90.0 - 2.0 * k for k, key in enumerate(chain)}), paths["source"])
+    write_couplings(CouplingVector(n, {key: 0.0 for key in chain}), paths["defects"])
     assert run_synth(paths, mode="remove") == 0
     capsys.readouterr()
     assert cli.main([
@@ -209,10 +210,26 @@ def test_missing_file_exits_validation(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_a_defect_support_on_other_qubits_exits_validation(workspace, capsys, command):
+    # its keys fit the source's 3 qubits, but the file declares 4
+    _, paths = workspace
+    run_synth(paths)
+    write_couplings(CouplingVector(4, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}), paths["defects"])
+    capsys.readouterr()
+    if command == "synth":
+        code = run_synth(paths)
+    else:
+        code = cli.main(["analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
+                         "--defects", str(paths["defects"]), "--delta", "10", "--seed", "4"])
+    assert code == 2
+    assert "error: the defect support is on 4 qubits, the source on 3" in capsys.readouterr().err
+
+
 def test_unsimulatable_problem_exits_validation(workspace, tmp_path):
     _, paths = workspace
     bad = tmp_path / "bad_problem.txt"
-    CouplingVector(3, {zz(1, 2): 10.0}).save(bad)
+    write_couplings(CouplingVector(3, {zz(1, 2): 10.0}), bad)
     code = cli.main([
         "synth",
         "--problem", str(bad),
@@ -262,7 +279,7 @@ def test_analyze_rejects_a_problem_the_schedule_does_not_realize(workspace, tmp_
     _, paths = workspace
     run_synth(paths, seed=7)
     other = tmp_path / "other_problem.txt"
-    CouplingVector(3, {zz(0, 1): 30.0, zz(0, 2): -80.0}).save(other)
+    write_couplings(CouplingVector(3, {zz(0, 1): 30.0, zz(0, 2): -80.0}), other)
     capsys.readouterr()
     code = cli.main([
         "analyze",
@@ -314,6 +331,9 @@ MALFORMED_FILES = {
     "couplings-before-header": ("source", "\n0 1 z z 110\nn_qubits=3\n",
                                 "line 2: coupling before n_qubits header"),
     "couplings-missing-header": ("source", "# no header\n\n", "missing n_qubits header"),
+    "couplings-zero-n-qubits": ("source", "n_qubits=0\n", "line 1: n_qubits must be a positive integer, got 0"),
+    "couplings-negative-n-qubits": ("source", "n_qubits=-2\n0 1 z z 110\n",
+                                    "line 1: n_qubits must be a positive integer, got -2"),
 }
 
 
@@ -341,7 +361,7 @@ def test_comment_and_blank_lines_between_blocks_are_skipped(workspace):
     assert schedule.n_blocks >= 2
     annotated = ["# by hand", *lines[:1], "", *lines[1:4], "", "# the rest", *lines[4:6], "  ", *lines[6:]]
     paths["schedule"].write_text("\n".join(annotated) + "\n")
-    assert Schedule.load(paths["schedule"]) == schedule
+    assert same(Schedule.load(paths["schedule"]), schedule)
     code = cli.main([
         "analyze",
         "--schedule", str(paths["schedule"]),
@@ -399,9 +419,9 @@ def test_sweep_in_other_units_exits_zero(tmp_path, time, delta):
 
 def test_synth_and_analyze_a_problem_at_a_large_coupling_scale(tmp_path):
     paths = {name: tmp_path / f"{name}.txt" for name in ("problem", "source", "defects", "schedule")}
-    CouplingVector(3, {zz(0, 1): 55.3e9, zz(0, 2): -80.1e9}).save(paths["problem"])
-    CouplingVector(3, {zz(0, 1): 110.7e9, zz(0, 2): 64.9e9}).save(paths["source"])
-    CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}).save(paths["defects"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 55.3e9, zz(0, 2): -80.1e9}), paths["problem"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 110.7e9, zz(0, 2): 64.9e9}), paths["source"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}), paths["defects"])
     assert run_synth(paths) == 0
     assert cli.main([
         "analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
@@ -415,9 +435,9 @@ def test_analyze_a_problem_that_asks_zero_on_a_source_coupling(tmp_path, zero):
     # the schedule cancels (0,2) to round-off (2.8e-15), which is measured
     # against the source coupling it multiplies, not against the target 0
     paths = {name: tmp_path / f"{name}.txt" for name in ("problem", "source", "defects", "schedule")}
-    CouplingVector(3, {zz(0, 1): 135.7, zz(1, 2): -123.0, **zero}).save(paths["problem"])
-    CouplingVector(3, {zz(0, 1): 104.4, zz(0, 2): 50.3, zz(1, 2): -143.5}).save(paths["source"])
-    CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}).save(paths["defects"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 135.7, zz(1, 2): -123.0, **zero}), paths["problem"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 104.4, zz(0, 2): 50.3, zz(1, 2): -143.5}), paths["source"])
+    write_couplings(CouplingVector(3, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}), paths["defects"])
     assert run_synth(paths) == 0
     assert cli.main([
         "analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
@@ -458,6 +478,19 @@ def test_extreme_scale_frobenius_norm_is_finite(tmp_path):
 def test_extreme_scale_exact_norm_is_within_its_bound(tmp_path):
     record = extreme_scale_record(tmp_path)
     assert record.exact_op_norm <= record.bound_op_norm
+
+
+@pytest.mark.xfail(strict=True, reason="known fault: at N = 2 the Frobenius bound is tight, and round-off decides it")
+def test_two_qubit_exact_frobenius_norm_is_within_its_bound():
+    # nn, N = 2, master seed 11, trial 1 (seed 8835928214518424301): exact_frob
+    # 5.215176175561538 against frob_bound 5.215176175561526 in both modes
+    records = [
+        harness.run_trial(harness.ExperimentConfig(harness.TopologySpec("nn", 2), (2,), trials=2, mode=mode,
+                                                   master_seed=11), 2, 1)
+        for mode in SynthesisMode
+    ]
+    assert [record.seed for record in records] == [8835928214518424301] * 2
+    assert all(record.exact_frob <= record.frob_bound for record in records)
 
 
 def test_internal_consistency_exit_code(workspace, monkeypatch):

@@ -11,8 +11,9 @@ from daqc import blocks, bounds, dense
 from daqc.blocks import PauliMasks
 from daqc.errors import ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
-from daqc.pauli import CouplingKey, CouplingVector, InteractionGraph
+from daqc.pauli import CouplingKey, CouplingVector
 from daqc.schedule import Schedule, SynthesisMode, effective_couplings, synthesize
+from helpers import entries, same
 
 
 def zz(i, j):
@@ -36,7 +37,7 @@ def kron_hamiltonian(h):
     """Sum of the Kronecker-built two-body terms of ``h``, in key order."""
     n = h.n_qubits
     total = np.zeros((2**n, 2**n), dtype=complex)
-    for key, value in h.items():
+    for key, value in entries(h).items():
         letters = ["I"] * n
         letters[key.i], letters[key.j] = key.mu.upper(), key.nu.upper()
         total += value * kron_string(letters)
@@ -103,7 +104,7 @@ def per_key_zz_diagonal(h):
     n = h.n_qubits
     z = 1.0 - 2.0 * ((np.arange(2**n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
     diag = np.zeros(2**n)
-    for key, value in h.items():
+    for key, value in entries(h).items():
         diag += value * z[key.i] * z[key.j]
     return diag
 
@@ -204,7 +205,7 @@ def test_operator_norm_below_coupling_one_norm():
 def test_single_qubit_observable_support_and_norm():
     # a single Pauli string has eigenvalues +/-1: its norm is 1, not stored
     obs = dense.single_qubit_observable("x", 1, 3)
-    assert obs == dense.ObservableSpec(PauliMasks.from_text(["IXI"]))
+    assert same(obs.string, PauliMasks.from_text(["IXI"]))
     assert obs.support == {1}
     assert obs.n_qubits == 3
 
@@ -280,7 +281,7 @@ def test_sigma_x_deviation_on_plus_is_a_difference_of_cosine_products(kind, mode
         seed = derive_seed("cosines", kind, mode.value, trial)
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, target_time, mode, derive_seed(seed, "s"))
-        h_real = h_s + bounds.sample_defect(defect, 10.0, derive_seed(seed, "d")).h_delta
+        h_real = h_s + bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta
         h_eff = effective_couplings(sched, h_real)
 
         def x0(h):
@@ -320,7 +321,7 @@ def amplitude_gap(a, b):
 def chain_problem():
     h_source = CouplingVector(3, {zz(0, 1): 1.5, zz(1, 2): -2.0})
     h_problem = CouplingVector(3, {zz(0, 1): -0.75, zz(1, 2): 1.0})
-    defect = InteractionGraph(3, [zz(0, 1), zz(1, 2), zz(0, 2)])
+    defect = (zz(0, 1), zz(0, 2), zz(1, 2))
     sched = synthesize(h_problem, h_source, defect, 1.0, SynthesisMode.REMOVE_ZEROS, rng_seed=7)
     return h_problem, h_source, sched
 
@@ -339,7 +340,7 @@ def test_repeated_block_replays_like_one_longer_block():
     merged = Schedule(2, PauliMasks.from_text(["XI", "II"]), (0.5, 0.5), 1.0, SynthesisMode.REMOVE_ZEROS)
     state = dense.replay_unitary(repeated, h)
     assert amplitude_gap(state, dense.replay_unitary(merged, h)) <= 1e-12
-    assert effective_couplings(repeated, h) == effective_couplings(merged, h)
+    assert same(effective_couplings(repeated, h), effective_couplings(merged, h))
 
 
 def test_replay_does_not_read_the_sign_kernel(chain_problem, monkeypatch):
@@ -400,7 +401,7 @@ def test_zz_replay_is_one_phase_for_every_q(kind, mode):
     seed = derive_seed("one-phase", kind, mode.value)
     h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
     sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
-    h_real = h_s + bounds.sample_defect(defect, 10.0, derive_seed(seed, "d")).h_delta
+    h_real = h_s + bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta
     replayed = {q: dense.replay_unitary(sched, h_real, q=q) for q in (1, 3)}
     assert np.array_equal(replayed[1], replayed[3])
     for q, state in replayed.items():
@@ -413,7 +414,7 @@ def test_replay_is_unitary(chain_problem):
     state = dense.replay_unitary(sched, h_source)
     # a diagonal unitary on |+>: every amplitude keeps its modulus 1/sqrt(8)
     assert amplitude_gap(np.abs(state), dense.plus_state(3)) <= 1e-10
-    full = CouplingVector(3, {**dict(h_source.items()), CouplingKey(0, 1, "x", "y"): 0.6})
+    full = CouplingVector(3, {**entries(h_source), CouplingKey(0, 1, "x", "y"): 0.6})
     assert np.linalg.norm(dense.replay_unitary(sched, full, q=2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -573,9 +574,9 @@ def test_non_zz_deviation_peaks_below_four_matrices():
         })
 
     h_source, h_problem = chain(), chain()
-    defect = InteractionGraph(n, [CouplingKey(i, j, a, a) for i in range(n) for j in (i + 1, i + 2) if j < n for a in "xy"])
+    defect = tuple(CouplingKey(i, j, a, a) for i in range(n) for j in (i + 1, i + 2) if j < n for a in "xy")
     sched = synthesize(h_problem, h_source, defect, 1.0, SynthesisMode.REMOVE_ZEROS, rng_seed=3)
-    h_real = h_source + CouplingVector(n, {key: 0.05 for key in defect.sorted_edges()})
+    h_real = h_source + CouplingVector(n, {key: 0.05 for key in defect})
     observable = dense.single_qubit_observable("x", 0, n)
     tracemalloc.start()
     try:

@@ -14,8 +14,9 @@ from daqc.lp import (
     LinearProgram,
     solve,
 )
-from daqc.pauli import CouplingVector, InteractionGraph, hadamard_divide
+from daqc.pauli import CouplingVector, hadamard_divide
 from daqc.schedule import SynthesisMode, synthesize
+from helpers import entries
 from lp_oracle import OracleLimitError, brute_force_optimum, numpy_dantzig_iterate
 
 THREE_QUBIT_MATRIX = [
@@ -145,13 +146,6 @@ def test_solver_matches_oracle_on_random_instances():
     assert checked > 50  # sanity: most random instances should be feasible
 
 
-def test_debug_dump_contains_matrix_and_rhs():
-    lp = LinearProgram([[1.0, -1.0]], [0.25])
-    dump = lp.dump_debug()
-    assert "1 -1" in dump
-    assert "rhs: 0.25" in dump
-
-
 def test_tolerance_validation():
     # relative to max(1, ||b||_inf); at most 1e-9 absolute wherever ||b||_inf <= 3, the default scale
     assert FEASIBILITY_TOL == 3e-10
@@ -212,7 +206,7 @@ def test_lp_tolerance_follows_the_rhs_scale(trial):
     kind, mode, n, index = trial
     seed = derive_seed(11, n, index)
     h_problem, h_source, defects = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "problem"))
-    small = CouplingVector(n, {key: 1e-6 * value for key, value in h_source.items()})
+    small = CouplingVector(n, {key: 1e-6 * value for key, value in entries(h_source).items()})
     rest = (defects, 1.0, SynthesisMode.from_name(mode), derive_seed(seed, "patterns"))
     reference = synthesize(h_problem, h_source, *rest).total_analog_time
     assert synthesize(h_problem, small, *rest).total_analog_time == pytest.approx(1e6 * reference, rel=1e-9)
@@ -278,9 +272,9 @@ def test_sign_programs_above_the_oracle_limit_match_highs():
     for k in range(20):
         rng = np.random.default_rng(1000 + k)
         n_qubits = 10 + k % 3
-        graph = InteractionGraph(n_qubits, all_pair_edges(n_qubits))
-        rows = graph.sorted_edges()[: int(rng.integers(n_qubits, len(graph.edges) + 1))]
-        patterns = generate_candidate_patterns(graph, int(rng.integers(2, 5)) * len(rows), 7 + k)
+        edges = all_pair_edges(n_qubits)
+        rows = edges[: int(rng.integers(n_qubits, len(edges) + 1))]
+        patterns = generate_candidate_patterns(n_qubits, edges, int(rng.integers(2, 5)) * len(rows), 7 + k)
         matrix = build_sign_matrix(patterns, rows).entries.astype(float)
         t0 = np.where(rng.random(len(patterns)) < 0.1, rng.uniform(0.0, 1.0, len(patterns)), 0.0)
         rhs = matrix @ t0
@@ -303,9 +297,9 @@ def _pinned_sign_programs():
     for k in range(14):
         rng = np.random.default_rng(2000 + k)
         n_qubits = 10 + k % 3
-        graph = InteractionGraph(n_qubits, all_pair_edges(n_qubits))
-        rows = graph.sorted_edges()[: int(rng.integers(n_qubits, len(graph.edges) + 1))]
-        patterns = generate_candidate_patterns(graph, int(rng.integers(2, 5)) * len(rows), 40 + k)
+        edges = all_pair_edges(n_qubits)
+        rows = edges[: int(rng.integers(n_qubits, len(edges) + 1))]
+        patterns = generate_candidate_patterns(n_qubits, edges, int(rng.integers(2, 5)) * len(rows), 40 + k)
         matrix = build_sign_matrix(patterns, rows).entries.astype(float)
         t0 = np.where(rng.random(len(patterns)) < 0.1, rng.uniform(0.0, 1.0, len(patterns)), 0.0)
         rhs = matrix @ t0
@@ -317,7 +311,7 @@ def _pinned_sign_programs():
             h_problem, h_source, defect = generate_problem(TopologySpec(kind, n), 100.0, 100 * n + 7)
             ratios = hadamard_divide(h_problem, h_source)
             patterns = PauliMasks.from_text(["".join(p) for p in itertools.product("IX", repeat=n)])
-            for rows in (h_source.support(), defect.sorted_edges()):
+            for rows in (h_source.support(), defect):
                 matrix = build_sign_matrix(patterns, rows).entries.astype(float)
                 yield LinearProgram(matrix, [ratios[key] for key in rows])
 

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from daqc.blocks import generate_candidate_patterns, pattern_space_size
+from daqc.bounds import evaluate_bounds, sample_defect
 from daqc.errors import SimulabilityError, ValidationError
 from daqc.pauli import (
     AXES,
     CouplingKey,
     CouplingVector,
-    InteractionGraph,
     hadamard_divide,
     is_zz_only,
     max_degree,
     vector_p_norm,
 )
+from daqc.schedule import SynthesisMode, synthesize
+from helpers import coupling_text, entries, same, write_couplings
 
 
 def zz(i, j):
@@ -80,16 +83,51 @@ def test_division_that_overflows_names_the_key():
         hadamard_divide(a, b)
 
 
+def _key_tuple_takers():
+    """Each public function that takes a canonical key tuple on 3 qubits, called on one."""
+    h = CouplingVector(3, {zz(0, 1): 1.0})
+    sched = synthesize(h, h, (zz(0, 1),), 1.0, SynthesisMode.REMOVE_ZEROS, 0)
+    defect = sample_defect(3, (zz(0, 1),), 1.0, 0)
+    return {
+        "from_sorted": lambda keys: CouplingVector.from_sorted(3, keys, [1.0] * len(keys)),
+        "sample_defect": lambda keys: sample_defect(3, keys, 1.0, 0),
+        "pattern_space_size": lambda keys: pattern_space_size(3, keys),
+        "generate_candidate_patterns": lambda keys: generate_candidate_patterns(3, keys, 1, 0),
+        "synthesize": lambda keys: synthesize(h, h, keys, 1.0, SynthesisMode.MITIGATE_ZEROS, 0),
+        "evaluate_bounds": lambda keys: evaluate_bounds(h, h, keys, sched, defect),
+    }
+
+
+KEY_TUPLE_TAKERS = ("from_sorted", "sample_defect", "pattern_space_size", "generate_candidate_patterns", "synthesize",
+                    "evaluate_bounds")
+
+
+@pytest.mark.parametrize("taker", KEY_TUPLE_TAKERS)
 @pytest.mark.parametrize("keys, named", [
     ((zz(0, 2), zz(0, 1)), r"\(0,1,z,z\) repeats or precedes \(0,2,z,z\)"),
     ((zz(0, 1), zz(0, 1)), r"\(0,1,z,z\) repeats or precedes \(0,1,z,z\)"),
     ((zz(0, 1), zz(1, 3)), r"\(1,3,z,z\) out of range for 3 qubits"),
-], ids=["unsorted", "duplicate", "out-of-range"])
-def test_sorted_constructors_name_the_bad_key(keys, named):
+    ((zz(0, 1), (0, 2, "z", "z")), r"\(0, 2, 'z', 'z'\) is not a CouplingKey"),
+    ((zz(0, 1), (1, 0, "z", "z")), r"\(1, 0, 'z', 'z'\) is not a CouplingKey"),
+    ([zz(0, 1), zz(0, 2)], "must come as a tuple, got list"),
+], ids=["unsorted", "duplicate", "out-of-range", "raw-tuple", "invalid-raw-tuple", "list"])
+def test_key_tuple_takers_name_the_bad_key(taker, keys, named):
+    take = _key_tuple_takers()[taker]
     with pytest.raises(ValidationError, match=named):
-        CouplingVector.from_sorted(3, keys, [1.0, 2.0])
-    with pytest.raises(ValidationError, match=named):
-        InteractionGraph.from_sorted(3, keys)
+        take(keys)
+    take((zz(0, 1), zz(0, 2)))  # the canonical tuple passes
+
+
+@pytest.mark.parametrize("n_qubits", [0, -2, 2.0])
+def test_key_tuple_takers_reject_a_qubit_count_that_is_not_positive(n_qubits):
+    for take in (
+        lambda: CouplingVector.from_sorted(n_qubits, (), []),
+        lambda: sample_defect(n_qubits, (), 1.0, 0),
+        lambda: pattern_space_size(n_qubits, ()),
+        lambda: generate_candidate_patterns(n_qubits, (), 1, 0),
+    ):
+        with pytest.raises(ValidationError, match="n_qubits must be a positive integer"):
+            take()
 
 
 def test_sorted_constructor_checks_every_value():
@@ -157,14 +195,14 @@ def test_hadamard_divide_plain():
 def test_hadamard_divide_zero_numerator():
     b = CouplingVector(2, {zz(0, 1): 4.0})
     out = hadamard_divide(CouplingVector(2), b)
-    assert out.items() == ((zz(0, 1), 0.0),)
+    assert entries(out) == {zz(0, 1): 0.0}
 
 
 def test_hadamard_divide_leaves_out_indeterminate_keys():
     a = CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 0.0})
     b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.0, zz(0, 2): 0.0})
     ratios = hadamard_divide(a, b)
-    assert ratios.items() == ((zz(0, 1), 0.5),)
+    assert entries(ratios) == {zz(0, 1): 0.5}
     assert ratios[zz(1, 2)] == ratios[zz(0, 2)] == 0.0
     for p in (1.0, 2.0, 3.0, math.inf):
         assert vector_p_norm(ratios, p) == 0.5
@@ -248,15 +286,12 @@ def test_replace_checks_the_new_key():
 def test_containers_reject_keys_beyond_their_qubits(key):
     with pytest.raises(ValidationError, match="out of range"):
         CouplingVector(3, {key: 1.0})
-    with pytest.raises(ValidationError, match="out of range"):
-        InteractionGraph(3, [key])
 
 
 def test_raw_tuple_keys_are_stored_as_coupling_keys():
-    v = CouplingVector(3, {(0, 1, "z", "z"): 1.0})
-    g = InteractionGraph(3, [(1, 2, "x", "y")])
-    assert all(type(k) is CouplingKey for k in (*v.keys(), *g.edges))
-    assert v[zz(0, 1)] == 1.0 and CouplingKey(1, 2, "x", "y") in g.edges
+    v = CouplingVector(3, {(0, 1, "z", "z"): 1.0, (1, 2, "x", "y"): 2.0})
+    assert all(type(k) is CouplingKey for k in v.keys())
+    assert v[zz(0, 1)] == 1.0 and v[CouplingKey(1, 2, "x", "y")] == 2.0
     with pytest.raises(ValidationError):
         CouplingVector(3, {(1, 0, "z", "z"): 1.0})
 
@@ -266,7 +301,6 @@ def test_absent_key_reads_zero_and_support_skips_zeros():
     assert v[zz(0, 2)] == 0.0
     assert v.support() == (zz(0, 1),)
     assert v.keys() == (zz(0, 1), zz(1, 2))
-    assert InteractionGraph.from_declared(v).edge_count == 2
 
 
 def test_text_round_trip_is_bit_exact():
@@ -274,9 +308,9 @@ def test_text_round_trip_is_bit_exact():
     keys = [zz(0, 1), zz(0, 2), CouplingKey(1, 2, "x", "y"), CouplingKey(1, 3, "y", "z")]
     values = [0.1, -1.0 / 3.0, rng.normal() * 1e-7, 123456.789012345678]
     v = CouplingVector(4, dict(zip(keys, values)))
-    again = CouplingVector.from_text(v.to_text())
-    assert again == v
-    assert again.to_text() == v.to_text()
+    again = CouplingVector.from_text(coupling_text(v))
+    assert same(again, v)
+    assert coupling_text(again) == coupling_text(v)
 
 
 def test_text_accepts_comments_and_rejects_garbage():
@@ -291,11 +325,18 @@ def test_text_accepts_comments_and_rejects_garbage():
         CouplingVector.from_text("n_qubits=2\n0 1 z z 1.0\n0 1 z z 2.0\n")
 
 
+@pytest.mark.parametrize("text, count", [("n_qubits=0\n", 0), ("n_qubits=-2\n0 1 z z 1.0\n", -2)],
+                         ids=["zero", "negative"])
+def test_a_header_qubit_count_below_one_is_rejected_at_its_line(text, count):
+    with pytest.raises(ValidationError, match=f"^line 1: n_qubits must be a positive integer, got {count}$"):
+        CouplingVector.from_text(text)
+
+
 def test_save_load(tmp_path):
     v = CouplingVector(2, {zz(0, 1): -7.25})
     path = tmp_path / "h.txt"
-    v.save(path)
-    assert CouplingVector.load(path) == v
+    write_couplings(v, path)
+    assert same(CouplingVector.load(path), v)
 
 
 def test_vector_arithmetic():
@@ -305,7 +346,7 @@ def test_vector_arithmetic():
     assert total[zz(0, 1)] == 1.0
     assert total[zz(1, 2)] == 0.0
     assert total[zz(0, 2)] == 5.0
-    assert (total - b) == CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 2.0, zz(0, 2): 0.0})
+    assert same(total - b, CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 2.0, zz(0, 2): 0.0}))
 
 
 def test_is_zz_only():

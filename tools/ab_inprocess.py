@@ -11,6 +11,11 @@ once per trial.  Prints JSON: the mean of each trial's best time in us.  Run
 both orders, as above: a function that neither tree changed still reads 2-8%
 apart between the sides of one run, so only a gap that keeps its sign when
 the trees swap sides is the change's.
+
+Both trees must take the arguments ``CALLS`` passes: the defect support as a
+canonical key tuple, with ``n_qubits`` before it in ``sample_defect``,
+``generate_candidate_patterns`` and ``pattern_space_size``.  A tree from
+before the defect support was a key tuple cannot be timed with this script.
 """
 
 import argparse
@@ -34,7 +39,7 @@ CALLS = {
     "run_trial": lambda m, t: m.harness.run_trial(t.config, t.n, t.index),
     "generate_problem": lambda m, t: m.harness.generate_problem(t.config.topology, t.config.coupling_scale, t.seeds[0]),
     "synthesize": lambda m, t: m.schedule.synthesize(t.h_p, t.h_s, t.support, t.config.target_time, t.config.mode, t.seeds[1]),
-    "sample_defect": lambda m, t: m.bounds.sample_defect(t.support, t.config.delta, t.seeds[2]),
+    "sample_defect": lambda m, t: m.bounds.sample_defect(t.n, t.support, t.config.delta, t.seeds[2]),
     "evaluate_bounds": lambda m, t: m.bounds.evaluate_bounds(t.h_p, t.h_s, t.support, t.sched, t.defect, t.obs),
     "h_s + h_d": lambda m, t: t.h_s + t.defect.h_delta,
     # as evaluate_bounds calls it, with the h_real it formed
@@ -43,7 +48,7 @@ CALLS = {
     # as effective_couplings calls it, and the whole-space listing synthesize asks for at these sizes
     "sign_weights": lambda m, t: m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.h_real.keys()),
     "generate_candidate_patterns": lambda m, t: m.blocks.generate_candidate_patterns(
-        t.support, m.blocks.pattern_space_size(t.support), t.seeds[1]),
+        t.n, t.support, m.blocks.pattern_space_size(t.n, t.support), t.seeds[1]),
     "build_dense": lambda m, t: m.dense.build_dense(t.h_eps),
     "frobenius_norm": lambda m, t: m.dense.frobenius_norm(t.h_eps_dense),
     "expectation_deviation": lambda m, t: m.dense.expectation_deviation(t.h_p, t.sched, t.h_real, t.obs),
