@@ -11,9 +11,10 @@ Aaronson & Gottesman 2004).  ``sign_weights`` sums those signs over a
 schedule, w_alpha = sum_k t_k s_alpha(P_k): the schedule implements
 w_alpha h_alpha / T on coupling alpha.  Every sign in the package comes from
 that parity, ``_symplectic_signs``; the dense replay conjugates by each gate
-layer's index flip and phase instead, independently of it.  Where the whole
-{I, X}^N space is listed (N <= 9), its signs of every ZZ pair under every IX
-layer are kept per N, read-only, and ZZ rows under z-free layers gather them.
+layer's index flip and phase instead, independently of it.  Up to N = 9 the
+signs of every ZZ pair under every IX layer are kept per N, read-only, and
+ZZ rows under z-free layers gather them.  ``canonical_patterns`` lists a
+whole pattern space without a seed; the seeded stream only samples part of it.
 """
 
 import functools
@@ -193,22 +194,25 @@ def pattern_space_size(n_qubits: int, support: tuple[CouplingKey, ...]) -> int:
     return len(pattern_alphabet(support)) ** n_qubits
 
 
-def generate_candidate_patterns(
-    n_qubits: int,
-    support: tuple[CouplingKey, ...],
-    requested: int,
-    rng_seed: int,
-) -> PauliMasks:
-    """Deterministic, duplicate-free patterns for ``support``, a canonical key tuple, with the identity first.
+def canonical_patterns(n_qubits: int, alphabet: str) -> PauliMasks:
+    """The space over ``alphabet`` (``pattern_alphabet``) in digit order, the identity first; reads no seed.
 
-    A whole-space request lists ``itertools.product(alphabet, repeat=n_qubits)``,
-    pattern k the digits of k, in the seed's permutation, so Dantzig's
-    first-index ties fall differently from seed to seed.  Over ``IX`` the
-    digits of k are its bits, so the listing gathers the x masks of 0..2^N-1;
-    a whole space is never so big that k overflows.  Below it, the
-    seeded ``rng.integers`` rows follow, deduplicated in first-occurrence
-    order, so a larger request extends a smaller one (prefix property).  No
-    row is ever one integer, which would overflow at 4^32 patterns.
+    Over ``IX`` only the masks of 0..2^(N-1)-1, qubit 0 unflipped: one
+    pattern of each global X flip pair, whose ZZ signs agree."""
+    if alphabet == "IX":
+        x = _ix_masks(n_qubits)[: 2 ** (n_qubits - 1)]
+        return PauliMasks(n_qubits, x, np.zeros_like(x))
+    return PauliMasks._from_gates(np.arange(4**n_qubits)[:, None] // 4 ** np.arange(n_qubits - 1, -1, -1) % 4)
+
+
+def generate_candidate_patterns(n_qubits: int, support: tuple[CouplingKey, ...], requested: int,
+                                rng_seed: int) -> PauliMasks:
+    """A seeded, duplicate-free part of the pattern space of ``support``, a canonical key tuple, the identity first.
+
+    The ``rng.integers`` rows follow the identity, deduplicated in
+    first-occurrence order, so a larger request extends a smaller one (prefix
+    property).  No row is ever one integer, which would overflow at 4^32
+    patterns.  ``canonical_patterns`` lists the whole space.
     """
     _check_sorted(support, n_qubits)
     if requested < 1:
@@ -216,19 +220,11 @@ def generate_candidate_patterns(
     alphabet = pattern_alphabet(support)
     base = len(alphabet)
     total = base**n_qubits
-    if requested > total:
-        raise ValidationError(f"requested {requested} patterns but only {total} exist over {alphabet!r}^{n_qubits}")
+    if requested >= total:
+        raise ValidationError(f"requested must be below {total}, all of {alphabet!r}^{n_qubits}, got {requested}")
     rng = np.random.default_rng(rng_seed)
-    if requested == total:
-        order = np.arange(total)
-        rng.shuffle(order[1:])  # the identity stays first
-        if base == 2:
-            x = (_ix_masks if total <= EXHAUSTIVE_PATTERN_LIMIT else _ix_masks.__wrapped__)(n_qubits).take(order, 0)
-            return PauliMasks(n_qubits, x, np.zeros_like(x))
-        gates = order[:, None] // base ** np.arange(n_qubits - 1, -1, -1) % base
-    else:
-        gates = np.zeros((1, n_qubits), dtype=np.int64)  # the identity
-        while len(first := np.unique(gates, axis=0, return_index=True)[1]) < requested:
-            gates = np.concatenate([gates, rng.integers(0, base, size=(max(64, requested), n_qubits))])
-        gates = gates[np.sort(first)[:requested]]
-    return PauliMasks._from_gates(gates)  # both alphabets begin GATES, so a digit is a gate index
+    gates = np.zeros((1, n_qubits), dtype=np.int64)  # the identity
+    while len(first := np.unique(gates, axis=0, return_index=True)[1]) < requested:
+        gates = np.concatenate([gates, rng.integers(0, base, size=(max(64, requested), n_qubits))])
+    # both alphabets begin GATES, so a digit is a gate index
+    return PauliMasks._from_gates(gates[np.sort(first)[:requested]])

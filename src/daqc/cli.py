@@ -9,7 +9,7 @@ import dataclasses
 import json
 import sys
 
-from . import bounds, dense, harness
+from . import blocks, bounds, dense, harness
 from .errors import InternalConsistencyError, LpSolverStallError, ValidationError
 from .pauli import CouplingKey, CouplingVector
 from .schedule import Schedule, SynthesisMode, effective_couplings, synthesize, within_replay_tol
@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="coupling file whose declared keys form the defect support")
     p_synth.add_argument("--time", type=float, required=True, help="target evolution time T")
     p_synth.add_argument("--mode", choices=["remove", "mitigate"], required=True)
-    p_synth.add_argument("--seed", type=int, required=True, help="pattern sampling seed")
+    p_synth.add_argument("--seed", type=int, required=True, help="pattern sampling seed, read only when the "
+                         f"pattern space exceeds {blocks.EXHAUSTIVE_PATTERN_LIMIT} patterns")
     p_synth.add_argument("--out", required=True, help="schedule output file")
     p_synth.set_defaults(func=_cmd_synth)
 

@@ -13,22 +13,22 @@ policies exist for those couplings:
   zero right-hand side, forcing the block signs to cancel there so unmeasured
   couplings average away during the run.
 
-Both modes draw their candidate patterns, bit masks, from one seeded stream
-over the defect support, so paired syntheses of one problem differ only in
-their row sets.  That makes the removed-rows optimum provably no longer than the
-mitigated one whenever both solve over the same candidate set.
+Both modes take their candidate patterns, bit masks, from the defect support
+alone, so paired syntheses of one problem differ only in their row sets, and
+the removed-rows optimum is provably no longer than the mitigated one
+whenever both solve over the same candidates: up to ``EXHAUSTIVE_PATTERN_LIMIT``
+the whole space, as ``canonical_patterns`` lists it without a seed, and above
+it a seeded sample, doubled on infeasibility up to that listing.
 
-Patterns with equal sign columns on the LP's rows are one variable to the LP;
-on ZZ rows a pattern and its global X flip always are.  Only the first in
-candidate order reaches ``lp.solve``, so its pivots and vertex stay as with
-every copy present: a later copy has the same reduced cost as its first, so
-neither Dantzig pricing (first minimum) nor Bland's rule on degenerate runs
-enters it first; the drive-out's ``argmax`` takes the first of equal
-entries; and dropping columns keeps the order of the rest.  A whole-space
-ZZ listing keeps the first of each flip pair k, k ^ (2^N - 1) before any sign
-is built.  Two kept columns are equal when their xor flips no row, so when no
-kept column but the identity's is all +1 (the rows connect all N qubits) the
-program has its 2^(N-1) columns; else ``np.unique`` on the bytes finds them.
+Patterns with equal sign columns are one variable to the LP; only the first
+in candidate order reaches ``lp.solve``, which leaves its pivots and vertex
+as with every copy present (neither pricing rule nor the drive-out's
+``argmax`` takes a later copy first).  On ZZ rows the listing holds one
+pattern of each global X flip pair, which share a column, so unless the rows
+leave a qubit unconnected its columns are distinct without ``np.unique``.
+The whole space reaches the LP by decreasing alignment s(z) . (h_P / h_S),
+ties in listing order, which spares pivots; that sum is a numpy reduction,
+not a BLAS product, so the order is the same at any thread count.
 
 The program over the whole pattern space is always feasible: its rows are
 distinct Walsh characters of the pattern group, so it has full row rank, and
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, basis_indices, build_sign_matrix, generate_candidate_patterns
-from .blocks import pattern_space_size, sign_weights
+from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, canonical_patterns
+from .blocks import generate_candidate_patterns, pattern_alphabet, pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, hadamard_divide
 
@@ -186,9 +186,9 @@ def synthesize(
     ``defect_support`` is the declared defect support, a canonical key tuple
     on the problem's qubits.  Requires the nonzero problem couplings to sit
     inside the nonzero source couplings, and those inside the defect support.
-    Raises ``InternalConsistencyError`` if the LP finds no nonnegative
-    solution even over every pattern, which the module docstring shows cannot
-    happen.
+    ``rng_seed`` is read only to sample candidates above ``EXHAUSTIVE_PATTERN_LIMIT`` patterns.
+    Raises ``InternalConsistencyError`` if even the whole pattern space admits
+    no nonnegative solution, which the module docstring shows cannot happen.
     """
     if not (target_time > 0 and math.isfinite(target_time)):
         raise ValidationError(f"target time must be positive and finite, got {target_time}")
@@ -217,17 +217,19 @@ def synthesize(
 
     solution = None
     for requested in _candidate_counts(total, len(defect_support)):
-        patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
-        # the LP gets each distinct column once, at its first pattern (module docstring)
-        if whole_zz := total == 2**n <= EXHAUSTIVE_PATTERN_LIMIT:  # all of {I, X}^N
-            # the position of k; position[::-1][k] is that of k ^ (2^N - 1)
-            position = np.argsort(basis_indices(patterns.x, patterns.n_qubits))
-            patterns = patterns[np.sort(np.minimum(position, position[::-1])[: total // 2])]
+        if whole := requested == total:
+            patterns = canonical_patterns(n, pattern_alphabet(defect_support))
+        else:
+            patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
         entries = build_sign_matrix(patterns, rows).entries
-        if not whole_zz or np.count_nonzero(entries.min(axis=0) == 1) > 1:
+        # the LP gets each distinct column once, at its first pattern (module docstring)
+        if not (whole and total == 2**n) or np.count_nonzero(entries.min(axis=0) == 1) > 1:
             columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
             keep = np.sort(np.unique(columns, return_index=True)[1])
             patterns, entries = patterns[keep], entries[:, keep]
+        if whole:  # most aligned with the target first, ties in listing order
+            order = np.argsort(-(entries * rhs[:, None]).sum(axis=0), kind="stable")
+            patterns, entries = patterns[order], entries[:, order]
         sign_entries = entries.astype(float)
         candidate = lp.solve(lp.LinearProgram(sign_entries, rhs))
         if candidate.is_optimal:

@@ -9,6 +9,7 @@ from daqc.blocks import (
     GATES,
     PauliMasks,
     build_sign_matrix,
+    canonical_patterns,
     generate_candidate_patterns,
     pattern_alphabet,
     sign_weights,
@@ -279,17 +280,11 @@ def test_single_candidate_is_identity():
     assert generate_candidate_patterns(*support, 1, rng_seed=0).to_text() == ["II"]
 
 
-def test_exhaustive_request_covers_whole_alphabet():
-    support = zz_support(3, [(0, 1), (1, 2)])
-    pats = generate_candidate_patterns(*support, 8, rng_seed=123).to_text()
-    assert pats[0] == "III"
-    assert sorted(pats) == sorted("".join(p) for p in itertools.product("IX", repeat=3))
-
-
-def test_request_beyond_alphabet_exhausts():
+def test_a_whole_space_request_is_not_sampled():
     support = zz_support(3, [(0, 1)])
-    with pytest.raises(ValidationError, match="only 8 exist"):
-        generate_candidate_patterns(*support, 9, rng_seed=0)
+    for requested in (8, 9):
+        with pytest.raises(ValidationError, match="requested must be below 8, all of 'IX'\\^3"):
+            generate_candidate_patterns(*support, requested, rng_seed=0)
 
 
 def test_candidates_deterministic_and_prefix_stable():
@@ -305,22 +300,18 @@ def xz_support(n):
     return n, (CouplingKey(0, n - 1, "x", "z"),)
 
 
-@pytest.mark.parametrize("support", [zz_support(5, [(0, 1)]), xz_support(3)], ids=["IX", "IXYZ"])
-def test_whole_space_request_is_a_seeded_permutation_of_the_space(support):
-    n, keys = support
-    space = ["".join(p) for p in itertools.product(pattern_alphabet(keys), repeat=n)]
-    pats = generate_candidate_patterns(*support, len(space), rng_seed=3).to_text()
-    assert pats[0] == "I" * n
-    assert sorted(pats) == sorted(space) and len(set(pats)) == len(space)
-    assert generate_candidate_patterns(*support, len(space), rng_seed=3).to_text() == pats
-    assert generate_candidate_patterns(*support, len(space), rng_seed=4).to_text() != pats
+@pytest.mark.parametrize("alphabet, n", [("IX", n) for n in range(1, 10)] + [(GATES, n) for n in range(1, 6)])
+def test_canonical_listing_is_the_space_in_digit_order(alphabet, n):
+    # over IX one pattern of each global X flip pair, qubit 0 unflipped; over IXYZ every pattern
+    space = ["".join(p) for p in itertools.product(alphabet, repeat=n)]
+    assert canonical_patterns(n, alphabet).to_text() == (space[: len(space) // 2] if alphabet == "IX" else space)
 
 
 def sampled_stream(support, requested, seed):
     """The first ``requested`` distinct patterns of the sampler's seeded stream.
 
-    A whole-space request is listed, not sampled, so its stream is the sampled
-    list one short of the whole space followed by the one pattern it lacks.
+    The sampler takes no whole-space request, so the whole stream is the
+    sampled list one short of the space followed by the one pattern it lacks.
     """
     n, keys = support
     alphabet = pattern_alphabet(keys)
@@ -361,22 +352,6 @@ def test_candidates_match_the_recorded_stream(graph, requested, seed, digest):
     assert pattern_digest(patterns) == digest
 
 
-# SHA-256 of ",".join(patterns): the identity, then the seed's permutation of
-# the other 2^N - 1 IX patterns
-@pytest.mark.parametrize("n, digest", [
-    (3, "51dfce3e80bbc1f633d05b5542f43455fb7194610239a9be773a9ce679bfa0e1"),
-    (4, "8760fe8f4a8ec5efdf236c444eabfd837e2341b22aaedb86cd6da198c0d56dfa"),
-    (5, "48a433881fd70ea0edd69b95b04ed65dc2466f954cccc5a02f04e5e00707ed55"),
-    (6, "1936b079dabbddc31651ac2f005968b043ef1a72682f252d37baf2c1c74c2345"),
-    (7, "686516565a783a55428864885dc8ee2f29c37176375d8ea20d38ab7c8aa52b0b"),
-    (8, "082e349cbbb27820e486acee7aca13f00565bf6b841d8ae68094a3efd0878e96"),
-])
-def test_whole_space_request_matches_the_recorded_permutation(n, digest):
-    patterns = generate_candidate_patterns(*zz_support(n, [(0, 1)]), 2**n, rng_seed=2024).to_text()
-    assert len(patterns) == 2**n
-    assert pattern_digest(patterns) == digest
-
-
 # ---- the per-size ZZ sign table -------------------------------------------------
 
 
@@ -385,8 +360,10 @@ def test_zz_rows_under_ix_layers_gather_the_kernel_signs(monkeypatch, n):
     # the table holds the kernel's signs, so a gather equals the kernel bit for bit, in C order
     rng = np.random.default_rng(100 + n)
     pairs = [zz(i, j) for i, j in itertools.combinations(range(n), 2)]
+    canonical = canonical_patterns(n, "IX")
     layer_sets = [
-        generate_candidate_patterns(n, tuple(pairs), 2**n, rng_seed=n),  # whole space, seeded order
+        canonical,  # one of each flip pair, as synthesize lists the whole space
+        PauliMasks(n, canonical.x ^ blocks._ix_masks(n)[-1], canonical.z),  # the other of each pair
         generate_candidate_patterns(n, tuple(pairs), 2 ** (n - 1) + 1, rng_seed=n),  # sampled
         PauliMasks.from_text(["".join(rng.choice(["I", "X"], n)) for _ in range(9)]),  # repeats allowed
     ]

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from daqc import blocks, bounds, lp, schedule
-from daqc.blocks import PauliMasks, build_sign_matrix, generate_candidate_patterns, pattern_space_size, sign_weights
+from daqc import bounds, lp, schedule
+from daqc.blocks import PauliMasks, build_sign_matrix, canonical_patterns, generate_candidate_patterns
+from daqc.blocks import pattern_space_size, sign_weights
 from daqc.errors import InternalConsistencyError, SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import AXES, CouplingKey, CouplingVector, hadamard_divide
@@ -277,67 +278,8 @@ def test_synthesis_determinism(three_qubit_setup):
     assert a.to_text() == b.to_text()
 
 
-def _full_sign_program(h_problem, h_source, defect, mode, seed):
-    """The LP over every candidate pattern, duplicate sign columns included."""
-    if mode is REMOVE:
-        rows = tuple(sorted(h_source.support()))
-    else:
-        rows = defect
-    n = h_problem.n_qubits
-    patterns = generate_candidate_patterns(n, defect, pattern_space_size(n, defect), seed)
-    ratios = hadamard_divide(h_problem, h_source)
-    rhs = np.array([ratios[k] for k in rows])
-    entries = build_sign_matrix(patterns, rows).entries.astype(float)
-    return patterns, lp.LinearProgram(entries, rhs)
-
-
-@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
-@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
-def test_dropping_duplicate_columns_keeps_the_lp_answer(monkeypatch, kind, mode):
-    solve = lp.solve
-    solved = []
-
-    def recording_solve(program):
-        solution = solve(program)
-        solved.append((program, solution))
-        return solution
-
-    monkeypatch.setattr(lp, "solve", recording_solve)
-    for n in range(3, 9):
-        for index in range(2):
-            trial_seed = derive_seed(11, n, index)
-            h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
-            pattern_seed = derive_seed(trial_seed, "patterns")
-            solved.clear()
-            sched = synthesize(h_p, h_s, defect, 1.0, mode, pattern_seed)
-            ((program, solution),) = solved
-            matrix = program.constraint_matrix
-            # every ZZ pattern shares its column with its global X flip, and no other
-            assert matrix.shape[1] == 2 ** (n - 1)
-            assert len({column.tobytes() for column in matrix.T}) == matrix.shape[1]
-
-            patterns, full = _full_sign_program(h_p, h_s, defect, mode, pattern_seed)
-            assert full.n_cols == 2 ** n
-            reference = solve(full)
-            kept = [(p, t) for p, t in zip(patterns.to_text(), reference.times) if t > 0.0]
-            assert sched.patterns.to_text() == [p for p, _ in kept]
-            assert sched.times == tuple(t for _, t in kept)
-            # the objective sums times vectors of different lengths, which numpy's
-            # pairwise summation may group differently, so only it may move in the last place
-            assert solution.objective_value == pytest.approx(reference.objective_value, rel=2 * np.finfo(float).eps, abs=0)
-
-
-def _bytes_deduplicated_program(h_problem, h_source, defect, mode, seed):
-    """The whole listing's kernel signs, first pattern of each distinct column kept by its bytes."""
-    rows = h_source.support() if mode is REMOVE else defect
-    n = h_problem.n_qubits
-    patterns = generate_candidate_patterns(n, defect, pattern_space_size(n, defect), seed)
-    entries = blocks._symplectic_signs(blocks.term_masks(rows, n), patterns)
-    keep = sorted({column.tobytes(): k for k, column in reversed(list(enumerate(entries.T)))}.values())
-    return patterns[np.array(keep)], entries[:, keep].astype(float)
-
-
-def _check_the_flip_pair_keep(monkeypatch, h_problem, h_source, defect, mode, seed):
+def _recorded_programs(monkeypatch):
+    """Every (program, solution) of ``lp.solve`` from here on, in call order."""
     solve = lp.solve
     solved = []
 
@@ -346,21 +288,59 @@ def _check_the_flip_pair_keep(monkeypatch, h_problem, h_source, defect, mode, se
         return solved[-1][1]
 
     monkeypatch.setattr(lp, "solve", recording_solve)
-    sched = synthesize(h_problem, h_source, defect, 1.0, mode, seed)
-    ((program, solution),) = solved
-    patterns, entries = _bytes_deduplicated_program(h_problem, h_source, defect, mode, seed)
-    assert np.array_equal(program.constraint_matrix, entries)
-    assert same(sched.patterns, patterns[solution.times > 0.0])
+    return solved
+
+
+def _whole_space_listing(n, defect):
+    """The whole pattern space in digit order; on ZZ supports, the half with qubit 0 unflipped."""
+    if all(key.mu == key.nu == "z" for key in defect):
+        return ["I" + "".join(p) for p in itertools.product("IX", repeat=n - 1)]
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+def _check_the_whole_space_program(program, solution, sched, listing, rows):
+    """The program holds each distinct sign column of ``listing`` once, at its first pattern, in
+    non-increasing alignment with the ratio rhs, ties in listing order; returns its column count."""
+    entries = build_sign_matrix(PauliMasks.from_text(listing), rows).entries.astype(float)
+    first = {}
+    for k, column in enumerate(entries.T):
+        first.setdefault(column.tobytes(), k)
+    position = [first[column.tobytes()] for column in program.constraint_matrix.T]
+    assert sorted(position) == sorted(first.values())
+    alignment = (program.constraint_matrix * program.rhs[:, None]).sum(axis=0).tolist()
+    order = list(zip([-a for a in alignment], position))
+    assert order == sorted(order)
+    assert sched.patterns.to_text() == [listing[k] for k, t in zip(position, solution.times) if t > 0.0]
     return program.n_cols
 
 
-@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+def _xx_yy_problem():
+    """An XX+YY chain on three qubits, with the (0, 2) pair unmeasured."""
+    rng = np.random.default_rng(3)
+    chain = [CouplingKey(i, i + 1, a, a) for i in range(2) for a in "xy"]
+    h_source = CouplingVector(3, {key: rng.uniform(1.0, 2.0) for key in chain})
+    h_problem = CouplingVector(3, {key: rng.uniform(-1.0, 1.0) for key in chain})
+    return h_problem, h_source, tuple(sorted(chain + [CouplingKey(0, 2, a, a) for a in "xy"]))
+
+
+@pytest.mark.parametrize("kind", ["nn", "random", "ata", "xx+yy"])
 @pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
-def test_the_flip_pair_keep_equals_the_bytes_dedup(monkeypatch, kind, mode):
-    for n in range(3, 10):
-        trial_seed = derive_seed(13, n, 0)
-        h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
-        assert _check_the_flip_pair_keep(monkeypatch, h_p, h_s, defect, mode, derive_seed(trial_seed, "patterns")) == 2 ** (n - 1)
+def test_whole_space_synthesis_reads_no_seed(monkeypatch, kind, mode):
+    solved = _recorded_programs(monkeypatch)
+    for n in [3] if kind == "xx+yy" else range(2, 10):
+        trial_seed = derive_seed(17, n, 0)
+        if kind == "xx+yy":
+            h_p, h_s, defect = _xx_yy_problem()
+        else:
+            h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
+        solved.clear()
+        seeds = (derive_seed(trial_seed, "patterns"), derive_seed(trial_seed, "other"))
+        first, second = (synthesize(h_p, h_s, defect, 1.0, mode, seed) for seed in seeds)
+        assert first.to_text() == second.to_text()
+        assert len(solved) == 2
+        rows = h_s.support() if mode is REMOVE else defect
+        for program, solution in solved:
+            _check_the_whole_space_program(program, solution, first, _whole_space_listing(n, defect), rows)
 
 
 @pytest.mark.parametrize("n, source_pairs, defect_pairs, columns", [
@@ -370,14 +350,50 @@ def test_the_flip_pair_keep_equals_the_bytes_dedup(monkeypatch, kind, mode):
     (6, [(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)], 2**3),  # removed rows fall apart, the defect does not
 ])
 @pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
-def test_the_flip_pair_keep_on_a_partial_support_falls_back_to_the_bytes(monkeypatch, mode, n, source_pairs,
-                                                                          defect_pairs, columns):
+def test_a_partial_support_program_holds_each_distinct_column_once(monkeypatch, mode, n, source_pairs,
+                                                                   defect_pairs, columns):
+    # rows that leave qubits unconnected give more than the flip pairs equal columns
     rng = np.random.default_rng(n)
     h_source = CouplingVector(n, {zz(i, j): rng.uniform(1.0, 2.0) for i, j in source_pairs})
     h_problem = CouplingVector(n, {zz(i, j): rng.uniform(-1.0, 1.0) for i, j in source_pairs})
     defect = tuple(sorted(zz(i, j) for i, j in source_pairs + defect_pairs))
-    n_cols = _check_the_flip_pair_keep(monkeypatch, h_problem, h_source, defect, mode, 5)
+    solved = _recorded_programs(monkeypatch)
+    sched = synthesize(h_problem, h_source, defect, 1.0, mode, 5)
+    ((program, solution),) = solved
+    rows = h_source.support() if mode is REMOVE else defect
+    n_cols = _check_the_whole_space_program(program, solution, sched, _whole_space_listing(n, defect), rows)
     assert n_cols == (columns if mode is REMOVE or not defect_pairs else 2 ** (n - 1))
+
+
+@pytest.mark.parametrize("kind", ["nn", "random", "ata"])
+@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
+def test_dropping_duplicate_columns_keeps_the_lp_answer(monkeypatch, kind, mode):
+    # every {I, X}^N pattern, global X flips included, in the same alignment order: a
+    # later copy of a column has the reduced cost of its first, so neither pricing rule
+    # enters it first, and the drive-out's argmax takes the first of equal entries
+    solve = lp.solve
+    solved = _recorded_programs(monkeypatch)
+    for n in range(3, 9):
+        for index in range(2):
+            trial_seed = derive_seed(11, n, index)
+            h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
+            solved.clear()
+            sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(trial_seed, "patterns"))
+            ((program, solution),) = solved
+            assert program.n_cols == 2 ** (n - 1)
+
+            rows = h_s.support() if mode is REMOVE else defect
+            rhs = hadamard_divide(h_p, h_s).values_at(rows)
+            patterns = ["".join(p) for p in itertools.product("IX", repeat=n)]
+            entries = build_sign_matrix(PauliMasks.from_text(patterns), rows).entries.astype(float)
+            order = np.argsort(-(entries * rhs[:, None]).sum(axis=0), kind="stable")
+            reference = solve(lp.LinearProgram(entries[:, order], rhs))
+            kept = [(patterns[k], t) for k, t in zip(order, reference.times) if t > 0.0]
+            assert sched.patterns.to_text() == [p for p, _ in kept]
+            assert sched.times == tuple(t for _, t in kept)
+            # the objective sums times vectors of different lengths, which numpy's
+            # pairwise summation may group differently, so only it may move in the last place
+            assert solution.objective_value == pytest.approx(reference.objective_value, rel=2 * np.finfo(float).eps, abs=0)
 
 
 @pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
@@ -422,11 +438,16 @@ def test_synthesis_requests_the_whole_pattern_space_before_it_gives_up(monkeypat
         requested.append(count)
         return generate_candidate_patterns(n_qubits, support, count, rng_seed)
 
+    def listing(n_qubits, alphabet):
+        requested.append(alphabet)
+        return canonical_patterns(n_qubits, alphabet)
+
     def refuse(program):
         return lp.LpSolution(np.zeros(program.n_cols), math.inf, lp.STATUS_INFEASIBLE)
 
     monkeypatch.setattr(schedule, "generate_candidate_patterns", recording)
+    monkeypatch.setattr(schedule, "canonical_patterns", listing)
     monkeypatch.setattr(lp, "solve", refuse)
     with pytest.raises(InternalConsistencyError, match="over all 1024 patterns"):
         synthesize(h_problem, h_source, defect, 1.0, REMOVE, rng_seed=5)
-    assert requested == [35, 70, 140, 280, 560, 1024]
+    assert requested == [35, 70, 140, 280, 560, "IX"]  # the whole space is listed, not sampled

@@ -45,10 +45,12 @@ CALLS = {
     # as evaluate_bounds calls it, with the h_real it formed
     "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, h_real=t.h_real),
     "effective_couplings": lambda m, t: m.schedule.effective_couplings(t.sched, t.h_real),
-    # as effective_couplings calls it, and the whole-space listing synthesize asks for at these sizes
+    # as effective_couplings calls it
     "sign_weights": lambda m, t: m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.h_real.keys()),
+    # a sample the size of synthesize's first above EXHAUSTIVE_PATTERN_LIMIT, kept below the whole
+    # space, which the sampler refuses (synthesize lists it with canonical_patterns at these sizes)
     "generate_candidate_patterns": lambda m, t: m.blocks.generate_candidate_patterns(
-        t.n, t.support, m.blocks.pattern_space_size(t.n, t.support), t.seeds[1]),
+        t.n, t.support, min(2 * len(t.support) + 1, m.blocks.pattern_space_size(t.n, t.support) - 1), t.seeds[1]),
     "build_dense": lambda m, t: m.dense.build_dense(t.h_eps),
     "frobenius_norm": lambda m, t: m.dense.frobenius_norm(t.h_eps_dense),
     "expectation_deviation": lambda m, t: m.dense.expectation_deviation(t.h_p, t.sched, t.h_real, t.obs),
