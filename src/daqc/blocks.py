@@ -33,6 +33,15 @@ GATES = "IXYZ"
 EXHAUSTIVE_PATTERN_LIMIT = 512
 
 
+def check_pattern(label: str, n_qubits: int) -> str:
+    """``label``, checked to be a string of ``n_qubits`` letters over ``GATES``."""
+    if not (isinstance(label, str) and label and set(label) <= set(GATES)):
+        raise ValidationError(f"pattern must be a nonempty string over {GATES}, got {label!r}")
+    if len(label) != n_qubits:
+        raise ValidationError(f"pattern {label!r} has length {len(label)}, expected {n_qubits}")
+    return label
+
+
 @dataclass(frozen=True, eq=False)
 class PauliMasks:
     """Pauli strings as rows of packed uint8 bit masks ``x`` and ``z``, shape (count, ceil(n_qubits / 8)).
@@ -52,13 +61,9 @@ class PauliMasks:
     @classmethod
     def from_text(cls, labels: Sequence[str], n_qubits: int | None = None) -> "PauliMasks":
         """Strings over ``GATES``, qubit 0 leftmost, each ``n_qubits`` long (default: the first's length)."""
+        n = len(labels[0]) if n_qubits is None and isinstance(labels[0], str) else n_qubits
         for label in labels:
-            if not (isinstance(label, str) and label and set(label) <= set(GATES)):
-                raise ValidationError(f"pattern must be a nonempty string over {GATES}, got {label!r}")
-        n = len(labels[0]) if n_qubits is None else n_qubits
-        for label in labels:
-            if len(label) != n:
-                raise ValidationError(f"pattern {label!r} has length {len(label)}, expected {n}")
+            check_pattern(label, n)
         gates = np.array([[GATES.index(gate) for gate in label] for label in labels], dtype=np.uint8)
         return cls._from_gates(gates.reshape(len(labels), n))
 

@@ -266,18 +266,14 @@ def run_trial(config: ExperimentConfig, n_qubits: int, trial_index: int) -> Tria
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """All trials of a sweep, in (N, trial) order; trials are independent."""
-    records = []
-    for n_qubits in config.n_range:
-        for trial_index in range(config.trials):
-            records.append(run_trial(config, n_qubits, trial_index))
-    return records
+    return [run_trial(config, n_qubits, trial_index) for n_qubits in config.n_range
+            for trial_index in range(config.trials)]
 
 
 def write_records(records: Iterable[TrialRecord], stream: io.TextIOBase) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for record in records:
-        writer.writerow(record.to_row())
+    writer.writerows(record.to_row() for record in records)
 
 
 def read_records(stream: io.TextIOBase) -> list[TrialRecord]:
@@ -285,7 +281,10 @@ def read_records(stream: io.TextIOBase) -> list[TrialRecord]:
     header = next(reader, None)
     if header != list(CSV_COLUMNS):
         raise ValidationError("unrecognized results CSV header")
-    return [TrialRecord.from_row(row) for row in reader]
+    try:
+        return [TrialRecord.from_row(row) for row in reader]
+    except ValueError as exc:  # the comprehension stops at the bad row, the reader's last line
+        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
 
 
 def save_records(records: Iterable[TrialRecord], path) -> None:
@@ -356,8 +355,7 @@ def summarize(records: Sequence[TrialRecord]) -> list[SummaryRow]:
 def write_summary(rows: Iterable[SummaryRow], stream: io.TextIOBase) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow(row.to_row())
+    writer.writerows(row.to_row() for row in rows)
 
 
 def save_summary(rows: Iterable[SummaryRow], path) -> None:

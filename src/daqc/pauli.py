@@ -10,8 +10,8 @@ part of the declared support.
 
 A ``CouplingKey`` is valid by construction, so the containers check only
 what a key cannot know: ``j < n_qubits`` and, for vectors, finite values.
-``CouplingVector``'s constructor and the file parser take raw tuples too and
-make ``CouplingKey``s of them.  A vector stores its canonical key tuple and a
+``CouplingVector``'s constructor takes raw tuples too and makes
+``CouplingKey``s of them.  A vector stores its canonical key tuple and a
 read-only value array.  Vectors derived inside the package go through
 ``from_sorted``, which rebuilds no key: it checks their order and range in
 one pass and every value for finiteness.  A sum or difference on an
@@ -28,7 +28,7 @@ its largest vertex degree.
 
 import math
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class CouplingKey(_KeyFields):
         return f"({self.i},{self.j},{self.mu},{self.nu})"
 
 
-def _key_in_range(raw: tuple, n_qubits: int) -> CouplingKey:
-    """``raw`` as a ``CouplingKey``, checked to address one of ``n_qubits`` qubits."""
-    key = raw if isinstance(raw, CouplingKey) else CouplingKey(*raw)
-    if key.j >= n_qubits:
-        raise ValidationError(f"key {key} out of range for {n_qubits} qubits")
-    return key
-
-
 def _check_sorted(keys: tuple[CouplingKey, ...], n_qubits: int) -> None:
     """Raise unless ``keys`` is a tuple of ``CouplingKey``s in strictly increasing canonical order on ``n_qubits``."""
     if not isinstance(n_qubits, int) or n_qubits < 1:
@@ -110,11 +102,10 @@ class CouplingVector:
     __slots__ = ("_n_qubits", "_keys", "_values", "_lookup")
 
     def __init__(self, n_qubits: int, entries: Mapping[CouplingKey, float] = {}):
-        if not isinstance(n_qubits, int) or n_qubits < 1:
-            raise ValidationError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-        cleaned = {_key_in_range(key, n_qubits): float(value) for key, value in entries.items()}
-        keys = sorted(cleaned)
-        self._set(n_qubits, tuple(keys), np.array([cleaned[key] for key in keys], dtype=float))
+        cleaned = {CouplingKey(*key): float(value) for key, value in entries.items()}
+        keys = tuple(sorted(cleaned))
+        _check_sorted(keys, n_qubits)
+        self._set(n_qubits, keys, np.array([cleaned[key] for key in keys], dtype=float))
 
     @classmethod
     def from_sorted(cls, n_qubits: int, keys: tuple[CouplingKey, ...], values) -> "CouplingVector":
@@ -209,44 +200,66 @@ class CouplingVector:
 
     @classmethod
     def from_text(cls, text: str) -> "CouplingVector":
-        """Record format: header ``n_qubits=N`` then ``i j mu nu value`` lines; ``#`` starts a comment line."""
-        n_qubits = None
+        """Record format (``_read_line_records``): header ``n_qubits=N``, then ``i j mu nu value`` lines."""
         entries: dict[CouplingKey, float] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("n_qubits="):
-                if n_qubits is not None:
-                    raise ValidationError(f"line {lineno}: duplicate n_qubits header")
-                try:
-                    n_qubits = int(line.split("=", 1)[1])
-                except ValueError as exc:
-                    raise ValidationError(f"line {lineno}: bad n_qubits header {line!r}") from exc
-                if n_qubits < 1:
-                    raise ValidationError(f"line {lineno}: n_qubits must be a positive integer, got {n_qubits}")
-                continue
-            if n_qubits is None:
-                raise ValidationError(f"line {lineno}: coupling before n_qubits header")
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValidationError(f"line {lineno}: expected 'i j mu nu value', got {line!r}")
-            try:
-                key = CouplingKey(int(parts[0]), int(parts[1]), parts[2], parts[3])
-                value = float(parts[4])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: cannot parse {line!r}: {exc}") from exc
+
+        def coupling(n_qubits: int, i: str, j: str, mu: str, nu: str, value: str) -> None:
+            key, value = CouplingKey(int(i), int(j), mu, nu), float(value)
+            cls.from_sorted(n_qubits, (key,), [value])  # a one-entry vector: range and finiteness, at this line
             if key in entries:
-                raise ValidationError(f"line {lineno}: duplicate coupling key {key}")
+                raise ValidationError(f"duplicate coupling key {key}")
             entries[key] = value
-        if n_qubits is None:
-            raise ValidationError("missing n_qubits header")
-        return cls(n_qubits, entries)
+
+        header = _read_line_records(text, {}, "i j mu nu value", "coupling", coupling)
+        return cls(header["n_qubits"], entries)
 
     @classmethod
     def load(cls, path) -> "CouplingVector":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _read_line_records(text: str, header_parsers: Mapping[str, Callable[[str], object]], shape: str, noun: str,
+                       record: Callable[..., None]) -> dict[str, object]:
+    """Read a line-record file: the ``key=value`` headers, returned, then ``record(n_qubits, *fields)`` per record.
+
+    Blank and ``#`` lines are skipped.  The headers, ``n_qubits`` (a positive
+    integer) and then ``header_parsers``' keys, each read by its parser, come
+    once and before any record.  A record is the whitespace-split fields of
+    ``shape``.  Every ``ValueError`` a line raises comes out naming the line.
+    """
+    parsers = {"n_qubits": int, **header_parsers}
+    expected = " or ".join(", ".join(parsers).rsplit(", ", 1))  # "n_qubits, T or mode"
+    header: dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, is_header, value = line.partition("=")
+        try:
+            if is_header:
+                if key not in parsers:
+                    raise ValidationError(f"unknown header {key!r}, expected {expected}")
+                if key in header:
+                    raise ValidationError(f"duplicate {key} header")
+                header[key] = parsers[key](value)
+                if key == "n_qubits" and header[key] < 1:
+                    raise ValidationError(f"n_qubits must be a positive integer, got {header[key]}")
+                continue
+            if missing := [name for name in parsers if name not in header]:
+                raise ValidationError(f"{noun} before {missing[0]} header")
+            fields = line.split()
+            if len(fields) != len(shape.split()):
+                raise ValidationError(f"expected {shape!r}, got {line!r}")
+            record(header["n_qubits"], *fields)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:  # int() or float() refused a field
+            what = f"bad {key} header {line!r}" if is_header else f"cannot parse {line!r}: {exc}"
+            raise ValidationError(f"line {lineno}: {what}") from exc
+    if missing := [name for name in parsers if name not in header]:
+        raise ValidationError(f"missing {missing[0]} header")
+    return header
 
 
 def max_degree(keys: Iterable[CouplingKey], n_qubits: int) -> int:

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, canonical_patterns
+from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, canonical_patterns, check_pattern
 from .blocks import generate_candidate_patterns, pattern_alphabet, pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, hadamard_divide
+from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, _read_line_records, hadamard_divide
 
 #: a replay residual may be this fraction of the terms it sums (``within_replay_tol``);
 #: on the default-scale acceptance sweeps (g = 100) those terms stay below 1300,
@@ -65,6 +65,18 @@ class SynthesisMode(enum.Enum):
             if mode.value == name:
                 return mode
         raise ValidationError(f"unknown synthesis mode {name!r}; use 'remove' or 'mitigate'")
+
+
+def _check_block_times(times) -> None:
+    bad = [t for t in times if not (t >= 0 and math.isfinite(t))]
+    if bad:
+        raise ValidationError(f"block times must be finite and nonnegative, got {bad[0]}")
+
+
+def _target_time(time: float) -> float:
+    if not (time > 0 and math.isfinite(time)):
+        raise ValidationError(f"target time must be positive and finite, got {time}")
+    return time
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +98,8 @@ class Schedule:
         if (self.patterns.n_qubits, len(self.patterns)) != (self.n_qubits, len(self.times)):
             raise ValidationError(f"{len(self.patterns)} patterns on {self.patterns.n_qubits} qubits, expected "
                                   f"one per time ({len(self.times)}) on {self.n_qubits}")
-        bad = [t for t in self.times if not (t >= 0 and math.isfinite(t))]
-        if bad:
-            raise ValidationError(f"block times must be finite and nonnegative, got {bad[0]}")
-        if not (self.target_time > 0 and math.isfinite(self.target_time)):
-            raise ValidationError(f"target time must be positive, got {self.target_time}")
+        _check_block_times(self.times)
+        _target_time(self.target_time)
 
     @property
     def n_blocks(self) -> int:
@@ -112,44 +121,19 @@ class Schedule:
 
     @classmethod
     def from_text(cls, text: str) -> "Schedule":
-        header: dict[str, int | float | str] = {}
-        blocks: list[tuple[str, float]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and not blocks:
-                key, _, value = line.partition("=")
-                parse = {"n_qubits": int, "T": float, "mode": str}.get(key)
-                if parse is None:
-                    raise ValidationError(f"line {lineno}: unknown header {key!r}, expected n_qubits, T or mode")
-                if key in header:
-                    raise ValidationError(f"line {lineno}: duplicate header {key!r}")
-                try:
-                    header[key] = parse(value)
-                except ValueError as exc:
-                    raise ValidationError(f"line {lineno}: bad {key} header {line!r}") from exc
-                if key == "n_qubits" and header[key] < 1:
-                    raise ValidationError(f"line {lineno}: n_qubits must be a positive integer, got {header[key]}")
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"line {lineno}: expected 'pattern time', got {line!r}")
-            try:
-                blocks.append((parts[0], float(parts[1])))
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: bad block time in {line!r}") from exc
-        missing = {"n_qubits", "T", "mode"} - set(header)
-        if missing:
-            raise ValidationError(f"schedule text lacks headers: {sorted(missing)}")
+        """``to_text``'s format (``pauli._read_line_records``): headers ``n_qubits``, ``T``, ``mode``, then blocks."""
+        patterns: list[str] = []
+        times: list[float] = []
+
+        def block(n_qubits: int, pattern: str, time: str) -> None:
+            patterns.append(check_pattern(pattern, n_qubits))
+            times.append(float(time))
+            _check_block_times(times[-1:])
+
+        parsers = {"T": lambda value: _target_time(float(value)), "mode": SynthesisMode.from_name}
+        header = _read_line_records(text, parsers, "pattern time", "block", block)
         n_qubits = header["n_qubits"]
-        return cls(
-            n_qubits=n_qubits,
-            patterns=PauliMasks.from_text([p for p, _ in blocks], n_qubits),
-            times=tuple(t for _, t in blocks),
-            target_time=header["T"],
-            mode=SynthesisMode.from_name(header["mode"]),
-        )
+        return cls(n_qubits, PauliMasks.from_text(patterns, n_qubits), tuple(times), header["T"], header["mode"])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -190,8 +174,7 @@ def synthesize(
     Raises ``InternalConsistencyError`` if even the whole pattern space admits
     no nonnegative solution, which the module docstring shows cannot happen.
     """
-    if not (target_time > 0 and math.isfinite(target_time)):
-        raise ValidationError(f"target time must be positive and finite, got {target_time}")
+    _target_time(target_time)
     n = h_problem.n_qubits
     if h_source.n_qubits != n:
         raise ValidationError("problem and source disagree on system size")

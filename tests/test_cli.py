@@ -309,7 +309,7 @@ def test_analyze_rejects_a_mitigated_schedule_that_leaves_an_edge(workspace, cap
 
 MALFORMED_FILES = {
     "schedule-duplicate-header": ("schedule", "n_qubits=3\nT=1\nT=2\nmode=remove\nIII 1\n",
-                                  "line 3: duplicate header 'T'"),
+                                  "line 3: duplicate T header"),
     "schedule-block-not-pattern-time": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIII 0.5\nXXI 0.5 1\n",
                                         "line 5: expected 'pattern time', got 'XXI 0.5 1'"),
     "schedule-non-numeric-n-qubits": ("schedule", "n_qubits=three\nT=1\nmode=remove\nIII 1\n",
@@ -334,6 +334,22 @@ MALFORMED_FILES = {
     "couplings-zero-n-qubits": ("source", "n_qubits=0\n", "line 1: n_qubits must be a positive integer, got 0"),
     "couplings-negative-n-qubits": ("source", "n_qubits=-2\n0 1 z z 110\n",
                                     "line 1: n_qubits must be a positive integer, got -2"),
+    "couplings-key-past-n-qubits": ("source", "n_qubits=3\n0 1 z z 110\n0 5 z z 64\n",
+                                    "line 3: key (0,5,z,z) out of range for 3 qubits"),
+    "couplings-infinite-value": ("source", "n_qubits=3\n0 1 z z inf\n",
+                                 "line 2: coupling (0,1,z,z) has non-finite value inf"),
+    "schedule-pattern-letter": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIXQ 1\n",
+                                "line 4: pattern must be a nonempty string over IXYZ, got 'IXQ'"),
+    "schedule-pattern-length": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIII 0.5\nIX 0.5\n",
+                                "line 5: pattern 'IX' has length 2, expected 3"),
+    "schedule-negative-time": ("schedule", "n_qubits=3\nT=1\nmode=remove\nIII -0.5\n",
+                               "line 4: block times must be finite and nonnegative, got -0.5"),
+    "schedule-nan-time": ("schedule", "n_qubits=3\nT=1\nmode=remove\n# first block\nIII nan\n",
+                          "line 5: block times must be finite and nonnegative, got nan"),
+    "schedule-unknown-mode": ("schedule", "n_qubits=3\nT=1\nmode=both\nIII 1\n",
+                              "line 3: unknown synthesis mode 'both'; use 'remove' or 'mitigate'"),
+    "schedule-negative-T": ("schedule", "n_qubits=3\nT=-1\nmode=remove\nIII 1\n",
+                            "line 2: target time must be positive and finite, got -1.0"),
 }
 
 
@@ -350,6 +366,22 @@ def test_malformed_input_file_exits_validation_naming_the_line(workspace, capsys
         "--delta", "10", "--seed", "4",
     ])
     assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+BAD_CSV_ROWS = {
+    "short-row": (lambda row: row[:-1], "line 3: expected 15 CSV fields, got 14"),
+    "flag-cell": (lambda row: row[:-1] + ["yes"], "line 3: expected a 0 or 1 flag cell, got 'yes'"),
+    "number-cell": (lambda row: row[:5] + ["fast"] + row[6:], "line 3: could not convert string to float: 'fast'"),
+}
+
+
+@pytest.mark.parametrize("spoil, message", list(BAD_CSV_ROWS.values()), ids=list(BAD_CSV_ROWS))
+def test_summarize_names_the_line_of_a_bad_csv_row(tmp_path, capsys, spoil, message):
+    row = harness.TrialRecord(0, 3, "nn", "remove", 42, 1.0, None, 2.0, None, 3.0, 4.0, 5.0, None, True, False).to_row()
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join(",".join(cells) for cells in [harness.CSV_COLUMNS, row, spoil(row)]) + "\n")
+    assert cli.main(["summarize", "--in", str(results), "--out", str(tmp_path / "summary.csv")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
 
 

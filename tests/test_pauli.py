@@ -35,6 +35,7 @@ def test_coupling_vector_iterates_canonically():
     assert v.keys() == (CouplingKey(0, 1, "x", "x"), zz(0, 1), zz(1, 2))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_derived_vectors_are_canonical_and_checked():
     a = CouplingVector(3, {zz(1, 2): 1.0})
     b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.5})
