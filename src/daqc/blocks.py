@@ -28,7 +28,7 @@ from .pauli import AXES, CouplingKey, _check_sorted, is_zz_only
 
 GATES = "IXYZ"
 
-#: when the pattern space is at most this big, the LP sees every pattern;
+#: when the canonical listing (``pattern_space_size``) is at most this long, the LP sees all of it;
 #: beyond it, candidates start at 2*|defect edges|+1 and double on infeasibility
 EXHAUSTIVE_PATTERN_LIMIT = 512
 
@@ -194,9 +194,12 @@ def pattern_alphabet(support: Sequence[CouplingKey]) -> str:
 
 
 def pattern_space_size(n_qubits: int, support: tuple[CouplingKey, ...]) -> int:
-    """How many patterns on ``n_qubits`` qubits flip signs on ``support``, a canonical key tuple."""
+    """How many patterns ``canonical_patterns`` lists for ``support``, a canonical key tuple on ``n_qubits`` qubits.
+
+    2^(N-1) over ``IX``, one of each global X flip pair, else 4^N; ``generate_candidate_patterns`` draws from
+    all alphabet^N patterns."""
     _check_sorted(support, n_qubits)
-    return len(pattern_alphabet(support)) ** n_qubits
+    return 2 ** (n_qubits - 1) if pattern_alphabet(support) == "IX" else 4**n_qubits
 
 
 def canonical_patterns(n_qubits: int, alphabet: str) -> PauliMasks:

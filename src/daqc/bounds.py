@@ -72,24 +72,15 @@ def p_norm_error_bound(
     """Bound on the p-norm of the coupling error vector, from ``ratio_norm`` = ||h_P/h_S||_p.
 
     delta * ||h_P/h_S||_p over the measured couplings, plus
-    delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.
+    delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.  At
+    p = 1 it bounds the operator norm of the error Hamiltonian, a sum of
+    Pauli strings of unit norm.
     """
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
     if not p > 0:  # 0, negatives, -inf and nan
         raise ValidationError(f"norm order must be positive or inf, got {p!r}")
     return delta * ratio_norm + delta * (total_analog_time / target_time) * _edge_count_root(e_ds, p)
-
-
-def op_norm_error_bound(
-    ratio_norm_1: float,
-    delta: float,
-    target_time: float,
-    total_analog_time: float,
-    e_ds: int,
-) -> float:
-    """Operator-norm bound on the error Hamiltonian: the p=1 case above, from ||h_P/h_S||_1."""
-    return p_norm_error_bound(ratio_norm_1, delta, target_time, total_analog_time, e_ds, p=1.0)
 
 
 def frobenius_stability_factor(
@@ -120,27 +111,14 @@ def expectation_error_bound(
     """Small-defect, short-time bound on the expectation-value deviation.
 
     6*T*delta*supp(O)*deg(P)*||O||*||h_P/h_S||_inf for the measured couplings
-    plus 6*t_A*delta*supp(O)*deg(D\\S)*||O|| for the unmeasured ones.  The
-    validity regime (defects far below the source couplings, T*||H_S|| << 1)
-    is the caller's responsibility.
+    plus 6*t_A*delta*supp(O)*deg(D\\S)*||O|| for the unmeasured ones.  Once
+    the unmeasured couplings cancel exactly (mitigated), deg(D\\S) = 0 and
+    t_A = 0 leave the first term alone.  The validity regime (defects far
+    below the source couplings, T*||H_S|| << 1) is the caller's responsibility.
     """
     first = 6.0 * target_time * delta * supp_observable * deg_problem * op_norm_observable * h_ratio_inf
     second = 6.0 * total_analog_time * delta * supp_observable * deg_defect_only * op_norm_observable
     return first + second
-
-
-def mitigated_expectation_bound(
-    supp_observable: int,
-    op_norm_observable: float,
-    deg_problem: int,
-    h_ratio_inf: float,
-    delta: float,
-    target_time: float,
-) -> float:
-    """Expectation-value bound once the unmeasured couplings cancel exactly."""
-    return expectation_error_bound(
-        supp_observable, op_norm_observable, deg_problem, 0, h_ratio_inf, delta, target_time, 0.0
-    )
 
 
 @dataclass(frozen=True)
@@ -244,7 +222,7 @@ def evaluate_bounds(
     ratio_norm = {p: vector_p_norm(ratios, p) for p in dict.fromkeys((1.0, 2.0, math.inf, requested_p))}
 
     p_bound = p_norm_error_bound(ratio_norm[requested_p], delta, target_time, t_a, effective_e_ds, requested_p)
-    op_bound = op_norm_error_bound(ratio_norm[1.0], delta, target_time, t_a, effective_e_ds)
+    op_bound = p_norm_error_bound(ratio_norm[1.0], delta, target_time, t_a, effective_e_ds, 1.0)
     frob_factor = frobenius_stability_factor(ratio_norm[2.0], t_a, target_time, e_ds)
     defect_frob = 2.0 ** (n / 2.0) * vector_p_norm(defect.h_delta, 2.0)
     frob_bound = frob_factor * defect_frob
@@ -256,7 +234,7 @@ def evaluate_bounds(
     exp_bound = expectation_error_bound(
         supp_o, norm_o, deg_p, deg_ds, ratio_norm[math.inf], delta, target_time, t_a
     )
-    exp_bound_mit = mitigated_expectation_bound(supp_o, norm_o, deg_p, ratio_norm[math.inf], delta, target_time)
+    exp_bound_mit = expectation_error_bound(supp_o, norm_o, deg_p, 0, ratio_norm[math.inf], delta, target_time, 0.0)
 
     exact_op = exact_frob = exact_delta_o = commutator_bound = None
     if n <= dense.DEFAULT_QUBIT_CAP:

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--time", type=float, required=True, help="target evolution time T")
     p_synth.add_argument("--mode", choices=["remove", "mitigate"], required=True)
     p_synth.add_argument("--seed", type=int, required=True, help="pattern sampling seed, read only when the "
-                         f"pattern space exceeds {blocks.EXHAUSTIVE_PATTERN_LIMIT} patterns")
+                         f"canonical pattern listing exceeds {blocks.EXHAUSTIVE_PATTERN_LIMIT} patterns "
+                         "(2^(N-1) on ZZ couplings, 4^N otherwise)")
     p_synth.add_argument("--out", required=True, help="schedule output file")
     p_synth.set_defaults(func=_cmd_synth)
 

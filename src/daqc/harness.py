@@ -175,7 +175,10 @@ class TrialRecord:
     def from_row(cls, row: Sequence[str]) -> "TrialRecord":
         if len(row) != len(CSV_COLUMNS):
             raise ValidationError(f"expected {len(CSV_COLUMNS)} CSV fields, got {len(row)}")
-        return cls(**{f.name: _READ_CELL[f.type](cell) for f, cell in zip(fields(cls), row)})
+        record = cls(**{f.name: _READ_CELL[f.type](cell) for f, cell in zip(fields(cls), row)})
+        TopologySpec(record.topology, record.n_qubits)  # a known kind on at least 2 qubits
+        SynthesisMode.from_name(record.mode)
+        return record
 
 
 #: the CSV header: the TrialRecord fields in order, three of them renamed
@@ -185,6 +188,13 @@ CSV_COLUMNS = tuple(_CSV_RENAMES.get(f.name, f.name) for f in fields(TrialRecord
 
 def _num_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.{FLOAT_DIGITS}g}"
+
+
+def _nonnegative(cell: str, parse=float) -> float | int:
+    value = parse(cell)
+    if not value >= 0:  # NaN too
+        raise ValidationError(f"expected a nonnegative number cell, got {cell!r}")
+    return value
 
 
 def _flag_cell(cell: str) -> bool:
@@ -203,10 +213,10 @@ _WRITE_CELL = {
 }
 _ROW_WRITERS = tuple((f.name, _WRITE_CELL[f.type]) for f in fields(TrialRecord))
 _READ_CELL = {
-    int: int,
+    int: lambda cell: _nonnegative(cell, int),
     str: str,
-    float: float,
-    float | None: lambda cell: None if cell == "" else float(cell),
+    float: _nonnegative,
+    float | None: lambda cell: None if cell == "" else _nonnegative(cell),
     bool: _flag_cell,
 }
 

@@ -25,9 +25,6 @@ FEASIBILITY_TOL = 3e-10
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 10**6
 
-STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -63,17 +60,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Optimal block times, or zeros with ``is_optimal`` False on an infeasible program."""
+
     times: np.ndarray
-    objective_value: float
-    status: str
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == STATUS_OPTIMAL
-
-
-def _infeasible(n_cols: int) -> LpSolution:
-    return LpSolution(np.zeros(n_cols), math.inf, STATUS_INFEASIBLE)
+    is_optimal: bool
 
 
 class _PivotBudget:
@@ -169,7 +159,7 @@ def _dantzig_iterate(tableau: np.ndarray, basis: list[int], cost_row: int, budge
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex; optimal solutions are global LP minima.
 
-    Returns status ``infeasible`` when the phase-one artificial objective
+    Returns ``is_optimal`` False when the phase-one artificial objective
     cannot be driven below ``FEASIBILITY_TOL * max(1, ||b||_inf)``, the tolerance
     the final residual and times are held to as well, so every check is in
     the units of the right-hand side.  Raises on non-finite input
@@ -203,7 +193,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     while -tableau[m + 1, -1] > tol:
         rebuild()
         if not _dantzig_iterate(tableau, basis, m + 1, budget, rebuild):
-            return _infeasible(n)
+            return LpSolution(np.zeros(n), False)
 
     # drive leftover artificials out of the basis (largest entry, not Bland: a
     # one-shot cleanup); a row with no real pivot is redundant, and its
@@ -232,5 +222,4 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise InternalConsistencyError(
             f"optimal vertex has a negative time {times.min():.3e} beyond tolerance"
         )
-    times = np.clip(times, 0.0, None)
-    return LpSolution(times, float(times.sum()), STATUS_OPTIMAL)
+    return LpSolution(np.clip(times, 0.0, None), True)

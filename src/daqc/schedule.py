@@ -16,9 +16,10 @@ policies exist for those couplings:
 Both modes take their candidate patterns, bit masks, from the defect support
 alone, so paired syntheses of one problem differ only in their row sets, and
 the removed-rows optimum is provably no longer than the mitigated one
-whenever both solve over the same candidates: up to ``EXHAUSTIVE_PATTERN_LIMIT``
-the whole space, as ``canonical_patterns`` lists it without a seed, and above
-it a seeded sample, doubled on infeasibility up to that listing.
+whenever both solve over the same candidates: the whole space, as
+``canonical_patterns`` lists it without a seed, while that listing
+(``pattern_space_size``) holds at most ``EXHAUSTIVE_PATTERN_LIMIT`` patterns,
+and above it a seeded sample, doubled on infeasibility up to the listing.
 
 Patterns with equal sign columns are one variable to the LP; only the first
 in candidate order reaches ``lp.solve``, which leaves its pivots and vertex
@@ -170,7 +171,7 @@ def synthesize(
     ``defect_support`` is the declared defect support, a canonical key tuple
     on the problem's qubits.  Requires the nonzero problem couplings to sit
     inside the nonzero source couplings, and those inside the defect support.
-    ``rng_seed`` is read only to sample candidates above ``EXHAUSTIVE_PATTERN_LIMIT`` patterns.
+    ``rng_seed`` is read only to sample candidates from a listing above ``EXHAUSTIVE_PATTERN_LIMIT`` patterns.
     Raises ``InternalConsistencyError`` if even the whole pattern space admits
     no nonnegative solution, which the module docstring shows cannot happen.
     """
@@ -198,15 +199,16 @@ def synthesize(
     if not rows:
         return Schedule(n, PauliMasks.from_text([], n), (), float(target_time), mode)
 
+    alphabet = pattern_alphabet(defect_support)
     solution = None
     for requested in _candidate_counts(total, len(defect_support)):
         if whole := requested == total:
-            patterns = canonical_patterns(n, pattern_alphabet(defect_support))
+            patterns = canonical_patterns(n, alphabet)
         else:
             patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
         entries = build_sign_matrix(patterns, rows).entries
         # the LP gets each distinct column once, at its first pattern (module docstring)
-        if not (whole and total == 2**n) or np.count_nonzero(entries.min(axis=0) == 1) > 1:
+        if not (whole and alphabet == "IX") or np.count_nonzero(entries.min(axis=0) == 1) > 1:
             columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
             keep = np.sort(np.unique(columns, return_index=True)[1])
             patterns, entries = patterns[keep], entries[:, keep]

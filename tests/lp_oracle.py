@@ -14,15 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from daqc.errors import InternalConsistencyError, ValidationError
-from daqc.lp import (
-    FEASIBILITY_TOL,
-    PIVOT_TOL,
-    STATUS_OPTIMAL,
-    LinearProgram,
-    LpSolution,
-    _infeasible,
-    _PivotBudget,
-)
+from daqc.lp import FEASIBILITY_TOL, PIVOT_TOL, LinearProgram, LpSolution, _PivotBudget
 
 BRUTE_FORCE_MAX_COLS = 12
 BRUTE_FORCE_MAX_ROWS = 6
@@ -44,9 +36,7 @@ def brute_force_optimum(lp: LinearProgram) -> LpSolution:
     rhs = lp.rhs
     rank = int(np.linalg.matrix_rank(matrix))
     if rank == 0:
-        if np.abs(rhs).max() <= FEASIBILITY_TOL:
-            return LpSolution(np.zeros(n), 0.0, STATUS_OPTIMAL)
-        return _infeasible(n)
+        return LpSolution(np.zeros(n), bool(np.abs(rhs).max() <= FEASIBILITY_TOL))
     best_obj = math.inf
     best_x = None
     for cols in combinations(range(n), rank):
@@ -65,8 +55,8 @@ def brute_force_optimum(lp: LinearProgram) -> LpSolution:
             best_obj = obj
             best_x = x
     if best_x is None:
-        return _infeasible(n)
-    return LpSolution(best_x, best_obj, STATUS_OPTIMAL)
+        return LpSolution(np.zeros(n), False)
+    return LpSolution(best_x, True)
 
 
 def _numpy_pivot(tableau: np.ndarray, basis: list[int], leave: int, enter: int) -> None:

@@ -113,15 +113,20 @@ def test_p_norm_bound_rejects_an_order_that_is_not_positive(p):
         bounds.p_norm_error_bound(1.0, 0.1, 1.0, 1.0, 1, p=p)
 
 
-def test_op_norm_bound_is_one_norm_case():
-    norm_1 = unit_norm(1.0)
-    for delta, t_a, e_ds in [(0.1, 1.0, 1), (2.0, 3.5, 4), (0.0, 1.0, 0)]:
-        assert bounds.op_norm_error_bound(norm_1, delta, 1.0, t_a, e_ds) == \
-            bounds.p_norm_error_bound(norm_1, delta, 1.0, t_a, e_ds, p=1.0)
+@pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
+def test_op_norm_bound_is_one_norm_case(mode):
+    # a mitigated schedule cancels the unmeasured edges, so their term drops out
+    h_p, h_s, defect, sched, sample = make_case(mode, seed=4)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
+    e_ds = 0 if mode is SynthesisMode.MITIGATE_ZEROS else report.defect_only_edge_count
+    assert report.defect_only_edge_count > 0
+    assert report.op_norm_bound == bounds.p_norm_error_bound(
+        report.ratio_norm_1, sample.delta, 1.0, sched.total_analog_time, e_ds, 1.0
+    )
 
 
 def test_op_norm_bound_three_qubit_path():
-    assert bounds.op_norm_error_bound(unit_norm(1.0), 0.1, 1.0, 1.0, 1) == pytest.approx(0.3)
+    assert bounds.p_norm_error_bound(unit_norm(1.0), 0.1, 1.0, 1.0, 1, 1.0) == pytest.approx(0.3)
 
 
 def test_frobenius_factor_single_ratio():
@@ -159,28 +164,33 @@ def test_expectation_bound_direct_evaluation():
     assert value == pytest.approx(6 * 1.0 * 0.01 * 2 * 3 * 0.5 * 2.0 + 6 * 4.0 * 0.01 * 2 * 1 * 0.5)
 
 
-def test_mitigated_bound_is_first_term():
-    for args in [(1, 1.0, 2, 1.0, 0.01, 1.0), (3, 2.0, 4, 0.5, 0.1, 2.0)]:
-        supp, norm, deg_p, ratio, delta, t = args
-        assert bounds.mitigated_expectation_bound(*args) == \
-            bounds.expectation_error_bound(supp, norm, deg_p, 0, ratio, delta, t, 0.0)
+@pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
+def test_mitigated_bound_is_first_term(mode):
+    # the general bound with no unmeasured degree and t_A = 0, in either mode
+    h_p, h_s, defect, sched, sample = make_case(mode, seed=4)
+    report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
+    assert report.defect_only_degree > 0
+    assert report.expectation_bound_mitigated == bounds.expectation_error_bound(
+        1, 1.0, report.problem_degree, 0, report.ratio_norm_inf, sample.delta, 1.0, 0.0
+    )
+    assert report.expectation_bound_mitigated < report.expectation_bound
 
 
 def test_mitigated_bound_worked_example():
-    assert bounds.mitigated_expectation_bound(1, 1.0, 2, 1.0, 0.01, 1.0) == pytest.approx(0.12)
+    assert bounds.expectation_error_bound(1, 1.0, 2, 0, 1.0, 0.01, 1.0, 0.0) == pytest.approx(0.12)
 
 
 def test_bound_monotonicity_under_perturbation():
     norm_1, norm_2 = unit_norm(1.0), unit_norm(2.0)
     rng = np.random.default_rng(9)
     base = dict(delta=0.3, t=1.0, t_a=2.0, e_ds=2)
-    b0 = bounds.op_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"], base["e_ds"])
+    b0 = bounds.p_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"], base["e_ds"], 1.0)
     f0 = bounds.frobenius_stability_factor(norm_2, base["t_a"], base["t"], base["e_ds"])
     e0 = bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"], base["t"], base["t_a"])
     for _ in range(25):
         bump = float(rng.uniform(0, 1))
-        assert bounds.op_norm_error_bound(norm_1, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"]) >= b0
-        assert bounds.op_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"]) >= b0
+        assert bounds.p_norm_error_bound(norm_1, base["delta"] + bump, base["t"], base["t_a"], base["e_ds"], 1.0) >= b0
+        assert bounds.p_norm_error_bound(norm_1, base["delta"], base["t"], base["t_a"] + bump, base["e_ds"], 1.0) >= b0
         assert bounds.frobenius_stability_factor(norm_2, base["t_a"] + bump, base["t"], base["e_ds"]) >= f0
         assert bounds.frobenius_stability_factor(norm_2, base["t_a"], base["t"], base["e_ds"] + 1) >= f0
         assert bounds.expectation_error_bound(1, 1.0, 2, 1, 1.0, base["delta"] + bump, base["t"], base["t_a"]) >= e0

@@ -373,6 +373,14 @@ BAD_CSV_ROWS = {
     "short-row": (lambda row: row[:-1], "line 3: expected 15 CSV fields, got 14"),
     "flag-cell": (lambda row: row[:-1] + ["yes"], "line 3: expected a 0 or 1 flag cell, got 'yes'"),
     "number-cell": (lambda row: row[:5] + ["fast"] + row[6:], "line 3: could not convert string to float: 'fast'"),
+    "n-below-two": (lambda row: row[:1] + ["1"] + row[2:], "line 3: topologies need at least 2 qubits"),
+    "unknown-topology": (lambda row: row[:2] + ["ring"] + row[3:],
+                         "line 3: topology kind must be one of ('nn', 'random', 'ata'), got 'ring'"),
+    "unknown-mode": (lambda row: row[:3] + ["both"] + row[4:],
+                     "line 3: unknown synthesis mode 'both'; use 'remove' or 'mitigate'"),
+    "nan-t_A": (lambda row: row[:5] + ["nan"] + row[6:], "line 3: expected a nonnegative number cell, got 'nan'"),
+    "negative-bound": (lambda row: row[:7] + ["-2"] + row[8:], "line 3: expected a nonnegative number cell, got '-2'"),
+    "negative-seed": (lambda row: row[:4] + ["-42"] + row[5:], "line 3: expected a nonnegative number cell, got '-42'"),
 }
 
 
@@ -405,16 +413,16 @@ def test_comment_and_blank_lines_between_blocks_are_skipped(workspace):
 
 
 def test_infeasible_synthesis_exit_code(workspace, monkeypatch, capsys):
-    # every pattern always admits block times, so an "infeasible" LP verdict
-    # over the whole space is a solver fault
+    # the canonical listing always admits block times, so an "infeasible" LP verdict
+    # over it is a solver fault; at N = 3 on ZZ it lists 2^2 patterns
     _, paths = workspace
 
     def refuse(program):
-        return lp.LpSolution(np.zeros(program.n_cols), math.inf, lp.STATUS_INFEASIBLE)
+        return lp.LpSolution(np.zeros(program.n_cols), False)
 
     monkeypatch.setattr(lp, "solve", refuse)
     assert run_synth(paths) == 4
-    assert "over all 8 patterns" in capsys.readouterr().err
+    assert "over all 4 patterns" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["inf", "1.2e+308"])

@@ -31,32 +31,33 @@ def test_three_row_system_total_time_is_rhs_one_norm():
     lp = LinearProgram(THREE_QUBIT_MATRIX, [1.0, 1.0, 0.0])
     sol = solve(lp)
     assert sol.is_optimal
-    assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+    assert sol.times.sum() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_two_row_system_total_time_is_rhs_max():
     lp = LinearProgram(THREE_QUBIT_MATRIX[:2], [1.0, 1.0])
     sol = solve(lp)
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+    assert sol.times.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("b1,b2", [(1.0, 1.0), (-0.5, 2.0), (1.5, -1.5), (-2.0, -0.25)])
 def test_closed_forms_for_any_signs(b1, b2):
     full = solve(LinearProgram(THREE_QUBIT_MATRIX, [b1, b2, 0.0]))
     short = solve(LinearProgram(THREE_QUBIT_MATRIX[:2], [b1, b2]))
-    assert full.objective_value == pytest.approx(abs(b1) + abs(b2), abs=1e-9)
-    assert short.objective_value == pytest.approx(max(abs(b1), abs(b2)), abs=1e-9)
+    assert full.times.sum() == pytest.approx(abs(b1) + abs(b2), abs=1e-9)
+    assert short.times.sum() == pytest.approx(max(abs(b1), abs(b2)), abs=1e-9)
 
 
 def test_single_variable():
     sol = solve(LinearProgram([[1.0]], [0.5]))
+    assert sol.is_optimal
     assert sol.times == pytest.approx([0.5])
-    assert sol.objective_value == pytest.approx(0.5)
 
 
 def test_infeasible_sign():
     sol = solve(LinearProgram([[1.0]], [-1.0]))
-    assert sol.status == "infeasible"
+    assert not sol.is_optimal
+    assert sol.times.tolist() == [0.0]
 
 
 def test_non_finite_input_rejected():
@@ -70,12 +71,13 @@ def test_redundant_rows_are_harmless():
     lp = LinearProgram([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0])
     sol = solve(lp)
     assert sol.is_optimal
-    assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+    assert sol.times.sum() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_zero_matrix():
-    assert solve(LinearProgram([[0.0, 0.0]], [0.0])).objective_value == 0.0
-    assert solve(LinearProgram([[0.0, 0.0]], [1.0])).status == "infeasible"
+    zero = solve(LinearProgram([[0.0, 0.0]], [0.0]))
+    assert zero.is_optimal and zero.times.sum() == 0.0
+    assert not solve(LinearProgram([[0.0, 0.0]], [1.0])).is_optimal
 
 
 def test_feasibility_residual_invariant():
@@ -89,7 +91,6 @@ def test_feasibility_residual_invariant():
         if sol.is_optimal:
             assert np.abs(matrix @ sol.times - rhs).max() <= 1e-9
             assert sol.times.min() >= 0.0
-            assert sol.objective_value == pytest.approx(sol.times.sum())
 
 
 def test_objective_scaling_covariance():
@@ -100,7 +101,7 @@ def test_objective_scaling_covariance():
     assert base.is_optimal
     for c in (0.5, 2.0, 17.0):
         scaled = solve(LinearProgram(matrix, c * rhs))
-        assert scaled.objective_value == pytest.approx(c * base.objective_value, rel=1e-9)
+        assert scaled.times.sum() == pytest.approx(c * base.times.sum(), rel=1e-9)
 
 
 # ---- brute-force oracle ------------------------------------------------------
@@ -108,17 +109,17 @@ def test_objective_scaling_covariance():
 
 def test_oracle_agrees_on_worked_example():
     lp = LinearProgram(THREE_QUBIT_MATRIX, [1.0, 1.0, 0.0])
-    assert brute_force_optimum(lp).objective_value == pytest.approx(2.0, abs=1e-9)
+    assert brute_force_optimum(lp).times.sum() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_oracle_identity_instance():
     sol = brute_force_optimum(LinearProgram(np.eye(2), [2.0, 3.0]))
+    assert sol.is_optimal
     assert sol.times == pytest.approx([2.0, 3.0])
-    assert sol.objective_value == pytest.approx(5.0)
 
 
 def test_oracle_detects_infeasibility():
-    assert brute_force_optimum(LinearProgram([[1.0]], [-1.0])).status == "infeasible"
+    assert not brute_force_optimum(LinearProgram([[1.0]], [-1.0])).is_optimal
 
 
 def test_oracle_refuses_large_instances():
@@ -139,9 +140,9 @@ def test_solver_matches_oracle_on_random_instances():
         lp = LinearProgram(matrix, rhs)
         fast = solve(lp)
         slow = brute_force_optimum(lp)
-        assert fast.status == slow.status
+        assert fast.is_optimal == slow.is_optimal
         if fast.is_optimal:
-            assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-9)
+            assert fast.times.sum() == pytest.approx(slow.times.sum(), abs=1e-9)
             checked += 1
     assert checked > 50  # sanity: most random instances should be feasible
 
@@ -157,8 +158,9 @@ def test_tolerance_validation():
 # once ended in "simplex detected an unbounded direction": round-off in a
 # tableau carried through hundreds of pivots.  With rebuilding alone, N = 13
 # trial 16 stalled past MAX_PIVOTS: the ratio test took entries near 1e-10 as pivots.
+# The N = 10 trial failed on a sampled program; it now solves its 512-pattern canonical listing.
 PINNED_TRIALS = {
-    (11, "ata", "remove", 10, 11): 6.94134175887776,
+    (11, "ata", "remove", 10, 11): 6.5649757486930165,
     (11, "random", "mitigate", 12, 6): 6.726727403712697,
     (11, "random", "mitigate", 13, 16): 14.756128915129446,
     (13, "random", "mitigate", 9, 18): 3.7696203772336747,
@@ -222,7 +224,7 @@ def _assert_agrees_with_highs(program, optimize):
     assert ref.status in (0, 2), ref.message
     assert fast.is_optimal == (ref.status == 0)
     if fast.is_optimal:
-        assert fast.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=0)
+        assert fast.times.sum() == pytest.approx(ref.fun, rel=1e-9, abs=0)
     return fast
 
 
@@ -268,7 +270,7 @@ def test_replay_shaped_programs_match_highs(monkeypatch):
 def test_sign_programs_above_the_oracle_limit_match_highs():
     """Seeded +/-1 programs over 10-12 qubits, some rows zeroed as mitigation zeroes them."""
     optimize = pytest.importorskip("scipy.optimize")
-    statuses = set()
+    verdicts = set()
     for k in range(20):
         rng = np.random.default_rng(1000 + k)
         n_qubits = 10 + k % 3
@@ -280,8 +282,8 @@ def test_sign_programs_above_the_oracle_limit_match_highs():
         rhs = matrix @ t0
         if k % 2:
             rhs[rng.random(len(rows)) < 0.3] = 0.0
-        statuses.add(_assert_agrees_with_highs(LinearProgram(matrix, rhs), optimize).status)
-    assert statuses == {"optimal", "infeasible"}
+        verdicts.add(_assert_agrees_with_highs(LinearProgram(matrix, rhs), optimize).is_optimal)
+    assert verdicts == {True, False}
 
 
 # ---- the simplex's arithmetic, pinned ---------------------------------------------
@@ -317,20 +319,20 @@ def _pinned_sign_programs():
 
 
 def test_sign_program_solutions_are_pinned_bit_for_bit():
-    """SHA-256 of every status and ``times.tobytes()``.
+    """SHA-256 of every verdict, as the word ``optimal`` or ``infeasible``, and ``times.tobytes()``.
 
     A change that reorders the simplex's floating-point operations, or takes
     another pivot, changes this digest; a change of pricing or tie rules
     re-records it and says why.
     """
     digest = hashlib.sha256()
-    statuses = set()
+    verdicts = set()
     for program in _pinned_sign_programs():
         solution = solve(program)
-        statuses.add(solution.status)
-        digest.update(solution.status.encode("ascii"))
+        verdicts.add(solution.is_optimal)
+        digest.update(b"optimal" if solution.is_optimal else b"infeasible")
         digest.update(solution.times.tobytes())
-    assert statuses == {"optimal", "infeasible"}
+    assert verdicts == {True, False}
     assert digest.hexdigest() == "56a322f24e5e68a99710c58f8e4361d82e9b65ea6274118f8e7ef9a63cb446ea"
 
 
@@ -353,7 +355,7 @@ REBUILD_TRIAL = ("random", "mitigate", 13, 0)
 def test_python_float_ratio_test_makes_the_numpy_pivots(monkeypatch):
     """Every program of the trials, solved as it is and with the numpy loop of ``lp_oracle``.
 
-    Same status, bitwise-equal times and the same number of pivots.
+    Same verdict, bitwise-equal times and the same number of pivots.
     """
     spent = [0]
     rebuilds = [0]
@@ -380,7 +382,7 @@ def test_python_float_ratio_test_makes_the_numpy_pivots(monkeypatch):
     def twin(program):
         ours, pivots = solve_with(counting_rebuilds, program)
         reference, reference_pivots = solve_with(numpy_dantzig_iterate, program)
-        assert (ours.status, pivots) == (reference.status, reference_pivots)
+        assert (ours.is_optimal, pivots) == (reference.is_optimal, reference_pivots)
         assert ours.times.tobytes() == reference.times.tobytes()
         return ours
 

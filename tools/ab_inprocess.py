@@ -13,9 +13,9 @@ apart between the sides of one run, so only a gap that keeps its sign when
 the trees swap sides is the change's.
 
 Both trees must take the arguments ``CALLS`` passes: the defect support as a
-canonical key tuple, with ``n_qubits`` before it in ``sample_defect``,
-``generate_candidate_patterns`` and ``pattern_space_size``.  A tree from
-before the defect support was a key tuple cannot be timed with this script.
+canonical key tuple, with ``n_qubits`` before it in ``sample_defect`` and
+``generate_candidate_patterns``.  A tree from before the defect support was
+a key tuple cannot be timed with this script.
 """
 
 import argparse
@@ -47,10 +47,10 @@ CALLS = {
     "effective_couplings": lambda m, t: m.schedule.effective_couplings(t.sched, t.h_real),
     # as effective_couplings calls it
     "sign_weights": lambda m, t: m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.h_real.keys()),
-    # a sample the size of synthesize's first above EXHAUSTIVE_PATTERN_LIMIT, kept below the whole
-    # space, which the sampler refuses (synthesize lists it with canonical_patterns at these sizes)
+    # a sample the size of synthesize's first above EXHAUSTIVE_PATTERN_LIMIT, kept below the alphabet^N
+    # patterns the sampler draws from, which it refuses (synthesize lists canonical_patterns at these sizes)
     "generate_candidate_patterns": lambda m, t: m.blocks.generate_candidate_patterns(
-        t.n, t.support, min(2 * len(t.support) + 1, m.blocks.pattern_space_size(t.n, t.support) - 1), t.seeds[1]),
+        t.n, t.support, min(2 * len(t.support) + 1, len(m.blocks.pattern_alphabet(t.support)) ** t.n - 1), t.seeds[1]),
     "build_dense": lambda m, t: m.dense.build_dense(t.h_eps),
     "frobenius_norm": lambda m, t: m.dense.frobenius_norm(t.h_eps_dense),
     "expectation_deviation": lambda m, t: m.dense.expectation_deviation(t.h_p, t.sched, t.h_real, t.obs),
