@@ -74,12 +74,13 @@ def p_norm_error_bound(
     delta * ||h_P/h_S||_p over the measured couplings, plus
     delta * (t_A/T) * |E|^(1/p) for the |E| unmeasured defect edges.  At
     p = 1 it bounds the operator norm of the error Hamiltonian, a sum of
-    Pauli strings of unit norm.
+    Pauli strings of unit norm.  Adding the two parts is the triangle
+    inequality, which fails below p = 1, so such orders are rejected.
     """
     if not target_time > 0:
         raise ValidationError(f"target time must be positive, got {target_time}")
-    if not p > 0:  # 0, negatives, -inf and nan
-        raise ValidationError(f"norm order must be positive or inf, got {p!r}")
+    if not p >= 1:  # also -inf and nan
+        raise ValidationError(f"norm order must be at least 1 or inf, got {p!r}")
     return delta * ratio_norm + delta * (total_analog_time / target_time) * _edge_count_root(e_ds, p)
 
 

@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--defects", help="defect support file; defaults to all-to-all")
     p_an.add_argument("--observable-x", type=int, metavar="QUBIT",
                       help="also evaluate the exact deviation of sigma_x on this qubit")
-    p_an.add_argument("--p", type=float, default=2.0, help="order of the reported p-norm bound")
+    p_an.add_argument("--p", type=float, default=2.0, help="order of the reported p-norm bound, at least 1 or inf")
     p_an.add_argument("--q", type=int, default=1, help="Trotter steps for the exact replay")
     p_an.add_argument("--json", action="store_true", help="emit one JSON report")
     p_an.set_defaults(func=_cmd_analyze)

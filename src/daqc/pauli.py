@@ -280,14 +280,14 @@ def vector_p_norm(vector: CouplingVector, p: float) -> float:
     """p-norm of the declared entries: (sum |v|^p)^(1/p).
 
     ``p=inf`` gives the maximum absolute entry; any other ``p`` must be
-    finite and positive (0, nan and -inf are rejected).
+    finite and at least 1, where the triangle inequality holds (nan and -inf are rejected).
     """
     values = np.abs(vector.values_array())
     if p == math.inf:
         return float(values.max()) if values.size else 0.0
     p = float(p)
-    if not math.isfinite(p) or p <= 0:
-        raise ValidationError(f"norm order must be positive or inf, got {p!r}")
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"norm order must be at least 1 or inf, got {p!r}")
     if not values.size:
         return 0.0
     if p == 1.0:

@@ -21,15 +21,16 @@ whenever both solve over the same candidates: the whole space, as
 (``pattern_space_size``) holds at most ``EXHAUSTIVE_PATTERN_LIMIT`` patterns,
 and above it a seeded sample, doubled on infeasibility up to the listing.
 
-Patterns with equal sign columns are one variable to the LP; only the first
-in candidate order reaches ``lp.solve``, which leaves its pivots and vertex
-as with every copy present (neither pricing rule nor the drive-out's
-``argmax`` takes a later copy first).  On ZZ rows the listing holds one
-pattern of each global X flip pair, which share a column, so unless the rows
-leave a qubit unconnected its columns are distinct without ``np.unique``.
+Patterns with equal sign columns are one variable to the LP, and every
+copy reaches ``lp.solve`` as listed.  Row operations keep the copies
+bit-identical to their first, and Dantzig's ``argmin``, Bland's first
+negative index and the drive-out's ``argmax`` all take the first of equal
+entries, so the simplex never enters a later copy: it times it zero and
+makes the pivots and vertex of the program with each column once.
 The whole space reaches the LP by decreasing alignment s(z) . (h_P / h_S),
-ties in listing order, which spares pivots; that sum is a numpy reduction,
-not a BLAS product, so the order is the same at any thread count.
+ties in listing order, so each copy still follows its first, and the order
+spares pivots; that sum is a numpy reduction, not a BLAS product, so the
+order is the same at any thread count.
 
 The program over the whole pattern space is always feasible: its rows are
 distinct Walsh characters of the pattern group, so it has full row rank, and
@@ -207,16 +208,11 @@ def synthesize(
         else:
             patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
         entries = build_sign_matrix(patterns, rows).entries
-        # the LP gets each distinct column once, at its first pattern (module docstring)
-        if not (whole and alphabet == "IX") or np.count_nonzero(entries.min(axis=0) == 1) > 1:
-            columns = np.ascontiguousarray(entries.T).view(np.dtype((np.void, len(rows)))).ravel()
-            keep = np.sort(np.unique(columns, return_index=True)[1])
-            patterns, entries = patterns[keep], entries[:, keep]
+        # copies of a column go in as listed: the LP enters only the first (module docstring)
         if whole:  # most aligned with the target first, ties in listing order
             order = np.argsort(-(entries * rhs[:, None]).sum(axis=0), kind="stable")
             patterns, entries = patterns[order], entries[:, order]
-        sign_entries = entries.astype(float)
-        candidate = lp.solve(lp.LinearProgram(sign_entries, rhs))
+        candidate = lp.solve(lp.LinearProgram(entries, rhs))
         if candidate.is_optimal:
             solution = candidate
             break
@@ -233,7 +229,7 @@ def synthesize(
         target_time=float(target_time),
         mode=mode,
     )
-    _verify_schedule(schedule, rows, sign_entries[:, kept], h_source, rhs)
+    _verify_schedule(schedule, rows, entries[:, kept], h_source, rhs)
     return schedule
 
 

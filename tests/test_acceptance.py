@@ -308,6 +308,19 @@ def test_exact_n10_workload_runs_clean_in_either_order(monkeypatch):
     _pass("C1/C5", f"(exact_n10, {len(trials)} trials in both orders)")
 
 
+def test_ladder_large_workload_runs_clean_to_its_recorded_rows(monkeypatch):
+    """The benchmark's ``ladder_large`` pass, N = 11..14 above the dense cap: its sampled programs keep
+    copies of sign columns, and its LP rebuilds tableaux, yet no trial fails and no row byte moves."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import bench
+    workload = bench.WORKLOADS["ladder_large"]
+    trials = workload.trials()
+    result = bench.run_pass(workload, trials, list(range(len(trials))))
+    assert result.failures == [] and result.problems == []
+    assert result.digest == "79e6866e617ddf974737d8823e8922aef3a6c64f4ac5ac2c6127ff159634a17a"
+    _pass("C1/C5", f"(ladder_large, {len(trials)} trials)")
+
+
 def test_c4_error_vector_closed_forms():
     """Criterion 4: block-sum error vector matches the closed forms to 1e-12."""
     worst = 0.0

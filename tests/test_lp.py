@@ -336,6 +336,58 @@ def test_sign_program_solutions_are_pinned_bit_for_bit():
     assert digest.hexdigest() == "56a322f24e5e68a99710c58f8e4361d82e9b65ea6274118f8e7ef9a63cb446ea"
 
 
+@pytest.mark.parametrize("layout", ["a copy after every column", "all copies appended"])
+def test_the_simplex_never_enters_a_later_copy_of_a_column(monkeypatch, layout):
+    """Every pinned program and the redundant-row one, with each column doubled.
+
+    Row operations keep a copy bit-identical to its first, and Dantzig's
+    ``argmin``, Bland's first negative index and the drive-out's ``argmax``
+    take the first of equal entries, so the doubled program enters the
+    columns the original enters, in the same order, never a later copy; the
+    verdict and every bit of the original times stay, and each copy keeps time zero.
+    """
+    entered = []  # every pivot's entering column, in order
+    priced = [0]  # pivots of the pricing loop; the rest are the drive-out's
+    pivot = lp._pivot
+    iterate = lp._dantzig_iterate
+
+    def recording_pivot(tableau, basis, leave, enter, factors):
+        entered.append(enter)
+        pivot(tableau, basis, leave, enter, factors)
+
+    def counting_iterate(*args):
+        made = iterate(*args)
+        priced[0] += made
+        return made
+
+    def solve_recorded(program):
+        entered.clear()
+        priced[0] = 0
+        return solve(program), list(entered)
+
+    monkeypatch.setattr(lp, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp, "_dantzig_iterate", counting_iterate)
+    programs = [*_pinned_sign_programs(), LinearProgram([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0])]
+    verdicts = set()
+    driven_out = []
+    for k, program in enumerate(programs):
+        n = program.n_cols
+        interleaved = layout == "a copy after every column"
+        order = np.repeat(np.arange(n), 2) if interleaved else np.tile(np.arange(n), 2)
+        originals = 2 * np.arange(n) if interleaved else np.arange(n)
+        solution, columns = solve_recorded(program)
+        if len(columns) > priced[0]:
+            driven_out.append(k)
+        doubled, doubled_columns = solve_recorded(LinearProgram(program.constraint_matrix[:, order], program.rhs))
+        assert doubled.is_optimal == solution.is_optimal
+        assert doubled_columns == originals[columns].tolist()
+        assert doubled.times[originals].tobytes() == solution.times.tobytes()
+        assert not np.delete(doubled.times, originals).any()
+        verdicts.add(solution.is_optimal)
+    assert len(programs) == 51 and verdicts == {True, False}
+    assert driven_out == [0, 10]  # the drive-out's argmax is exercised too
+
+
 # ---- the ratio test on Python floats, against the numpy reference -----------------
 
 #: (topology, mode, N, trial) at master seed 11, in the shapes of the four

@@ -94,8 +94,8 @@ def _exit_two_inputs(work: Path) -> None:
         _main(2, *synth(defects=defects))
     _main(2, *synth(time="0"))
     _main(0, *synth())
-    for extra in (("--problem", path["other-problem.txt"]), ("--q", "0"), ("--p", "0"), ("--observable-x", "5"),
-                  ("--defects", path["wide-defects.txt"])):
+    for extra in (("--problem", path["other-problem.txt"]), ("--q", "0"), ("--p", "0"), ("--p", "0.5"),
+                  ("--observable-x", "5"), ("--defects", path["wide-defects.txt"])):
         _main(2, *analyze(*extra))
     _main(2, *analyze("--defects", path["defects.txt"], schedule="leftover.txt"))  # sign weight left on (1,2)
     _main(2, *analyze(schedule="schedule-bad.txt"))

@@ -299,18 +299,13 @@ def _whole_space_listing(n, defect):
 
 
 def _check_the_whole_space_program(program, solution, sched, listing, rows):
-    """The program holds each distinct sign column of ``listing`` once, at its first pattern, in
+    """The program holds every pattern of ``listing``, copies of a sign column included, by
     non-increasing alignment with the ratio rhs, ties in listing order; returns its column count."""
     entries = build_sign_matrix(PauliMasks.from_text(listing), rows).entries.astype(float)
-    first = {}
-    for k, column in enumerate(entries.T):
-        first.setdefault(column.tobytes(), k)
-    position = [first[column.tobytes()] for column in program.constraint_matrix.T]
-    assert sorted(position) == sorted(first.values())
-    alignment = (program.constraint_matrix * program.rhs[:, None]).sum(axis=0).tolist()
-    order = list(zip([-a for a in alignment], position))
-    assert order == sorted(order)
-    assert sched.patterns.to_text() == [listing[k] for k, t in zip(position, solution.times) if t > 0.0]
+    alignment = (entries * program.rhs[:, None]).sum(axis=0).tolist()
+    order = sorted(range(len(listing)), key=lambda k: (-alignment[k], k))
+    assert program.constraint_matrix.tobytes() == entries[:, order].tobytes()
+    assert sched.patterns.to_text() == [listing[k] for k, t in zip(order, solution.times) if t > 0.0]
     return program.n_cols
 
 
@@ -343,26 +338,83 @@ def test_whole_space_synthesis_reads_no_seed(monkeypatch, kind, mode):
             _check_the_whole_space_program(program, solution, first, _whole_space_listing(n, defect), rows)
 
 
-@pytest.mark.parametrize("n, source_pairs, defect_pairs, columns", [
+#: (N, source pairs, pairs only in the defect, distinct columns over the removed rows)
+PARTIAL_SUPPORTS = [
     (6, [(0, 1), (1, 2), (3, 4), (4, 5)], [], 2**4),  # two components
     (5, [(0, 1), (1, 2), (2, 3)], [], 2**3),  # qubit 4 untouched
     (4, [(1, 2), (2, 3)], [], 2**2),  # qubit 0 untouched
     (6, [(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)], 2**3),  # removed rows fall apart, the defect does not
-])
-@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
-def test_a_partial_support_program_holds_each_distinct_column_once(monkeypatch, mode, n, source_pairs,
-                                                                   defect_pairs, columns):
-    # rows that leave qubits unconnected give more than the flip pairs equal columns
+]
+
+
+def _partial_support_problem(n, source_pairs, defect_pairs):
     rng = np.random.default_rng(n)
     h_source = CouplingVector(n, {zz(i, j): rng.uniform(1.0, 2.0) for i, j in source_pairs})
     h_problem = CouplingVector(n, {zz(i, j): rng.uniform(-1.0, 1.0) for i, j in source_pairs})
-    defect = tuple(sorted(zz(i, j) for i, j in source_pairs + defect_pairs))
+    return h_problem, h_source, tuple(sorted(zz(i, j) for i, j in source_pairs + defect_pairs))
+
+
+@pytest.mark.parametrize("n, source_pairs, defect_pairs, columns", PARTIAL_SUPPORTS)
+@pytest.mark.parametrize("mode", [REMOVE, MITIGATE])
+def test_a_partial_support_program_is_the_whole_listing_copies_included(monkeypatch, mode, n, source_pairs,
+                                                                         defect_pairs, columns):
+    # rows that leave qubits unconnected give more than the flip pairs equal columns
+    h_problem, h_source, defect = _partial_support_problem(n, source_pairs, defect_pairs)
     solved = _recorded_programs(monkeypatch)
     sched = synthesize(h_problem, h_source, defect, 1.0, mode, 5)
     ((program, solution),) = solved
     rows = h_source.support() if mode is REMOVE else defect
     n_cols = _check_the_whole_space_program(program, solution, sched, _whole_space_listing(n, defect), rows)
-    assert n_cols == (columns if mode is REMOVE or not defect_pairs else 2 ** (n - 1))
+    assert n_cols == 2 ** (n - 1)
+    distinct = len({column.tobytes() for column in program.constraint_matrix.T})
+    assert distinct == (columns if mode is REMOVE or not defect_pairs else 2 ** (n - 1))
+
+
+def _deduplicated_solve(solve, copies):
+    """``solve`` over each distinct sign column once, at its first; the times come back zero on
+    every copy, and each program's copy count goes to ``copies``."""
+    def solve_once_each(program):
+        first = {}
+        for k, column in enumerate(program.constraint_matrix.T):
+            first.setdefault(column.tobytes(), k)
+        keep = list(first.values())
+        copies.append(program.n_cols - len(keep))
+        solution = solve(lp.LinearProgram(program.constraint_matrix[:, keep], program.rhs))
+        times = np.zeros(program.n_cols)
+        times[keep] = solution.times
+        return lp.LpSolution(times, solution.is_optimal)
+
+    return solve_once_each
+
+
+#: (case, mode) whose programs hold copies.  The split removed rows' mitigated program
+#: constrains the connected defect, whose columns are all distinct.  The N = 11 samples
+#: draw flip pairs, and in mitigate mode the first is infeasible, so a second is drawn.
+COPY_CASES = [
+    *[(f"partial{k}", mode) for k in range(4) for mode in (REMOVE, MITIGATE) if not (k == 3 and mode is MITIGATE)],
+    *[(case, mode) for case in ("xx+yy", "sampled-n11") for mode in (REMOVE, MITIGATE)],
+]
+
+
+@pytest.mark.parametrize("case, mode", COPY_CASES, ids=lambda v: getattr(v, "value", v))
+def test_synthesis_over_copies_gives_the_deduplicated_programs_schedule(monkeypatch, case, mode):
+    # the simplex enters only the first of equal columns, so the program without the
+    # later ones, the reference, gives the same patterns and every bit of the times
+    trial = derive_seed(11, 11, 1)
+    if case.startswith("partial"):
+        h_problem, h_source, defect = _partial_support_problem(*PARTIAL_SUPPORTS[int(case[-1])][:3])
+    elif case == "xx+yy":
+        h_problem, h_source, defect = _xx_yy_problem()
+    else:
+        h_problem, h_source, defect = generate_problem(TopologySpec("random", 11), 100.0, derive_seed(trial, "problem"))
+    seed = derive_seed(trial, "patterns")
+    sched = synthesize(h_problem, h_source, defect, 1.0, mode, seed)
+    copies = []
+    monkeypatch.setattr(lp, "solve", _deduplicated_solve(lp.solve, copies))
+    reference = synthesize(h_problem, h_source, defect, 1.0, mode, seed)
+    assert copies and all(copies)
+    assert sched.patterns.to_text() == reference.patterns.to_text()
+    assert sched.times == reference.times
 
 
 @pytest.mark.parametrize("kind", ["nn", "random", "ata"])
