@@ -14,7 +14,8 @@ that parity, ``_symplectic_signs``; the dense replay conjugates by each gate
 layer's index flip and phase instead, independently of it.  Up to N = 9 the
 signs of every ZZ pair under every IX layer are kept per N, read-only, and
 ZZ rows under z-free layers gather them.  ``canonical_patterns`` lists a
-whole pattern space without a seed; the seeded stream only samples part of it.
+whole pattern space without a seed, once per size and alphabet, read-only;
+the seeded stream only samples part of it.
 """
 
 import functools
@@ -132,6 +133,11 @@ def _zz_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
+def zz_pair_rows(keys: Sequence[CouplingKey], n_qubits: int) -> list[int]:
+    """Row i (2N - i - 1) / 2 + j - i - 1 of each ZZ key (i, j), pairs in canonical order; other keys are skipped."""
+    return [i * (2 * n_qubits - i - 1) // 2 + j - i - 1 for i, j, mu, nu in keys if mu == nu == "z"]
+
+
 def basis_indices(bits: np.ndarray, n_qubits: int) -> np.ndarray:
     """Each row of packed masks ``bits`` as the integer with qubit q at bit N - 1 - q (at most 16 qubits).
 
@@ -155,7 +161,7 @@ def build_sign_matrix(patterns: PauliMasks, rows: Sequence[CouplingKey]) -> Sign
     if top >= patterns.n_qubits:
         raise ValidationError(f"rows up to qubit {top} exceed the {patterns.n_qubits}-qubit patterns")
     n = patterns.n_qubits
-    pairs = [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j, mu, nu in rows if mu == nu == "z"]
+    pairs = zz_pair_rows(rows, n)
     if len(pairs) == len(rows) and 2**n <= EXHAUSTIVE_PATTERN_LIMIT and not patterns.z.any():
         entries = _zz_signs(n).take(pairs, 0).take(basis_indices(patterns.x, n), 1)
     else:
@@ -202,15 +208,20 @@ def pattern_space_size(n_qubits: int, support: tuple[CouplingKey, ...]) -> int:
     return 2 ** (n_qubits - 1) if pattern_alphabet(support) == "IX" else 4**n_qubits
 
 
+@functools.cache
 def canonical_patterns(n_qubits: int, alphabet: str) -> PauliMasks:
     """The space over ``alphabet`` (``pattern_alphabet``) in digit order, the identity first; reads no seed.
 
     Over ``IX`` only the masks of 0..2^(N-1)-1, qubit 0 unflipped: one
-    pattern of each global X flip pair, whose ZZ signs agree."""
+    pattern of each global X flip pair, whose ZZ signs agree.  One read-only listing per (N, alphabet)."""
     if alphabet == "IX":
         x = _ix_masks(n_qubits)[: 2 ** (n_qubits - 1)]
-        return PauliMasks(n_qubits, x, np.zeros_like(x))
-    return PauliMasks._from_gates(np.arange(4**n_qubits)[:, None] // 4 ** np.arange(n_qubits - 1, -1, -1) % 4)
+        listing = PauliMasks(n_qubits, x, np.zeros_like(x))
+    else:
+        listing = PauliMasks._from_gates(np.arange(4**n_qubits)[:, None] // 4 ** np.arange(n_qubits - 1, -1, -1) % 4)
+    for masks in (listing.x, listing.z):
+        masks.setflags(write=False)
+    return listing
 
 
 def generate_candidate_patterns(n_qubits: int, support: tuple[CouplingKey, ...], requested: int,

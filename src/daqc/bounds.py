@@ -13,13 +13,14 @@ value when the system is small enough.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import dense
 from .blocks import sign_weights
 from .errors import ValidationError
-from .pauli import CouplingKey, CouplingVector, _check_sorted, hadamard_divide, max_degree, vector_p_norm
+from .pauli import CouplingKey, CouplingVector, _check_sorted, check_finite, hadamard_divide, max_degree, vector_p_norm
 from .schedule import Schedule, SynthesisMode, error_vector, within_replay_tol
 
 #: "much smaller than" thresholds used for the validity-regime flags
@@ -178,7 +179,8 @@ def evaluate_bounds(
     """Evaluate every bound for one (problem, source, schedule, defect) tuple.
 
     ``defect_support`` is the declared defect support, a canonical key tuple
-    on the problem's qubits, and holds every key of the defect sample.
+    on the problem's qubits, and holds every key of the defect sample and
+    every source coupling; the error vector is formed on its keys.
     The observable is one Pauli string, so ||O|| = 1; without one the
     expectation bounds are reported for a generic single-site string.  Exact
     dense quantities (operator and Frobenius norm, the deviation of the
@@ -190,34 +192,46 @@ def evaluate_bounds(
     norm up to the cap where they straddle the limit; above the cap a
     straddled flag is False.  A mitigated schedule whose block signs do not
     cancel on an unmeasured edge, to ``schedule.within_replay_tol``, is not
-    one synthesized for this support: that raises ``ValidationError``.
+    one synthesized for this support: that raises ``ValidationError``, as do
+    Frobenius norms too large for a float (from about N = 2,000 qubits).
     """
     dense.check_trotter_steps(q)
     n = h_problem.n_qubits
     _check_sorted(defect_support, n)
-    if not frozenset(defect_support).issuperset(defect.h_delta.keys()):
+    edges = frozenset(defect_support)
+    if not edges.issuperset(defect.h_delta.keys()):
         raise ValidationError("defect sample declares couplings outside the defect support")
-
-    measured = frozenset(h_source.support())
-    unmeasured = tuple(key for key in defect_support if key not in measured)
+    if {h_source.n_qubits, defect.h_delta.n_qubits, schedule.n_qubits} != {n}:
+        raise ValidationError("problem, source, defect and schedule disagree on system size")
+    # every coupling read once, on the defect support's keys; vectors only for what dense reads
+    problem, source, deviation = (h.values_at(defect_support) for h in (h_problem, h_source, defect.h_delta))
+    measured = source != 0.0
+    source_edge_count = int(np.count_nonzero(measured))
+    if source_edge_count != np.count_nonzero(h_source.values_array()):
+        missing = next(key for key in h_source.support() if key not in edges)
+        raise ValidationError(f"source coupling {missing} missing from the defect support")
+    unmeasured = tuple(compress(defect_support, (~measured).tolist()))
     e_ds = len(unmeasured)
     t_a = schedule.total_analog_time
     target_time = schedule.target_time
     delta = defect.delta
 
+    # each key's weight is its own sum, so one pass serves the mitigation check and h_eps
+    weights = sign_weights(schedule.patterns, schedule.times, defect_support)
     mitigated = schedule.mode is SynthesisMode.MITIGATE_ZEROS
     if mitigated:
-        weights = sign_weights(schedule.patterns, schedule.times, unmeasured)
-        uncancelled = (~within_replay_tol(weights / target_time, schedule, 1.0)).nonzero()[0]
+        left = weights[~measured]
+        uncancelled = (~within_replay_tol(left / target_time, schedule, 1.0)).nonzero()[0]
         if uncancelled.size:
             at = uncancelled[0]
             raise ValidationError(
-                f"mitigated schedule leaves sign weight {weights[at]:.3e} on unmeasured edge {unmeasured[at]}"
+                f"mitigated schedule leaves sign weight {left[at]:.3e} on unmeasured edge {unmeasured[at]}"
             )
     effective_e_ds = 0 if mitigated else e_ds
 
-    h_real = h_source + defect.h_delta
-    h_eps = error_vector(schedule, h_problem, h_source, defect.h_delta, h_real=h_real)
+    real = source + deviation
+    check_finite(defect_support, real)
+    h_eps = error_vector(schedule, defect_support, weights, problem, source, deviation, real=real)
     ratios = hadamard_divide(h_problem, h_source)
     # each distinct order once; the formulas and the report read the same floats
     ratio_norm = {p: vector_p_norm(ratios, p) for p in dict.fromkeys((1.0, 2.0, math.inf, requested_p))}
@@ -225,7 +239,8 @@ def evaluate_bounds(
     p_bound = p_norm_error_bound(ratio_norm[requested_p], delta, target_time, t_a, effective_e_ds, requested_p)
     op_bound = p_norm_error_bound(ratio_norm[1.0], delta, target_time, t_a, effective_e_ds, 1.0)
     frob_factor = frobenius_stability_factor(ratio_norm[2.0], t_a, target_time, e_ds)
-    defect_frob = 2.0 ** (n / 2.0) * vector_p_norm(defect.h_delta, 2.0)
+    root_dim = 2.0 ** (n / 2.0) if n < 2048 else math.inf  # 2^(N/2) overflows a float from N = 2048
+    defect_frob = root_dim * vector_p_norm(defect.h_delta, 2.0)
     frob_bound = frob_factor * defect_frob
 
     supp_o = len(observable.support) if observable is not None else 1
@@ -237,21 +252,23 @@ def evaluate_bounds(
     )
     exp_bound_mit = expectation_error_bound(supp_o, norm_o, deg_p, 0, ratio_norm[math.inf], delta, target_time, 0.0)
 
-    exact_op = exact_frob = exact_delta_o = commutator_bound = None
+    exact_op = exact_delta_o = commutator_bound = None
     if n <= dense.DEFAULT_QUBIT_CAP:
         h_eps_dense = dense.build_dense(h_eps)
         exact_op = dense.operator_norm(h_eps_dense)
         exact_frob = dense.frobenius_norm(h_eps_dense)
         if observable is not None:
+            h_real = CouplingVector.from_sorted(n, defect_support, real)
             exact_delta_o = dense.expectation_deviation(h_problem, schedule, h_real, observable, q=q)
-            # h_eps declares every key of h_problem, h_source and h_delta: diagonal iff all three are ZZ-only
+            # h_eps declares the defect support, which holds every nonzero coupling: diagonal iff it is ZZ-only
             if h_eps_dense.matrix.ndim == 1:
                 commutator_bound = target_time * dense.commutator_norm(h_eps_dense.matrix, observable)
     else:
-        exact_frob = 2.0 ** (n / 2.0) * vector_p_norm(h_eps, 2.0)
+        exact_frob = root_dim * vector_p_norm(h_eps, 2.0)
+    if not all(map(math.isfinite, (defect_frob, frob_bound, exact_frob))):
+        raise ValidationError(f"the Frobenius norms overflow a float at N = {n}")
 
-    source_values = [abs(value) for value in h_source.values_array().tolist() if value != 0.0]
-    small_defect = bool(source_values) and delta < SMALL_DEFECT_FACTOR * min(source_values)
+    small_defect = source_edge_count > 0 and delta < SMALL_DEFECT_FACTOR * float(np.abs(source[measured]).min())
     # ||h_S||_2 <= ||H_S||_op <= ||h_S||_1 for a sum of distinct Pauli strings;
     # the dense norm decides only where these two straddle the limit
     short_time = target_time * vector_p_norm(h_source, 1.0) < SHORT_TIME_LIMIT
@@ -265,7 +282,7 @@ def evaluate_bounds(
         delta=delta,
         target_time=target_time,
         total_analog_time=t_a,
-        source_edge_count=len(measured),
+        source_edge_count=source_edge_count,
         defect_edge_count=len(defect_support),
         defect_only_edge_count=e_ds,
         problem_degree=deg_p,

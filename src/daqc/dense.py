@@ -10,10 +10,11 @@ holds it to ``DEFAULT_QUBIT_CAP`` qubits; correctness over speed.
 A Pauli string, be it a two-body term, a gate layer or the observable, is
 never a matrix here.  ``blocks.basis_indices`` reads its ``PauliMasks`` as
 basis-index masks, qubit 0 the top bit, and it acts by an index flip and a
-phase, (P v)[t] = phase[t] * v[source[t]].  The per-qubit Z sign rows, the basis index range, |+>^N and
-each single-qubit observable depend on N alone, so each is built once per N,
-read-only.  A ZZ-only Hamiltonian is kept as its real 2^N diagonal, the sum
-of h_ij Z_i Z_j in key order, and its replay adds up one real phase,
+phase, (P v)[t] = phase[t] * v[source[t]].  The per-qubit Z sign rows and
+their pair products, the basis index range, |+>^N and each single-qubit
+observable depend on N alone, so each is built once per N, read-only.  A
+ZZ-only Hamiltonian is kept as its real 2^N diagonal, the sum of
+h_ij Z_i Z_j in key order, and its replay adds up one real phase,
 sum_k t_k G_k d G_k, since diagonal blocks commute; on ZZ couplings nothing
 here allocates a 2^N x 2^N array.
 Any other Hamiltonian is diagonalized once per replay, each block being
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import PauliMasks, basis_indices, term_masks
+from .blocks import PauliMasks, basis_indices, term_masks, zz_pair_rows
 from .errors import ValidationError
 from .pauli import AXES, CouplingVector, is_zz_only
 
@@ -69,6 +70,13 @@ def _z_rows(n_qubits: int) -> np.ndarray:
     return _read_only(_parity_sign(_basis(2**n_qubits) & (1 << np.arange(n_qubits - 1, -1, -1))[:, None]))
 
 
+@functools.cache
+def _zz_rows(n_qubits: int) -> np.ndarray:
+    """Row i (2N - i - 1) / 2 + j - i - 1 (``blocks.zz_pair_rows``): the sign of Z_i Z_j, the product of two Z rows."""
+    i, j = np.triu_indices(n_qubits, 1)  # the pairs in canonical order
+    return _read_only(_z_rows(n_qubits)[i] * _z_rows(n_qubits)[j])
+
+
 def _flip_and_phase(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(source, phase) with (P v)[t] = phase[t] * v[source[t]] for the string of index masks x, z.
 
@@ -85,8 +93,7 @@ def build_dense(h: CouplingVector) -> DenseHamiltonian:
     dim = 2**n
     if is_zz_only(h.keys()):
         # one row per term, Z_i Z_j exactly +/-1; the sum down axis 0 adds the rows in key order
-        z = _z_rows(n)[np.array([key[:2] for key in h.keys()], dtype=np.intp).reshape(-1, 2).T]  # rows Z_i, Z_j
-        return DenseHamiltonian((h.values_array()[:, None] * (z[0] * z[1])).sum(axis=0))
+        return DenseHamiltonian((h.values_array()[:, None] * _zz_rows(n)[zz_pair_rows(h.keys(), n)]).sum(axis=0))
     terms = term_masks(h.keys(), n)
     matrix = np.zeros((dim, dim), dtype=complex)
     for value, x, z in zip(h.values_array(), basis_indices(terms.x, n), basis_indices(terms.z, n)):

@@ -174,7 +174,10 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # [A | b | I] with rows flipped so b >= 0; column n + 1 + r is row r's artificial
     flip = np.where(rhs < 0, -1.0, 1.0)
-    system = np.hstack([matrix * flip[:, None], (rhs * flip)[:, None], np.eye(m)])
+    system = np.zeros((m, n + 1 + m))
+    np.multiply(matrix, flip[:, None], out=system[:, :n])
+    np.multiply(rhs, flip, out=system[:, n])
+    np.fill_diagonal(system[:, n + 1:], 1.0)
     # tableau row m: unit time on the structural variables; row m + 1: sum of the artificials
     costs = np.zeros((2, n + 1 + m))
     costs[0, :n] = 1.0
@@ -182,7 +185,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     basis = list(range(n + 1, n + 1 + m))
     # the [A | b] columns of _tableau(system, costs, basis) for the all-artificial
     # basis, written out; an artificial that leaves the basis never re-enters
-    tableau = np.vstack([system[:, :n + 1], costs[:, :n + 1]])
+    tableau = np.zeros((m + 2, n + 1))
+    tableau[:m] = system[:, :n + 1]
+    tableau[m, :n] = 1.0
     tableau[m + 1] -= system[:, :n + 1].sum(axis=0)
 
     def rebuild() -> None:

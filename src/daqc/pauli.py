@@ -14,8 +14,9 @@ what a key cannot know: ``j < n_qubits`` and, for vectors, finite values.
 ``CouplingKey``s of them.  A vector stores its canonical key tuple and a
 read-only value array.  Vectors derived inside the package go through
 ``from_sorted``, which rebuilds no key: it checks their order and range in
-one pass and every value for finiteness.  A sum or difference on an
-operand's own keys checks only its values.
+one pass and every value for finiteness (``check_finite``).  Vectors have
+no arithmetic: a computation reads their values as arrays on one key tuple
+(``values_at``) and builds a vector of the result.
 
 The connectivity of a Hamiltonian is a weighted multigraph: one edge per key,
 labeled by the axis pair, so a qubit pair may carry up to nine edges.  Every
@@ -92,6 +93,13 @@ def _check_sorted(keys: tuple[CouplingKey, ...], n_qubits: int) -> None:
         before = key
 
 
+def check_finite(keys: tuple[CouplingKey, ...], values: np.ndarray) -> None:
+    """Raise unless every one of ``values``, one per key, is finite, naming the first key that is not."""
+    if not all(map(math.isfinite, values.tolist())):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValidationError(f"coupling {keys[bad]} has non-finite value {float(values[bad])!r}")
+
+
 class CouplingVector:
     """Immutable sparse vector of two-body coupling strengths.
 
@@ -121,9 +129,7 @@ class CouplingVector:
     def _set(self, n_qubits: int, keys: tuple[CouplingKey, ...], values: np.ndarray) -> "CouplingVector":
         if values.shape != (len(keys),):
             raise ValidationError(f"{values.shape} values for {len(keys)} coupling keys")
-        if not all(map(math.isfinite, values.tolist())):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValidationError(f"coupling {keys[bad]} has non-finite value {float(values[bad])!r}")
+        check_finite(keys, values)
         values.setflags(write=False)
         self._n_qubits = n_qubits
         self._keys = keys
@@ -168,33 +174,6 @@ class CouplingVector:
 
     def __iter__(self) -> Iterator[CouplingKey]:
         return iter(self._keys)
-
-    def _combined(self, other: "CouplingVector", sign: float, verb: str) -> "CouplingVector":
-        if not isinstance(other, CouplingVector):
-            return NotImplemented
-        if other._n_qubits != self._n_qubits:
-            raise ValidationError(f"cannot {verb} coupling vectors of different system sizes")
-        if self._keys == other._keys:
-            keys, values = self._keys, self._values + sign * other._values  # keys checked when built
-        else:
-            # usually the longer key tuple, checked when built, holds the shorter;
-            # a key of one side only keeps its value, or gets 0.0 + sign * value
-            shorter, keys = sorted((self._keys, other._keys), key=len)
-            position = dict(zip(keys, range(len(keys))))
-            if not all(map(position.__contains__, shorter)):
-                keys = tuple(sorted({*keys, *shorter}))
-                _check_sorted(keys, self._n_qubits)
-                position = dict(zip(keys, range(len(keys))))
-            values = np.zeros(len(keys))
-            values[[position[key] for key in self._keys]] = self._values
-            values[[position[key] for key in other._keys]] += sign * other._values
-        return CouplingVector.__new__(CouplingVector)._set(self._n_qubits, keys, values)
-
-    def __add__(self, other: "CouplingVector") -> "CouplingVector":
-        return self._combined(other, 1.0, "add")
-
-    def __sub__(self, other: "CouplingVector") -> "CouplingVector":
-        return self._combined(other, -1.0, "subtract")
 
     # -- plain-text reading --------------------------------------------------
 

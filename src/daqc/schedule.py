@@ -49,7 +49,7 @@ from . import lp
 from .blocks import EXHAUSTIVE_PATTERN_LIMIT, PauliMasks, build_sign_matrix, canonical_patterns, check_pattern
 from .blocks import generate_candidate_patterns, pattern_alphabet, pattern_space_size, sign_weights
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, _read_line_records, hadamard_divide
+from .pauli import FLOAT_DIGITS, CouplingKey, CouplingVector, _read_line_records, check_finite, hadamard_divide
 
 #: a replay residual may be this fraction of the terms it sums (``within_replay_tol``);
 #: on the default-scale acceptance sweeps (g = 100) those terms stay below 1300,
@@ -209,9 +209,10 @@ def synthesize(
             patterns = generate_candidate_patterns(n, defect_support, requested, rng_seed)
         entries = build_sign_matrix(patterns, rows).entries
         # copies of a column go in as listed: the LP enters only the first (module docstring)
+        order = np.arange(len(patterns))
         if whole:  # most aligned with the target first, ties in listing order
             order = np.argsort(-(entries * rhs[:, None]).sum(axis=0), kind="stable")
-            patterns, entries = patterns[order], entries[:, order]
+            entries = entries[:, order]
         candidate = lp.solve(lp.LinearProgram(entries, rhs))
         if candidate.is_optimal:
             solution = candidate
@@ -224,8 +225,8 @@ def synthesize(
     kept = solution.times > 0.0
     schedule = Schedule(
         n_qubits=n,
-        patterns=patterns[kept],
-        times=tuple(float(t) * target_time for t in solution.times[kept]),
+        patterns=patterns[order[kept]],
+        times=tuple((solution.times[kept] * target_time).tolist()),
         target_time=float(target_time),
         mode=mode,
     )
@@ -280,33 +281,38 @@ def effective_couplings(schedule: Schedule, h_real: CouplingVector) -> CouplingV
 
 def error_vector(
     schedule: Schedule,
-    h_problem: CouplingVector,
-    h_source: CouplingVector,
-    h_delta: CouplingVector,
+    keys: tuple[CouplingKey, ...],
+    weights: np.ndarray,
+    problem: np.ndarray,
+    source: np.ndarray,
+    delta: np.ndarray,
     *,
-    h_real: CouplingVector,
+    real: np.ndarray,
 ) -> CouplingVector:
-    """Coupling error h_eps of the schedule run on ``h_real`` = ``h_source + h_delta``.
+    """Coupling error h_eps on ``keys`` of the schedule run on ``real`` = ``source + delta``.
 
-    Computed from the block-sum definition, then cross-checked on measured
-    couplings against the closed form target_ratio * delta; disagreement
-    signals a synthesis bug.  On unmeasured couplings h_real equals h_delta,
-    so a closed form would only repeat the block sum through the same sign
-    kernel; the check independent of that kernel there is the exact replay of
-    |+>^N through the gate layers themselves, ``dense.replay_unitary``.  The
-    block sum multiplies h_real and the closed form h_delta, so the gap is
+    ``weights`` are the schedule's sign weights on ``keys`` (``sign_weights``)
+    and the other arrays the couplings there, in key order.  Computed from the
+    block-sum definition, then cross-checked on measured couplings against the
+    closed form target_ratio * delta; disagreement signals a synthesis bug.
+    On unmeasured couplings the real coupling equals delta, so a closed form
+    would only repeat the block sum through the same sign kernel; the check
+    independent of that kernel there is the exact replay of |+>^N through the
+    gate layers themselves, ``dense.replay_unitary``.  The block sum
+    multiplies the real coupling and the closed form delta, so the gap is
     measured against the source and the real coupling.
     """
-    h_eps = effective_couplings(schedule, h_real) - h_problem
-    measured = h_source.support()  # h_eps declares every key of h_source
-    source = h_source.values_at(measured)
-    real = h_real.values_at(measured)
-    gap = h_eps.values_at(measured) - h_problem.values_at(measured) * h_delta.values_at(measured) / source
+    effective = weights * real / schedule.target_time
+    check_finite(keys, effective)
+    h_eps = CouplingVector.from_sorted(schedule.n_qubits, keys, effective - problem)
+    measured = source != 0.0
+    source, real = source[measured], real[measured]
+    gap = h_eps.values_array()[measured] - problem[measured] * delta[measured] / source
     failed = (~within_replay_tol(gap, schedule, np.maximum(np.abs(source), np.abs(real)))).nonzero()[0]
     if failed.size:
         at = failed[0]
         raise InternalConsistencyError(
-            f"error vector at {measured[at]} deviates {abs(gap[at]):.3e} from its closed form"
+            f"error vector at {keys[measured.nonzero()[0][at]]} deviates {abs(gap[at]):.3e} from its closed form"
             f" (source {source[at]:.3e}, real {real[at]:.3e})"
         )
     return h_eps

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from daqc.blocks import PauliMasks
+from daqc.blocks import PauliMasks, sign_weights
 from daqc.pauli import FLOAT_DIGITS, CouplingVector
-from daqc.schedule import Schedule
+from daqc.schedule import Schedule, error_vector
 
 
 def same(a, b) -> bool:
@@ -28,6 +28,20 @@ def same(a, b) -> bool:
         numbers = (a.n_qubits, a.times, a.target_time, a.mode)
         return numbers == (b.n_qubits, b.times, b.target_time, b.mode) and same(a.patterns, b.patterns)
     raise TypeError(f"no comparison for {type(a).__name__}")
+
+
+def combined(a: CouplingVector, b: CouplingVector, sign: float = 1.0) -> CouplingVector:
+    """a + sign * b on the keys either declares; the package itself has no vector arithmetic."""
+    keys = tuple(sorted({*a.keys(), *b.keys()}))
+    return CouplingVector.from_sorted(a.n_qubits, keys, a.values_at(keys) + sign * b.values_at(keys))
+
+
+def error_vector_of(schedule: Schedule, h_problem, h_source, h_delta) -> CouplingVector:
+    """``schedule.error_vector`` on every key the three vectors declare, from the arrays it takes there."""
+    keys = tuple(sorted({*h_problem.keys(), *h_source.keys(), *h_delta.keys()}))
+    problem, source, delta = (h.values_at(keys) for h in (h_problem, h_source, h_delta))
+    weights = sign_weights(schedule.patterns, schedule.times, keys)
+    return error_vector(schedule, keys, weights, problem, source, delta, real=source + delta)
 
 
 def entries(vector: CouplingVector) -> dict:

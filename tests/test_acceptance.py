@@ -22,7 +22,8 @@ from daqc.harness import (
     run_experiment,
 )
 from daqc.pauli import CouplingKey, CouplingVector, hadamard_divide
-from daqc.schedule import SynthesisMode, error_vector, synthesize
+from daqc.schedule import SynthesisMode, synthesize
+from helpers import combined, error_vector_of
 from lp_oracle import brute_force_optimum
 
 MASTER_SEED = 11
@@ -145,7 +146,7 @@ def _paired_error_vectors(kind: str, r_rm, r_mi):
     for record, mode in ((r_rm, REMOVE), (r_mi, MITIGATE)):
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(r_rm.seed, "patterns"))
         assert sched.total_analog_time == record.t_a, f"not the swept schedule: seed {record.seed}"
-        vectors.append(error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta))
+        vectors.append(error_vector_of(sched, h_p, h_s, sample.h_delta))
     return h_s, defect, vectors
 
 
@@ -179,7 +180,7 @@ def test_c2_per_seed_suppression(sweeps):
     a = CouplingVector(4, {zz(0, 1): 1.0, zz(1, 2): 1.0, zz(2, 3): 1.0})
     b = CouplingVector(4, {zz(0, 3): -0.5})
     assert dense.operator_norm(dense.build_dense(a)) == pytest.approx(3.0, abs=REPLAY_TOL)
-    assert dense.operator_norm(dense.build_dense(a + b)) == pytest.approx(2.5, abs=REPLAY_TOL)
+    assert dense.operator_norm(dense.build_dense(combined(a, b))) == pytest.approx(2.5, abs=REPLAY_TOL)
 
     unmeasured = {}  # per topology: the pairs whose defect support has unmeasured edges
     recomputed = 0
@@ -332,7 +333,7 @@ def test_c4_error_vector_closed_forms():
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
         sample = bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d"))
-        h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
+        h_eps = error_vector_of(sched, h_p, h_s, sample.h_delta)
         for key in h_eps.keys():
             if h_s[key] != 0.0:
                 closed = h_p[key] * sample.h_delta[key] / h_s[key]

@@ -307,6 +307,15 @@ def test_canonical_listing_is_the_space_in_digit_order(alphabet, n):
     assert canonical_patterns(n, alphabet).to_text() == (space[: len(space) // 2] if alphabet == "IX" else space)
 
 
+@pytest.mark.parametrize("alphabet, n", [("IX", 1), ("IX", 7), (GATES, 2)])
+def test_canonical_listing_is_one_read_only_table_per_size_and_alphabet(alphabet, n):
+    listing = canonical_patterns(n, alphabet)
+    assert canonical_patterns(n, alphabet) is listing
+    for masks in (listing.x, listing.z):
+        with pytest.raises(ValueError):
+            masks[0] = 1
+
+
 def sampled_stream(support, requested, seed):
     """The first ``requested`` distinct patterns of the sampler's seeded stream.
 

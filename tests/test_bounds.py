@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from daqc import bounds, dense
+from daqc import blocks, bounds, dense
+from daqc.blocks import PauliMasks
 from daqc.errors import SimulabilityError, ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector, hadamard_divide, vector_p_norm
-from daqc.schedule import SynthesisMode, error_vector, synthesize
-from helpers import entries, same
+from daqc.schedule import Schedule, SynthesisMode, synthesize
+from helpers import entries, error_vector_of, same
 
 
 def zz(i, j):
@@ -97,7 +98,7 @@ def test_ratio_bounds_reject_problem_coupling_without_source():
         hadamard_divide(h_p, h_s)
     h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
     unmeasured = sorted(set(defect) - set(h_s.support()))[0]
-    h_p = h_p + CouplingVector(h_p.n_qubits, {unmeasured: 1.0})
+    h_p = CouplingVector(h_p.n_qubits, {**entries(h_p), unmeasured: 1.0})
     with pytest.raises(SimulabilityError):
         bounds.evaluate_bounds(h_p, h_s, defect, sched, sample)
 
@@ -211,6 +212,30 @@ def make_case(mode, seed=0, kind="nn", n=4):
     return h_p, h_s, defect, sched, sample
 
 
+def test_grading_builds_the_sign_weights_once(monkeypatch):
+    # one pass over the defect support serves the mitigation check and the error vector
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.MITIGATE_ZEROS, seed=4)
+    rows = []
+    build = blocks.build_sign_matrix
+
+    def counted(patterns, keys):
+        rows.append(keys)
+        return build(patterns, keys)
+
+    monkeypatch.setattr(blocks, "build_sign_matrix", counted)
+    obs = dense.single_qubit_observable("x", 0, 4)
+    assert bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, observable=obs).defect_only_edge_count > 0
+    assert rows == [defect]
+
+
+def test_a_schedule_or_source_on_another_size_is_rejected():
+    h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
+    wider = Schedule(5, PauliMasks.from_text(["IIIII"]), (1.0,), 1.0, SynthesisMode.REMOVE_ZEROS)
+    for source, schedule in ((h_s, wider), (CouplingVector(5, entries(h_s)), sched)):
+        with pytest.raises(ValidationError, match="problem, source, defect and schedule disagree on system size"):
+            bounds.evaluate_bounds(h_p, source, defect, schedule, sample)
+
+
 def test_report_soundness_and_echoes():
     h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
     obs = dense.single_qubit_observable("x", 0, 4)
@@ -227,16 +252,16 @@ def test_report_soundness_and_echoes():
     assert report.exact_delta_o <= report.commutator_bound + 1e-12
 
 
-def test_a_zero_xx_key_on_the_problem_alone_drops_the_commutator_bound():
-    # h_eps declares the problem's keys too, so the zero XX key makes its
-    # dense build a full matrix: no ZZ commutator, the same operator norm
+def test_a_zero_xx_key_on_the_problem_alone_keeps_the_commutator_bound():
+    # h_eps declares the defect support alone, so a zero XX key off it leaves
+    # its dense build diagonal: the same ZZ commutator and operator norm
     h_p, h_s, defect, sched, sample = make_case(SynthesisMode.REMOVE_ZEROS)
     h_p_xx = CouplingVector(4, {**entries(h_p), CouplingKey(0, 1, "x", "x"): 0.0})
     obs = dense.single_qubit_observable("x", 0, 4)
     zz_only, with_xx = (bounds.evaluate_bounds(p, h_s, defect, sched, sample, observable=obs) for p in (h_p, h_p_xx))
     assert zz_only.commutator_bound is not None
-    assert with_xx.commutator_bound is None
-    assert with_xx.exact_op_norm == pytest.approx(zz_only.exact_op_norm, rel=1e-13)
+    assert (with_xx.commutator_bound, with_xx.exact_op_norm) == (zz_only.commutator_bound, zz_only.exact_op_norm)
+    assert with_xx.exact_delta_o == pytest.approx(zz_only.exact_delta_o, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", [SynthesisMode.REMOVE_ZEROS, SynthesisMode.MITIGATE_ZEROS])
@@ -244,7 +269,7 @@ def test_inf_norm_bound_holds_with_unmeasured_edges(mode):
     h_p, h_s, defect, sched, sample = make_case(mode, seed=4)
     report = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, requested_p=math.inf)
     assert report.defect_only_edge_count > 0
-    h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
+    h_eps = error_vector_of(sched, h_p, h_s, sample.h_delta)
     assert report.p_norm_bound >= vector_p_norm(h_eps, math.inf)
 
 
@@ -259,7 +284,7 @@ def test_p_norm_bound_holds_at_every_order_it_accepts(mode):
                 h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(trial_seed, "problem"))
                 sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(trial_seed, "patterns"))
                 sample = bounds.sample_defect(n, defect, 10.0, derive_seed(trial_seed, "defect"))
-                h_eps = error_vector(sched, h_p, h_s, sample.h_delta, h_real=h_s + sample.h_delta)
+                h_eps = error_vector_of(sched, h_p, h_s, sample.h_delta)
                 for p in (1.0, 1.5, 2.0, 3.0, math.inf):
                     bound = bounds.evaluate_bounds(h_p, h_s, defect, sched, sample, requested_p=p).p_norm_bound
                     norm = vector_p_norm(h_eps, p)

@@ -307,6 +307,40 @@ def test_analyze_rejects_a_mitigated_schedule_that_leaves_an_edge(workspace, cap
     assert "sign weight 5.000e-01 on unmeasured edge (1,2,z,z)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_a_defect_support_without_a_source_coupling_exits_validation(workspace, capsys, command):
+    # the source couples (0,2), which the defect file leaves out
+    _, paths = workspace
+    run_synth(paths)
+    write_couplings(CouplingVector(3, {zz(0, 1): 0.0, zz(1, 2): 0.0}), paths["defects"])
+    capsys.readouterr()
+    if command == "synth":
+        code = run_synth(paths)
+    else:
+        code = cli.main(["analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
+                         "--defects", str(paths["defects"]), "--delta", "10", "--seed", "4"])
+    assert code == 2
+    assert "error: source coupling (0,2,z,z) missing from the defect support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, expected", [(1500, 0), (2046, 2), (2048, 2)])
+def test_analyze_exits_validation_where_the_frobenius_norms_overflow(tmp_path, capsys, n, expected):
+    # sqrt(2^N) overflows a float at N = 2048, and times ||h_delta||_2 a little below it
+    paths = {name: tmp_path / f"{name}.txt" for name in ("source", "defects", "schedule")}
+    write_couplings(CouplingVector(n, {zz(0, 1): 90.0, zz(1, 2): -70.0}), paths["source"])
+    write_couplings(CouplingVector(n, {zz(0, 1): 0.0, zz(0, 2): 0.0, zz(1, 2): 0.0}), paths["defects"])
+    paths["schedule"].write_text(f"n_qubits={n}\nT=1\nmode=remove\n{'I' * n} 1\n")
+    code = cli.main(["analyze", "--schedule", str(paths["schedule"]), "--source", str(paths["source"]),
+                     "--defects", str(paths["defects"]), "--delta", "10", "--seed", "0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == expected, err
+    if expected:
+        assert f"error: the Frobenius norms overflow a float at N = {n}" in err
+    else:
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[name]) for name in ("defect_frobenius", "frobenius_bound", "exact_frobenius"))
+
+
 MALFORMED_FILES = {
     "schedule-duplicate-header": ("schedule", "n_qubits=3\nT=1\nT=2\nmode=remove\nIII 1\n",
                                   "line 3: duplicate T header"),

@@ -13,7 +13,7 @@ from daqc.errors import ValidationError
 from daqc.harness import TopologySpec, derive_seed, generate_problem
 from daqc.pauli import CouplingKey, CouplingVector
 from daqc.schedule import Schedule, SynthesisMode, effective_couplings, synthesize
-from helpers import entries, same
+from helpers import combined, entries, same
 
 
 def zz(i, j):
@@ -116,6 +116,26 @@ def test_zz_build_equals_the_per_key_sum(n):
     vectors = [CouplingVector(n)] + [random_two_body(n, rng, mixed=False) for _ in range(5)]
     for h in vectors:
         assert np.array_equal(dense.build_dense(h).matrix, per_key_zz_diagonal(h)), h
+
+
+def two_row_zz_diagonal(h):
+    """Reference: rows Z_i and Z_j of each key gathered and multiplied, then summed down the keys in key order."""
+    n = h.n_qubits
+    z = 1.0 - 2.0 * ((np.arange(2**n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
+    pairs = np.array([key[:2] for key in h.keys()], dtype=np.intp).reshape(-1, 2).T
+    return (h.values_array()[:, None] * (z[pairs[0]] * z[pairs[1]])).sum(axis=0)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_zz_build_from_the_pair_table_equals_the_two_row_product(n):
+    rng = np.random.default_rng(200 + n)
+    pairs = [zz(i, j) for i in range(n) for j in range(i + 1, n)]
+    for count in (1, len(pairs) // 2, len(pairs)):
+        keys = sorted(rng.choice(len(pairs), size=max(1, count), replace=False))
+        h = CouplingVector(n, {pairs[k]: float(rng.normal()) for k in keys})
+        assert np.array_equal(dense.build_dense(h).matrix, two_row_zz_diagonal(h)), h
+    with pytest.raises(ValueError):
+        dense._zz_rows(n)[0, 0] = 2.0
 
 
 def test_qubit_cap_enforced():
@@ -254,10 +274,10 @@ def test_commutator_norm_rejects_a_full_matrix():
 def test_two_term_observable_matches_its_matrix(chain_problem):
     # a two-qubit string measured from |+>, against its Kronecker matrix
     h_problem, h_source, sched = chain_problem
-    h_real = h_source + CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2})
+    h_real = combined(h_source, CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2}))
     obs = dense.ObservableSpec(PauliMasks.from_text(["YYI"]))
     o = kron_string("YYI")
-    d = dense.build_dense(effective_couplings(sched, h_real) - h_problem).matrix
+    d = dense.build_dense(combined(effective_couplings(sched, h_real), h_problem, -1.0)).matrix
     assert dense.commutator_norm(d, obs) == pytest.approx(
         np.linalg.norm(np.diag(d) @ o - o @ np.diag(d), 2), abs=1e-12
     )
@@ -281,7 +301,7 @@ def test_sigma_x_deviation_on_plus_is_a_difference_of_cosine_products(kind, mode
         seed = derive_seed("cosines", kind, mode.value, trial)
         h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
         sched = synthesize(h_p, h_s, defect, target_time, mode, derive_seed(seed, "s"))
-        h_real = h_s + bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta
+        h_real = combined(h_s, bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta)
         h_eff = effective_couplings(sched, h_real)
 
         def x0(h):
@@ -401,7 +421,7 @@ def test_zz_replay_is_one_phase_for_every_q(kind, mode):
     seed = derive_seed("one-phase", kind, mode.value)
     h_p, h_s, defect = generate_problem(TopologySpec(kind, n), 100.0, derive_seed(seed, "p"))
     sched = synthesize(h_p, h_s, defect, 1.0, mode, derive_seed(seed, "s"))
-    h_real = h_s + bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta
+    h_real = combined(h_s, bounds.sample_defect(n, defect, 10.0, derive_seed(seed, "d")).h_delta)
     replayed = {q: dense.replay_unitary(sched, h_real, q=q) for q in (1, 3)}
     assert np.array_equal(replayed[1], replayed[3])
     for q, state in replayed.items():
@@ -455,7 +475,7 @@ def test_deviation_vanishes_without_defect(chain_problem):
 
 def test_deviation_vanishes_for_commuting_observable(chain_problem):
     h_problem, h_source, sched = chain_problem
-    h_real = h_source + CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2})
+    h_real = combined(h_source, CouplingVector(3, {zz(0, 1): 0.3, zz(0, 2): -0.2}))
     obs = dense.single_qubit_observable("z", 1, 3)
     dev = dense.expectation_deviation(h_problem, sched, h_real, obs)
     assert dev <= 1e-10
@@ -464,10 +484,10 @@ def test_deviation_vanishes_for_commuting_observable(chain_problem):
 def test_deviation_bounded_by_commutator_and_triviality(chain_problem):
     h_problem, h_source, sched = chain_problem
     h_delta = CouplingVector(3, {zz(0, 1): 0.05, zz(1, 2): -0.02, zz(0, 2): 0.04})
-    h_real = h_source + h_delta
+    h_real = combined(h_source, h_delta)
     obs = dense.single_qubit_observable("x", 1, 3)
     dev = dense.expectation_deviation(h_problem, sched, h_real, obs)
-    h_eps = effective_couplings(sched, h_real) - h_problem
+    h_eps = combined(effective_couplings(sched, h_real), h_problem, -1.0)
     commutator = dense.commutator_norm(dense.build_dense(h_eps).matrix, obs)
     assert dev <= sched.target_time * commutator + 1e-12
     assert dev <= 2  # twice the norm of a Pauli string
@@ -576,7 +596,7 @@ def test_non_zz_deviation_peaks_below_four_matrices():
     h_source, h_problem = chain(), chain()
     defect = tuple(CouplingKey(i, j, a, a) for i in range(n) for j in (i + 1, i + 2) if j < n for a in "xy")
     sched = synthesize(h_problem, h_source, defect, 1.0, SynthesisMode.REMOVE_ZEROS, rng_seed=3)
-    h_real = h_source + CouplingVector(n, {key: 0.05 for key in defect})
+    h_real = combined(h_source, CouplingVector(n, {key: 0.05 for key in defect}))
     observable = dense.single_qubit_observable("x", 0, n)
     tracemalloc.start()
     try:

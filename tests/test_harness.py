@@ -18,7 +18,7 @@ from daqc.harness import (
     run_trial,
     summarize,
 )
-from daqc.pauli import CouplingKey, CouplingVector
+from daqc.pauli import CouplingKey
 from daqc.schedule import SynthesisMode
 from helpers import same
 
@@ -178,11 +178,12 @@ def test_a_repeated_trial_builds_and_checks_no_key(monkeypatch, kind, mode):
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))
 @pytest.mark.parametrize("kind", ["nn", "random", "ata"])
-def test_a_repeated_trial_checks_key_order_eight_times(monkeypatch, kind, mode):
-    # a sum or difference on an operand's own, checked key tuple checks only its
-    # values; the defect support is checked by each public function a trial
-    # passes it to: synthesize (in pattern_space_size), sample_defect (in
-    # from_sorted) and evaluate_bounds; the whole space is listed, not sampled
+def test_a_repeated_trial_checks_key_order_nine_times(monkeypatch, kind, mode):
+    # the defect support is checked by each public function a trial passes it
+    # to: synthesize (in pattern_space_size), sample_defect (in from_sorted) and
+    # evaluate_bounds, which builds h_eps and, for the replay, h_real on it; the
+    # two sampled vectors and the two ratio vectors make the other four, and
+    # the whole space is listed, not sampled
     config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
     first = run_trial(config, 7, 0)
     calls = []
@@ -195,7 +196,7 @@ def test_a_repeated_trial_checks_key_order_eight_times(monkeypatch, kind, mode):
     for module in (pauli, blocks, bounds):
         monkeypatch.setattr(module, "_check_sorted", counted)
     assert run_trial(config, 7, 0) == first
-    assert len(calls) == 8
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))
@@ -221,23 +222,15 @@ def test_a_repeated_whole_space_trial_reads_the_sign_tables_only(monkeypatch, ki
 
 @pytest.mark.parametrize("mode", list(SynthesisMode))
 @pytest.mark.parametrize("kind", ["nn", "random", "ata"])
-def test_a_repeated_observable_trial_misses_no_size_table_and_adds_once(monkeypatch, kind, mode):
-    # dense builds its size-only arrays once per N; a trial forms h_source + h_delta once
+def test_a_repeated_observable_trial_misses_no_size_table(kind, mode):
+    # dense and synthesis build their size-only arrays once per N
     config = ExperimentConfig(TopologySpec(kind, 7), (7,), trials=1, mode=mode, master_seed=11, observable_axis="x")
     first = run_trial(config, 7, 0)
-    tables = (dense._basis, dense._z_rows, dense.plus_state, dense.single_qubit_observable)
+    tables = (dense._basis, dense._z_rows, dense._zz_rows, dense.plus_state, dense.single_qubit_observable,
+              blocks.canonical_patterns)
     misses = [table.cache_info().misses for table in tables]
-    adds = []
-    add = CouplingVector.__add__
-
-    def counted_add(self, other):
-        adds.append(other)
-        return add(self, other)
-
-    monkeypatch.setattr(CouplingVector, "__add__", counted_add)
     assert run_trial(config, 7, 0) == first
     assert [table.cache_info().misses for table in tables] == misses
-    assert len(adds) == 1
 
 
 def test_sweep_csv_digest_is_pinned():

@@ -11,6 +11,7 @@ from daqc.pauli import (
     AXES,
     CouplingKey,
     CouplingVector,
+    check_finite,
     hadamard_divide,
     is_zz_only,
     max_degree,
@@ -37,17 +38,12 @@ def test_coupling_vector_iterates_canonically():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_derived_vectors_are_canonical_and_checked():
-    a = CouplingVector(3, {zz(1, 2): 1.0})
     b = CouplingVector(3, {zz(0, 1): 2.0, zz(1, 2): 0.5})
-    assert (a + b).keys() == (a - b).keys() == (zz(0, 1), zz(1, 2))
-    assert (a - b)[zz(0, 1)] == -2.0 and (a - b)[zz(1, 2)] == 0.5
     restricted = b.restricted([zz(1, 2), zz(0, 2)])
     assert restricted.keys() == (zz(0, 2), zz(1, 2)) and restricted[zz(0, 2)] == 0.0
     with pytest.raises(ValidationError, match="out of range"):
         b.restricted([zz(1, 3)])
     huge = CouplingVector(3, {zz(0, 1): 1e308})
-    with pytest.raises(ValidationError, match="non-finite"):
-        huge + huge
     with pytest.raises(ValidationError, match="non-finite"):
         hadamard_divide(huge, CouplingVector(3, {zz(0, 1): 1e-308}))
 
@@ -60,20 +56,16 @@ def test_stored_values_cannot_be_written():
     assert v.keys() is v.keys() and v.values_array() is v.values_array()
     with pytest.raises(ValueError):
         v.values_array()[0] = 2.0
-    for derived in (v + v, v - CouplingVector(3, {zz(0, 2): 1.0}), hadamard_divide(v, v)):
+    for derived in (v.restricted([zz(0, 2)]), CouplingVector.from_sorted(3, v.keys(), [0.5, 1.5]),
+                    hadamard_divide(v, v)):
         assert not derived.values_array().flags.writeable
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("other", [{zz(0, 2): 1.0, zz(1, 2): -1e308}, {zz(1, 2): -1e308}], ids=["equal", "merged"])
-def test_arithmetic_that_overflows_names_the_key(other):
-    a = CouplingVector(3, {zz(0, 2): 1.0, zz(1, 2): 1e308})
-    b = CouplingVector(3, other)
-    assert (a.keys() == b.keys()) == (len(other) == 2)
-    with pytest.raises(ValidationError, match=r"coupling \(1,2,z,z\) has non-finite value inf"):
-        a - b
-    with pytest.raises(ValidationError, match=r"coupling \(1,2,z,z\) has non-finite value -inf"):
-        b + b
+def test_a_non_finite_value_names_its_first_key():
+    keys = (zz(0, 1), zz(0, 2), zz(1, 2))
+    check_finite(keys, np.array([1.0, -2.0, 1e308]))
+    with pytest.raises(ValidationError, match=r"coupling \(0,2,z,z\) has non-finite value -inf"):
+        check_finite(keys, np.array([1.0, -math.inf, math.nan]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -136,16 +128,6 @@ def test_sorted_constructor_checks_every_value():
         CouplingVector.from_sorted(3, (zz(0, 1), zz(1, 2)), [1.0, math.nan])
     with pytest.raises(ValidationError, match="2 coupling keys"):
         CouplingVector.from_sorted(3, (zz(0, 1), zz(1, 2)), [1.0])
-
-
-def test_arithmetic_keeps_one_sided_values_bit_for_bit():
-    # a key of one side keeps its value (a -0.0 stays -0.0) or gets 0.0 + sign * value
-    a = CouplingVector(3, {zz(0, 1): -0.0, zz(1, 2): 1.5})
-    b = CouplingVector(3, {zz(0, 2): 0.0, zz(1, 2): 0.5})
-    for total, expected in ((a + b, [-0.0, 0.0, 2.0]), (a - b, [-0.0, 0.0, 1.0]), (b - a, [0.0, 0.0, -1.0])):
-        assert total.keys() == (zz(0, 1), zz(0, 2), zz(1, 2))
-        assert np.array_equal(np.signbit(total.values_array()), np.signbit(expected))
-        assert total.values_array().tolist() == expected
 
 
 # ---- p-norms ---------------------------------------------------------------
@@ -338,16 +320,6 @@ def test_save_load(tmp_path):
     path = tmp_path / "h.txt"
     write_couplings(v, path)
     assert same(CouplingVector.load(path), v)
-
-
-def test_vector_arithmetic():
-    a = CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 2.0})
-    b = CouplingVector(3, {zz(1, 2): -2.0, zz(0, 2): 5.0})
-    total = a + b
-    assert total[zz(0, 1)] == 1.0
-    assert total[zz(1, 2)] == 0.0
-    assert total[zz(0, 2)] == 5.0
-    assert same(total - b, CouplingVector(3, {zz(0, 1): 1.0, zz(1, 2): 2.0, zz(0, 2): 0.0}))
 
 
 def test_is_zz_only():

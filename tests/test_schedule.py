@@ -18,10 +18,9 @@ from daqc.schedule import (
     within_replay_tol,
     SynthesisMode,
     effective_couplings,
-    error_vector,
     synthesize,
 )
-from helpers import same
+from helpers import error_vector_of, same
 
 REMOVE = SynthesisMode.REMOVE_ZEROS
 MITIGATE = SynthesisMode.MITIGATE_ZEROS
@@ -148,7 +147,7 @@ def test_effective_couplings_vanish_on_mitigated_rows(three_qubit_setup):
 def test_error_vector_zero_defect(three_qubit_setup):
     h_source, defect = three_qubit_setup
     sched = synthesize(h_source, h_source, defect, 1.0, REMOVE, rng_seed=2)
-    h_eps = error_vector(sched, h_source, h_source, CouplingVector(3), h_real=h_source + CouplingVector(3))
+    h_eps = error_vector_of(sched, h_source, h_source, CouplingVector(3))
     assert all(abs(v) <= 1e-9 for v in h_eps.values_array())
 
 
@@ -157,7 +156,7 @@ def test_error_vector_single_coupling_closed_form():
     h_problem = CouplingVector(2, {zz(0, 1): 1.0})
     sched = synthesize(h_problem, h_source, (zz(0, 1),), 1.0, REMOVE, rng_seed=0)
     h_delta = CouplingVector(2, {zz(0, 1): 0.1})
-    h_eps = error_vector(sched, h_problem, h_source, h_delta, h_real=h_source + h_delta)
+    h_eps = error_vector_of(sched, h_problem, h_source, h_delta)
     assert h_eps[zz(0, 1)] == pytest.approx(0.05, abs=1e-12)
 
 
@@ -165,7 +164,7 @@ def test_error_vector_mitigated_defect_only_is_zero(three_qubit_setup):
     h_source, defect = three_qubit_setup
     sched = synthesize(h_source, h_source, defect, 1.0, MITIGATE, rng_seed=4)
     h_delta = CouplingVector(3, {zz(1, 2): 9.9})
-    h_eps = error_vector(sched, h_source, h_source, h_delta, h_real=h_source + h_delta)
+    h_eps = error_vector_of(sched, h_source, h_source, h_delta)
     assert all(abs(v) <= 1e-9 for v in h_eps.values_array())
 
 
@@ -174,7 +173,7 @@ def test_error_vector_on_source_support_closed_form(three_qubit_setup):
     h_problem = CouplingVector(3, {zz(0, 1): 1.0, zz(0, 2): -2.0})
     sched = synthesize(h_problem, h_source, defect, 1.0, MITIGATE, rng_seed=4)
     h_delta = CouplingVector(3, {zz(0, 1): 0.2, zz(0, 2): -0.4, zz(1, 2): 3.0})
-    h_eps = error_vector(sched, h_problem, h_source, h_delta, h_real=h_source + h_delta)
+    h_eps = error_vector_of(sched, h_problem, h_source, h_delta)
     assert h_eps[zz(0, 1)] == pytest.approx(1.0 * 0.2 / 2.0, abs=1e-10)
     assert h_eps[zz(0, 2)] == pytest.approx(-2.0 * -0.4 / 3.0, abs=1e-10)
     assert h_eps[zz(1, 2)] == pytest.approx(0.0, abs=1e-9)
@@ -189,7 +188,7 @@ def test_error_vector_cross_check_fires_on_a_schedule_for_another_problem(three_
     sched = synthesize(h_other, h_source, defect, 1.0, MITIGATE, rng_seed=4)
     h_delta = CouplingVector(3, {zz(0, 1): 0.2, zz(0, 2): -0.4, zz(1, 2): 3.0})
     with pytest.raises(InternalConsistencyError, match=r"error vector at \(0,1,z,z\) deviates"):
-        error_vector(sched, h_problem, h_source, h_delta, h_real=h_source + h_delta)
+        error_vector_of(sched, h_problem, h_source, h_delta)
 
 
 def test_error_vector_cross_check_names_a_later_measured_key():
@@ -201,9 +200,9 @@ def test_error_vector_cross_check_names_a_later_measured_key():
     h_other = CouplingVector(4, {zz(0, 1): 1.0, zz(0, 3): 0.5, zz(2, 3): 2.0})
     sched = synthesize(h_other, h_source, defect, 1.0, MITIGATE, rng_seed=4)
     h_delta = CouplingVector(4, {key: 0.1 * (k + 1) for k, key in enumerate(defect)})
-    error_vector(sched, h_other, h_source, h_delta, h_real=h_source + h_delta)
+    error_vector_of(sched, h_other, h_source, h_delta)
     with pytest.raises(InternalConsistencyError, match=r"error vector at \(2,3,z,z\) deviates .* \(source 3\.000e\+00, real 3\.500e\+00\)"):
-        error_vector(sched, h_problem, h_source, h_delta, h_real=h_source + h_delta)
+        error_vector_of(sched, h_problem, h_source, h_delta)
 
 
 def test_mode_time_ordering_and_ata_coincidence():

@@ -15,11 +15,16 @@ the trees swap sides is the change's.
 Both trees must take the arguments ``CALLS`` passes: the defect support as a
 canonical key tuple, with ``n_qubits`` before it in ``sample_defect`` and
 ``generate_candidate_patterns``.  A tree from before the defect support was
-a key tuple cannot be timed with this script.
+a key tuple cannot be timed with this script.  ``error_vector`` is called as
+each tree's ``evaluate_bounds`` calls it: on vectors and the ``h_real`` it
+formed, or on arrays over the defect support and the sign weights formed
+before it, which its time then leaves out.  ``lp.solve`` re-solves the
+programs that the trial's ``synthesize`` handed it, captured once per tree.
 """
 
 import argparse
 import importlib
+import inspect
 import itertools
 import json
 import shutil
@@ -41,9 +46,10 @@ CALLS = {
     "synthesize": lambda m, t: m.schedule.synthesize(t.h_p, t.h_s, t.support, t.config.target_time, t.config.mode, t.seeds[1]),
     "sample_defect": lambda m, t: m.bounds.sample_defect(t.n, t.support, t.config.delta, t.seeds[2]),
     "evaluate_bounds": lambda m, t: m.bounds.evaluate_bounds(t.h_p, t.h_s, t.support, t.sched, t.defect, t.obs),
-    "h_s + h_d": lambda m, t: t.h_s + t.defect.h_delta,
-    # as evaluate_bounds calls it, with the h_real it formed
-    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, h_real=t.h_real),
+    # as evaluate_bounds calls it: on the h_real it formed, or on arrays over the defect support
+    "error_vector": lambda m, t: m.schedule.error_vector(t.sched, t.h_p, t.h_s, t.defect.h_delta, h_real=t.h_real)
+    if m.vector_error_vector else m.schedule.error_vector(t.sched, t.support, t.weights, *t.arrays, real=t.real),
+    "lp.solve": lambda m, t: [m.lp.solve(program) for program in t.programs],
     "effective_couplings": lambda m, t: m.schedule.effective_couplings(t.sched, t.h_real),
     # as effective_couplings calls it
     "sign_weights": lambda m, t: m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.h_real.keys()),
@@ -59,7 +65,10 @@ CALLS = {
 
 def load(tree: str, name: str, into: Path) -> SimpleNamespace:
     shutil.copytree(Path(tree) / "src" / "daqc", into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in ("harness", "schedule", "bounds", "dense", "blocks")})
+    m = SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
+                           for m in ("harness", "schedule", "bounds", "dense", "blocks", "lp", "pauli")})
+    m.vector_error_vector = "h_real" in inspect.signature(m.schedule.error_vector).parameters
+    return m
 
 
 def trials(m: SimpleNamespace, set_name: str) -> Iterator[SimpleNamespace]:
@@ -72,9 +81,18 @@ def trials(m: SimpleNamespace, set_name: str) -> Iterator[SimpleNamespace]:
         t = SimpleNamespace(config=config, n=n, index=index,
                             seeds=[m.harness.derive_seed(seed, part) for part in ("problem", "patterns", "defect")])
         t.h_p, t.h_s, t.support = CALLS["generate_problem"](m, t)
-        t.sched, t.defect = CALLS["synthesize"](m, t), CALLS["sample_defect"](m, t)
+        t.programs, solve = [], m.lp.solve
+        m.lp.solve = lambda program: t.programs.append(program) or solve(program)
+        try:
+            t.sched = CALLS["synthesize"](m, t)
+        finally:
+            m.lp.solve = solve
+        t.defect = CALLS["sample_defect"](m, t)
         t.obs = m.dense.single_qubit_observable(w.observable_axis, config.observable_qubit, n) if w.observable_axis else None
-        t.h_real = t.h_s + t.defect.h_delta
+        t.arrays = [h.values_at(t.support) for h in (t.h_p, t.h_s, t.defect.h_delta)]  # problem, source, defect
+        t.real = t.arrays[1] + t.arrays[2]
+        t.h_real = m.pauli.CouplingVector.from_sorted(n, t.support, t.real)
+        t.weights = m.blocks.sign_weights(t.sched.patterns, t.sched.times, t.support)
         t.h_eps = CALLS["error_vector"](m, t)
         t.h_eps_dense = m.dense.build_dense(t.h_eps)
         yield t
